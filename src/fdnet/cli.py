@@ -59,6 +59,13 @@ def _project_for_model(dataset: Dataset, input_dim: int) -> np.ndarray:
     return project_batch(dataset.values, dataset.grid, order, input_dim)
 
 
+def _require_labeled(dataset: Dataset, what: str) -> None:
+    if len(dataset) == 0:
+        raise DomainError(f"{what} data has no samples")
+    if dataset.labels.min() < 1:
+        raise DomainError(f"{what} data contains unlabeled samples")
+
+
 def _cmd_simulate(args) -> int:
     model = get_model(args.model)
     train_ds = generate_dataset(model, args.nk, m=args.m, seed=args.seed, subset="train")
@@ -73,6 +80,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _run_selection(dataset: Dataset, grid_path: str, cfg: TrainConfig, out: str) -> int:
+    _require_labeled(dataset, "training")
     grid = dataio.load_hypergrid(grid_path)
     order = BasisOrder(dataset.grid.d)
     result = select(dataset, order, grid, cfg)
@@ -88,8 +96,6 @@ def _run_selection(dataset: Dataset, grid_path: str, cfg: TrainConfig, out: str)
 
 def _cmd_train(args) -> int:
     dataset = dataio.load_dataset(args.data)
-    if dataset.labels.min() < 1:
-        raise DomainError("training data contains unlabeled samples")
     return _run_selection(dataset, args.grid, _train_config(args), args.out)
 
 
@@ -108,8 +114,7 @@ def _cmd_predict(args) -> int:
 def _cmd_eval(args) -> int:
     params, _ = dataio.load_model(args.model)
     dataset = dataio.load_dataset(args.data)
-    if dataset.labels.min() < 1:
-        raise DomainError("evaluation data contains unlabeled samples")
+    _require_labeled(dataset, "evaluation")
     scores = _project_for_model(dataset, params.architecture.input_dim)
     _, _, logits = _forward_pass(params, scores)
     probs = softmax(logits)

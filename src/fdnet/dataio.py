@@ -170,7 +170,9 @@ def load_model(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"model file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict):
+        raise FormatError(f"not a model file (a JSON {type(doc).__name__}, not an object)")
+    if doc.get("format") != MODEL_FORMAT:
         raise FormatError(f"not a model file (format field {doc.get('format')!r})")
     if doc.get("version") != MODEL_VERSION:
         raise FormatError(f"unsupported model version {doc.get('version')!r}")
@@ -207,6 +209,8 @@ def load_hypergrid(path) -> HyperGrid:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"hyperparameter grid is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"hyperparameter grid must be a JSON object, not a {type(doc).__name__}")
     missing = {"J", "L", "width", "dropout"} - set(doc)
     if missing:
         raise FormatError(f"hyperparameter grid is missing key(s) {sorted(missing)}")

@@ -13,6 +13,7 @@ weight matrix maps to K class logits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,16 @@ class Architecture:
 
     def layer_widths(self) -> tuple:
         return (self.input_dim, *self.hidden_widths, self.n_classes)
+
+    def param_shapes(self) -> list:
+        """Shapes of W_0..W_L followed by v_1..v_L."""
+        widths = self.layer_widths()
+        weights = [(widths[i + 1], widths[i]) for i in range(len(widths) - 1)]
+        return weights + [(p,) for p in self.hidden_widths]
+
+    @property
+    def param_count(self) -> int:
+        return sum(math.prod(shape) for shape in self.param_shapes())
 
 
 @dataclass
@@ -89,12 +100,28 @@ class NetworkParams:
         )
 
 
+def flat_views(arch: Architecture, buf: np.ndarray):
+    """(weights, shifts) of `arch` as reshaped views into one flat vector.
+
+    `buf` is a contiguous float64 vector of length `arch.param_count`,
+    laid out as W_0..W_L then v_1..v_L, each row-major.  Writes through the
+    views land in `buf`, so one elementwise operation on `buf` updates
+    every weight and shift at once.
+    """
+    size = arch.param_count
+    if buf.shape != (size,) or buf.dtype != np.float64 or not buf.flags.c_contiguous:
+        raise DomainError(f"need a contiguous float64 vector of length {size}")
+    views, start = [], 0
+    for shape in arch.param_shapes():
+        end = start + math.prod(shape)
+        views.append(buf[start:end].reshape(shape))
+        start = end
+    return views[: arch.depth + 1], views[arch.depth + 1 :]
+
+
 def zero_params(arch: Architecture) -> NetworkParams:
-    widths = arch.layer_widths()
-    return NetworkParams(
-        weights=[np.zeros((widths[i + 1], widths[i])) for i in range(len(widths) - 1)],
-        shifts=[np.zeros(w) for w in arch.hidden_widths],
-    )
+    weights, shifts = flat_views(arch, np.zeros(arch.param_count))
+    return NetworkParams(weights=weights, shifts=shifts)
 
 
 def initial_params(arch: Architecture, rng: np.random.Generator) -> NetworkParams:
@@ -136,10 +163,11 @@ def _forward_pass(params: NetworkParams, x: np.ndarray, masks=None):
     pre_relu = []
     a = x
     for l in range(n_hidden):
-        h = a @ params.weights[l].T - params.shifts[l]
+        h = a @ params.weights[l].T
+        h -= params.shifts[l]
         a = np.maximum(h, 0.0)
         if masks is not None and masks[l] is not None:
-            a = a * masks[l]
+            a *= masks[l]
         pre_relu.append(h)
         activations.append(a)
     logits = a @ params.weights[-1].T
@@ -212,25 +240,24 @@ def ce_loss(probs: np.ndarray, label, clamp: float | None = None) -> float:
     return float(min(loss, clamp)) if clamp is not None else float(loss)
 
 
-def _gradient_pass(params: NetworkParams, activations, pre_relu, probs, y, masks=None):
-    """Mean gradient of the CE loss over the batch, in NetworkParams layout."""
+def _gradient_pass(params: NetworkParams, activations, pre_relu, probs, y, masks, grad_w, grad_v):
+    """Mean gradient of the CE loss over the batch, written into `grad_w`
+    and `grad_v` (arrays shaped like the weights and shifts, e.g. the views
+    of `flat_views`); returns them unvalidated."""
     n = probs.shape[0]
-    n_hidden = len(params.shifts)
-    grad_w = [None] * len(params.weights)
-    grad_v = [None] * n_hidden
-
     delta = (probs - y) / n
-    grad_w[-1] = delta.T @ activations[-1]
+    np.matmul(delta.T, activations[-1], out=grad_w[-1])
     upstream = delta @ params.weights[-1]
-    for l in range(n_hidden - 1, -1, -1):
+    for l in range(len(params.shifts) - 1, -1, -1):
         if masks is not None and masks[l] is not None:
-            upstream = upstream * masks[l]
-        dh = upstream * (pre_relu[l] > 0.0)
-        grad_v[l] = -dh.sum(axis=0)
-        grad_w[l] = dh.T @ activations[l]
+            upstream *= masks[l]
+        upstream *= pre_relu[l] > 0.0
+        np.sum(upstream, axis=0, out=grad_v[l])
+        np.negative(grad_v[l], out=grad_v[l])
+        np.matmul(upstream.T, activations[l], out=grad_w[l])
         if l > 0:
-            upstream = dh @ params.weights[l]
-    return NetworkParams(weights=grad_w, shifts=grad_v)
+            upstream = upstream @ params.weights[l]
+    return grad_w, grad_v
 
 
 def backward(params: NetworkParams, x: np.ndarray, label, dropout_masks=None) -> NetworkParams:
@@ -253,7 +280,10 @@ def backward(params: NetworkParams, x: np.ndarray, label, dropout_masks=None) ->
         raise DomainError("labels do not match the batch")
     activations, pre_relu, logits = _forward_pass(params, xb, dropout_masks)
     probs = softmax(logits)
-    return _gradient_pass(params, activations, pre_relu, probs, y, dropout_masks)
+    grad_w = [np.empty_like(w) for w in params.weights]
+    grad_v = [np.empty_like(v) for v in params.shifts]
+    _gradient_pass(params, activations, pre_relu, probs, y, dropout_masks, grad_w, grad_v)
+    return NetworkParams(weights=grad_w, shifts=grad_v)
 
 
 @dataclass(frozen=True)

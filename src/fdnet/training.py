@@ -20,6 +20,15 @@ All randomness derives from the integer seed in TrainConfig through
 deterministically ordered SeedSequence spawns: one stream for the split,
 one per grid cell, one for the final retrain.  Results are therefore
 bit-reproducible and independent of any execution schedule.
+
+One training step works on flat buffers.  All weights and shifts are
+reshaped views into one contiguous float64 vector (`network.flat_views`),
+the gradient pass writes into a second vector of the same layout, and the
+optimizer updates the whole parameter vector with a fixed sequence of
+in-place ufuncs.  The dropout masks of a step come from one uniform draw,
+sliced layer by layer.  Each elementwise operation is the one the
+per-array formulas perform, in the same order, so the result does not
+depend on the layout.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from .network import (
     NetworkParams,
     _forward_pass,
     _gradient_pass,
+    flat_views,
     initial_params,
     softmax,
 )
@@ -48,9 +58,9 @@ from .rng import as_seed_sequence
 class TrainConfig:
     """Optimizer schedule; `seed` drives initialization, shuffling and dropout.
 
-    `clamp` truncates the reported loss only; gradients always come from the
-    unclamped cross-entropy with probabilities floored at 1e-12 inside the
-    log.  `clip` projects parameters into [-1, 1] after every update.
+    Gradients come from the cross-entropy with probabilities floored at
+    1e-12 inside the log.  `clip` projects parameters into [-1, 1] after
+    every update.
     """
 
     epochs: int = 100
@@ -62,7 +72,6 @@ class TrainConfig:
     eps: float = 1e-8
     dropout: float = 0.0
     seed: int = 0
-    clamp: float | None = None
     clip: bool = False
 
     def __post_init__(self):
@@ -77,8 +86,6 @@ class TrainConfig:
             raise DomainError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise DomainError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.clamp is not None and self.clamp < 2.0:
-            raise DomainError(f"clamp must be >= 2, got {self.clamp}")
 
 
 def _floored_ce(probs: np.ndarray, y: np.ndarray) -> float:
@@ -126,9 +133,16 @@ def train(
 
     if rng is None:
         rng = np.random.default_rng(as_seed_sequence(cfg.seed))
-    params = initial_params(arch, rng)
-    state = _OptState(params, cfg)
+    init = initial_params(arch, rng)
+    flat = np.concatenate([a.ravel() for a in (*init.weights, *init.shifts)])
+    del init  # the per-array copies would stay alive for the whole run
+    weights, shifts = flat_views(arch, flat)
+    params = NetworkParams(weights=weights, shifts=shifts)
+    grad = np.empty_like(flat)
+    grad_w, grad_v = flat_views(arch, grad)
+    state = _OptState(flat.size, cfg)
     keep = 1.0 - cfg.dropout
+    mask_cols = list(itertools.accumulate(arch.hidden_widths, initial=0))
 
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
@@ -137,9 +151,13 @@ def train(
             xb, yb = x[idx], y[idx]
             masks = None
             if cfg.dropout > 0.0:
+                b = xb.shape[0]
+                # one draw per step; layer l takes the next b * p_l values,
+                # exactly the numbers a per-layer draw would give it
+                factors = (rng.random(b * mask_cols[-1]) < keep) / keep
                 masks = [
-                    (rng.random((xb.shape[0], p)) < keep) / keep
-                    for p in arch.hidden_widths
+                    factors[b * lo : b * hi].reshape(b, hi - lo)
+                    for lo, hi in zip(mask_cols, mask_cols[1:])
                 ]
             # divergence surfaces as a non-finite loss below; suppress the
             # intermediate overflow warnings it would spray on the way there
@@ -152,11 +170,10 @@ def train(
                     f"training loss became non-finite at epoch {epoch + 1}, "
                     f"batch {start // cfg.batch_size + 1}"
                 )
-            grads = _gradient_pass(params, activations, pre_relu, probs, yb, masks)
-            state.step(params, grads)
+            _gradient_pass(params, activations, pre_relu, probs, yb, masks, grad_w, grad_v)
+            state.step(flat, grad)
             if cfg.clip:
-                for arr in (*params.weights, *params.shifts):
-                    np.clip(arr, -1.0, 1.0, out=arr)
+                np.clip(flat, -1.0, 1.0, out=flat)
         if on_epoch_end is not None:
             _, _, logits = _forward_pass(params, x)
             on_epoch_end(epoch, _floored_ce(softmax(logits), y))
@@ -164,33 +181,53 @@ def train(
 
 
 class _OptState:
-    """SGD or bias-corrected adaptive-moment update over a parameter list."""
+    """SGD or bias-corrected adaptive-moment update of one flat parameter vector.
 
-    def __init__(self, params: NetworkParams, cfg: TrainConfig):
+    `step(flat, grad)` updates `flat` in place and overwrites `grad`: once
+    the gradient has entered the moments its buffer is Adam's second
+    scratch vector, and SGD scales it by the learning rate.  Adam keeps the
+    two moments and one scratch vector, each the size of `flat`.  The
+    ufunc sequence evaluates the textbook per-element formulas in their
+    usual order, so every parameter gets the bits it would get from
+    updating one array at a time.
+    """
+
+    def __init__(self, size: int, cfg: TrainConfig):
         self.cfg = cfg
         self.t = 0
         if cfg.optimizer == "adam":
-            arrs = [*params.weights, *params.shifts]
-            self.m = [np.zeros_like(a) for a in arrs]
-            self.v = [np.zeros_like(a) for a in arrs]
+            self.m = np.zeros(size)
+            self.v = np.zeros(size)
+            self.scratch = np.empty(size)
 
-    def step(self, params: NetworkParams, grads: NetworkParams) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         cfg = self.cfg
-        p_arrs = [*params.weights, *params.shifts]
-        g_arrs = [*grads.weights, *grads.shifts]
         if cfg.optimizer == "sgd":
-            for p, g in zip(p_arrs, g_arrs):
-                p -= cfg.learning_rate * g
+            # p -= lr * g
+            grad *= cfg.learning_rate
+            flat -= grad
             return
         self.t += 1
         bc1 = 1.0 - cfg.beta1**self.t
         bc2 = 1.0 - cfg.beta2**self.t
-        for p, g, m, v in zip(p_arrs, g_arrs, self.m, self.v):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * np.square(g)
-            p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m, v, s = self.m, self.v, self.scratch
+        # m = beta1 m + (1 - beta1) g
+        m *= cfg.beta1
+        np.multiply(grad, 1.0 - cfg.beta1, out=s)
+        m += s
+        # v = beta2 v + (1 - beta2) g^2; g is spent after this
+        v *= cfg.beta2
+        np.square(grad, out=grad)
+        grad *= 1.0 - cfg.beta2
+        v += grad
+        # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=s)
+        s *= cfg.learning_rate
+        np.divide(v, bc2, out=grad)
+        np.sqrt(grad, out=grad)
+        grad += cfg.eps
+        s /= grad
+        flat -= s
 
 
 def split_70_30(labels: np.ndarray, seed):

@@ -93,6 +93,68 @@ class TestTrainPredictEval:
         assert "magic" in capsys.readouterr().err
 
 
+class TestMalformedInputs:
+    """Each input here once escaped `main` as a raw traceback."""
+
+    def test_model_json_list_exits_1(self, tmp_path, capsys):
+        data = simulate(tmp_path)
+        model = tmp_path / "model.json"
+        model.write_text("[1, 2, 3]")
+        code = main(["predict", "--model", str(model), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "not a model file" in err
+        assert "Traceback" not in err
+
+    def test_grid_json_number_exits_1(self, tmp_path, capsys):
+        data = simulate(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text("5")
+        code = main(["train", "--data", str(data), "--grid", str(grid),
+                     "--seed", "1", "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "JSON object" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "mnist"])
+    def test_empty_dataset_exits_1(self, tmp_path, capsys, command):
+        import struct
+
+        from fdnet import Dataset, midpoint_grid
+        from fdnet.dataio import save_dataset
+
+        empty = tmp_path / "empty.mfd"
+        save_dataset(
+            Dataset(values=np.zeros((0, 9)), grid=midpoint_grid(9),
+                    labels=np.zeros(0, dtype=np.int64), n_classes=3),
+            empty,
+        )
+        if command == "train":
+            argv = ["train", "--data", str(empty), "--grid", grid_file(tmp_path),
+                    "--seed", "1", "--out", str(tmp_path / "m.json")]
+        elif command == "mnist":
+            images, labels = tmp_path / "images", tmp_path / "labels"
+            images.write_bytes(struct.pack(">IIII", 0x803, 0, 28, 28))
+            labels.write_bytes(struct.pack(">II", 0x801, 0))
+            argv = ["mnist", "--images", str(images), "--labels", str(labels),
+                    "--grid", grid_file(tmp_path), "--seed", "1",
+                    "--out", str(tmp_path / "m.json")]
+        else:
+            data = simulate(tmp_path)
+            model = tmp_path / "m.json"
+            assert main(["train", "--data", str(data), "--grid", grid_file(tmp_path),
+                         "--epochs", "2", "--batch", "8", "--seed", "1",
+                         "--out", str(model)]) == 0
+            capsys.readouterr()
+            argv = ["eval", "--model", str(model), "--data", str(empty)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "no samples" in err
+        assert "Traceback" not in err
+
+
 class TestBenchmarkCommand:
     def test_csv_rows_and_determinism(self, tmp_path):
         args = lambda out, workers: [

@@ -118,8 +118,112 @@ class TestTrain:
             TrainConfig(dropout=1.0)
         with pytest.raises(DomainError):
             TrainConfig(optimizer="momentum")
-        with pytest.raises(DomainError):
-            TrainConfig(clamp=1.0)
+
+
+def reference_train(scores, labels, arch, cfg):
+    """Minibatch training one array at a time: a separate array per weight
+    and shift, a fresh gradient per step, one dropout draw per layer and
+    the update formulas written out per array."""
+    n, k = len(labels), arch.n_classes
+    x = np.ascontiguousarray(scores[:, : arch.input_dim])
+    y = np.zeros((n, k))
+    y[np.arange(n), labels - 1] = 1.0
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    init = initial_params(arch, rng)
+    weights, shifts = init.weights, init.shifts
+    arrays = [*weights, *shifts]
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    keep = 1.0 - cfg.dropout
+    t = 0
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            xb, yb = x[idx], y[idx]
+            masks = None
+            if cfg.dropout > 0.0:
+                masks = [(rng.random((len(idx), p)) < keep) / keep for p in arch.hidden_widths]
+            acts, pre = [xb], []
+            a = xb
+            for l in range(arch.depth):
+                h = a @ weights[l].T - shifts[l]
+                a = np.maximum(h, 0.0)
+                if masks is not None:
+                    a = a * masks[l]
+                pre.append(h)
+                acts.append(a)
+            logits = a @ weights[-1].T
+            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            probs = e / e.sum(axis=-1, keepdims=True)
+
+            delta = (probs - yb) / len(idx)
+            grad_w = [None] * len(weights)
+            grad_v = [None] * len(shifts)
+            grad_w[-1] = delta.T @ acts[-1]
+            upstream = delta @ weights[-1]
+            for l in range(arch.depth - 1, -1, -1):
+                if masks is not None:
+                    upstream = upstream * masks[l]
+                dh = upstream * (pre[l] > 0.0)
+                grad_v[l] = -dh.sum(axis=0)
+                grad_w[l] = dh.T @ acts[l]
+                if l > 0:
+                    upstream = dh @ weights[l]
+            grads = [*grad_w, *grad_v]
+
+            if cfg.optimizer == "sgd":
+                for p, g in zip(arrays, grads):
+                    p -= cfg.learning_rate * g
+            else:
+                t += 1
+                bc1 = 1.0 - cfg.beta1**t
+                bc2 = 1.0 - cfg.beta2**t
+                for p, g, mi, vi in zip(arrays, grads, m, v):
+                    mi *= cfg.beta1
+                    mi += (1.0 - cfg.beta1) * g
+                    vi *= cfg.beta2
+                    vi += (1.0 - cfg.beta2) * np.square(g)
+                    p -= cfg.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + cfg.eps)
+            if cfg.clip:
+                for p in arrays:
+                    np.clip(p, -1.0, 1.0, out=p)
+    return weights, shifts
+
+
+class TestFlatBufferExactness:
+    """`train` updates one flat parameter vector in place; it must give the
+    very bits of the per-array loop above."""
+
+    # 51 samples: batch sizes 7 and 8 leave a short last batch, 17 does not
+    @pytest.mark.parametrize(
+        "optimizer, dropout, clip, batch_size, depth",
+        [
+            ("adam", 0.2, False, 8, 1),
+            ("adam", 0.2, False, 7, 3),
+            ("adam", 0.0, False, 17, 2),
+            ("sgd", 0.0, False, 7, 1),
+            ("sgd", 0.1, False, 8, 3),
+            ("adam", 0.1, True, 7, 3),
+            ("sgd", 0.0, True, 8, 1),
+        ],
+    )
+    def test_matches_per_array_reference(self, optimizer, dropout, clip, batch_size, depth):
+        rng = np.random.default_rng(24)
+        scores, labels = blob_scores(rng, 17, [(0, 0, 1), (3, 3, 0), (-3, 3, 2)], spread=1.5)
+        lr = 0.5 if clip else 1e-2
+        cfg = TrainConfig(
+            epochs=6, batch_size=batch_size, learning_rate=lr, optimizer=optimizer,
+            dropout=dropout, clip=clip, seed=25,
+        )
+        arch = Architecture(3, (7,) * depth, 3)
+        got = train(scores, labels, arch, cfg)
+        weights, shifts = reference_train(scores, labels, arch, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(got.weights, weights))
+        assert all(np.array_equal(a, b) for a, b in zip(got.shifts, shifts))
+        if clip:
+            # the projection must have bound, or this case checks nothing
+            assert max(np.abs(w).max() for w in weights) == 1.0
 
 
 class TestSplit:
