@@ -15,10 +15,10 @@ from .evaluation import (
     EvalConfig,
     EvalReport,
     benchmark,
-    classify,
     confusion_matrix,
     evaluate,
     misclassification_rate,
+    predict,
     truncated_kl_risk,
 )
 from .network import (
@@ -27,6 +27,7 @@ from .network import (
     SparsityReport,
     backward,
     ce_loss,
+    classify,
     clip_weights,
     forward,
     forward_logits,

@@ -52,6 +52,17 @@ def univariate_fourier(index: int, t):
     return float(out) if out.ndim == 0 else out
 
 
+def _shell(d: int, g: int) -> list:
+    """The d-tuples over 1..g whose maximum is g, in lexicographic order:
+    a head below g needs g in the rest, a head of g takes any rest."""
+    if d == 1:
+        return [(g,)]
+    rest = _shell(d - 1, g)
+    out = [(i, *t) for i in range(1, g) for t in rest]
+    out += [(g, *t) for t in itertools.product(range(1, g + 1), repeat=d - 1)]
+    return out
+
+
 @dataclass
 class BasisOrder:
     """Deterministic rank -> multi-index enumeration for a tensor basis.
@@ -72,10 +83,7 @@ class BasisOrder:
     def _extend_to(self, J: int) -> None:
         while len(self._cache) < J:
             self._grade += 1
-            g = self._grade
-            for tup in itertools.product(range(1, g + 1), repeat=self.d):
-                if max(tup) == g:
-                    self._cache.append(tup)
+            self._cache.extend(_shell(self.d, self._grade))
 
     def multi_index(self, rank: int) -> tuple:
         """The d-tuple of univariate indices assigned to `rank` (1-based)."""

@@ -17,15 +17,8 @@ import numpy as np
 from . import dataio, idx
 from .basis import BasisOrder
 from .errors import DomainError, FdnetError, NumericError
-from .evaluation import (
-    EvalConfig,
-    benchmark,
-    confusion_matrix,
-    misclassification_rate,
-    truncated_kl_risk,
-)
-from .network import _forward_pass, softmax
-from .projection import Dataset, project_batch
+from .evaluation import EvalConfig, benchmark, evaluate, predict, truncated_kl_risk
+from .projection import Dataset
 from .simulation import generate_dataset, get_model
 from .training import TrainConfig, select
 
@@ -54,9 +47,21 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _project_for_model(dataset: Dataset, input_dim: int) -> np.ndarray:
-    order = BasisOrder(dataset.grid.d)
-    return project_batch(dataset.values, dataset.grid, order, input_dim)
+def _load_model_for(path: str, dataset: Dataset):
+    """The network of a model file, refused for data of another dimension
+    (another grid on the same [0,1]^d is fine; no recorded shape, no check)."""
+    params, meta = dataio.load_model(path)
+    d = len(meta.get("grid_shape", []))
+    if d and d != dataset.grid.d:
+        raise DomainError(f"model {path} was trained on {d}-D data, but the data is {dataset.grid.d}-D")
+    return params
+
+
+def _head(dataset: Dataset, limit: int) -> Dataset:
+    """The first `limit` samples of `dataset`, or all of them when 0."""
+    if not limit:
+        return dataset
+    return replace(dataset, values=dataset.values[:limit], labels=dataset.labels[:limit])
 
 
 def _require_labeled(dataset: Dataset, what: str) -> None:
@@ -100,27 +105,17 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    params, _ = dataio.load_model(args.model)
     dataset = dataio.load_dataset(args.data)
-    scores = _project_for_model(dataset, params.architecture.input_dim)
-    _, _, logits = _forward_pass(params, scores)
-    probs = softmax(logits)
-    preds = np.argmax(probs, axis=1) + 1
+    preds, probs = predict(_load_model_for(args.model, dataset), dataset)
     dataio.write_predictions_csv(range(len(dataset)), preds, probs, args.out)
     print(f"wrote {len(dataset)} predictions to {args.out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    params, _ = dataio.load_model(args.model)
     dataset = dataio.load_dataset(args.data)
     _require_labeled(dataset, "evaluation")
-    scores = _project_for_model(dataset, params.architecture.input_dim)
-    _, _, logits = _forward_pass(params, scores)
-    probs = softmax(logits)
-    preds = np.argmax(probs, axis=1) + 1
-    err = misclassification_rate(preds, dataset.labels)
-    conf = confusion_matrix(preds, dataset.labels, dataset.n_classes)
+    err, conf, probs = evaluate(_load_model_for(args.model, dataset), dataset)
     print(f"error rate: {err:.6f}")
     print("confusion matrix (rows = true class, columns = predicted):")
     for row in conf:
@@ -161,29 +156,11 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_mnist(args) -> int:
-    dataset = idx.load_idx(args.images, args.labels)
-    if args.limit:
-        dataset = Dataset(
-            values=dataset.values[: args.limit],
-            grid=dataset.grid,
-            labels=dataset.labels[: args.limit],
-            n_classes=dataset.n_classes,
-        )
+    dataset = _head(idx.load_idx(args.images, args.labels), args.limit)
     code = _run_selection(dataset, args.grid, _train_config(args), args.out)
     if args.test_images and args.test_labels:
-        params, _ = dataio.load_model(args.out)
-        test = idx.load_idx(args.test_images, args.test_labels)
-        if args.test_limit:
-            test = Dataset(
-                values=test.values[: args.test_limit],
-                grid=test.grid,
-                labels=test.labels[: args.test_limit],
-                n_classes=test.n_classes,
-            )
-        scores = _project_for_model(test, params.architecture.input_dim)
-        _, _, logits = _forward_pass(params, scores)
-        preds = np.argmax(logits, axis=1) + 1
-        err = misclassification_rate(preds, test.labels)
+        test = _head(idx.load_idx(args.test_images, args.test_labels), args.test_limit)
+        err, _, _ = evaluate(_load_model_for(args.out, test), test)
         print(f"test accuracy: {1.0 - err:.4f} on {len(test)} samples")
     return code
 

@@ -184,13 +184,18 @@ def load_model(path):
         )
         weights = [_decode_array(entry) for entry in doc["weights"]]
         shifts = [_decode_array(entry) for entry in doc["shifts"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: int() of an Infinity, which Python's json accepts
         raise FormatError(f"malformed model document: {exc}") from exc
     params = NetworkParams(weights=weights, shifts=shifts)
     got = params.architecture
     if got != arch:
         raise FormatError("declared architecture does not match the stored arrays")
-    return params, doc.get("metadata", {})
+    meta = doc.get("metadata") or {}  # absent or null: nothing recorded
+    shape = meta.get("grid_shape", []) if isinstance(meta, dict) else None
+    if not (isinstance(shape, list) and len(shape) <= 3):
+        raise FormatError("model metadata must be an object, its grid_shape a list of at most 3 axis lengths")
+    return params, meta
 
 
 def _decode_array(entry) -> np.ndarray:
@@ -221,7 +226,7 @@ def load_hypergrid(path) -> HyperGrid:
             widths=tuple(int(w) for w in doc["width"]),
             dropouts=tuple(float(s) for s in doc["dropout"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed hyperparameter grid: {exc}") from exc
 
 

@@ -1,5 +1,10 @@
-"""Classification rule, misclassification metrics, truncated KL risk, and
-the Monte-Carlo benchmark harness.
+"""Dataset-level prediction, misclassification metrics, truncated KL risk,
+and the Monte-Carlo benchmark harness.
+
+`predict` projects a dataset at the network's input width and runs
+`network.forward` once; classes come from `network.predicted_class`, the
+only argmax rule.  `evaluate` also returns the probabilities, so the KL
+risk of a replicate or the CLI's truncated cross-entropy needs no second pass.
 
 The benchmark runs R independent replicates: each draws fresh training and
 test data, runs the full selection procedure, and evaluates on the test
@@ -17,25 +22,11 @@ import numpy as np
 
 from .basis import BasisOrder
 from .errors import DomainError
-from .network import NetworkParams, _forward_pass, forward, softmax
+from .network import NetworkParams, forward, predicted_class
 from .projection import Dataset, project_batch
 from .rng import as_seed_sequence, seed_to_int
 from .simulation import SimModel, bayes_posterior, default_test_size, generate_dataset
 from .training import Chosen, HyperGrid, TrainConfig, select
-
-
-def classify(params: NetworkParams, scores: np.ndarray):
-    """Predicted class in {1..K}: argmax of the forward probabilities,
-    ties broken toward the smallest class index.
-
-    Accepts one score vector (returns an int) or a batch (returns an array).
-    """
-    scores = np.asarray(scores, dtype=float)
-    single = scores.ndim == 1
-    probs = forward(params, scores)
-    if single:
-        return int(np.argmax(probs)) + 1
-    return np.argmax(probs, axis=1).astype(np.int64) + 1
 
 
 def misclassification_rate(predictions, labels) -> float:
@@ -125,11 +116,20 @@ class EvalReport:
         return float(np.mean(self.kl_risks))
 
 
-def evaluate(params: NetworkParams, scores: np.ndarray, labels, n_classes: int):
-    """(error_rate, confusion) of a fitted network on labeled score vectors."""
-    _, _, logits = _forward_pass(params, np.asarray(scores, dtype=float))
-    pred = np.argmax(logits, axis=1) + 1
-    return misclassification_rate(pred, labels), confusion_matrix(pred, labels, n_classes)
+def predict(params: NetworkParams, dataset: Dataset):
+    """(classes, probs) of a fitted network on every sample of `dataset`,
+    projected onto the dataset's d-dimensional basis at the input width."""
+    order = BasisOrder(dataset.grid.d)
+    scores = project_batch(dataset.values, dataset.grid, order, params.architecture.input_dim)
+    probs = forward(params, scores)
+    return predicted_class(probs), probs
+
+
+def evaluate(params: NetworkParams, dataset: Dataset):
+    """(error_rate, confusion, probs) of a fitted network on a labeled dataset."""
+    pred, probs = predict(params, dataset)
+    err = misclassification_rate(pred, dataset.labels)
+    return err, confusion_matrix(pred, dataset.labels, dataset.n_classes), probs
 
 
 def _run_replicate(args):
@@ -137,21 +137,14 @@ def _run_replicate(args):
     data_ss, select_ss = rep_ss.spawn(2)
     train_ds = generate_dataset(model, n_k, m=m, shape=shape, seed=data_ss, subset="train")
     test_ds = generate_dataset(model, test_nk, m=m, shape=shape, seed=data_ss, subset="test")
-    order = BasisOrder(model.d)
-
     cfg_rep = replace(cfg, seed=seed_to_int(select_ss))
-    result = select(train_ds, order, grid, cfg_rep)
-    chosen = result.chosen
-
-    test_scores = project_batch(test_ds.values, test_ds.grid, order, chosen.n_scores)
-    err, conf = evaluate(result.final_params, test_scores, test_ds.labels, model.n_classes)
+    result = select(train_ds, BasisOrder(model.d), grid, cfg_rep)
+    err, conf, probs = evaluate(result.final_params, test_ds)
 
     kl = None
     if model.is_gaussian:
-        true_post = bayes_posterior(model, test_ds.latent)
-        _, _, logits = _forward_pass(result.final_params, test_scores)
-        kl = truncated_kl_risk(true_post, softmax(logits), c0)
-    return err, chosen, conf, kl
+        kl = truncated_kl_risk(bayes_posterior(model, test_ds.latent), probs, c0)
+    return err, result.chosen, conf, kl
 
 
 def benchmark(

@@ -9,6 +9,12 @@ Shifts enter with a minus sign, i.e. they are the negated biases of a
 conventional layer; they are stored as shifts (not biases) on purpose, and
 every consumer in this package sticks to that sign convention.  The final
 weight matrix maps to K class logits.
+
+Inference (`forward`, `forward_logits`, `classify`) runs one streaming loop
+that keeps one activation alive and raises NumericError at the first
+non-finite layer; training (`loss_and_gradient`, also behind `backward`)
+keeps every activation for the gradient pass.  `predicted_class` is the one
+classification rule: the argmax of the class probabilities.
 """
 
 from __future__ import annotations
@@ -75,6 +81,8 @@ class NetworkParams:
         self.shifts = [np.asarray(v, dtype=float) for v in self.shifts]
         if len(self.weights) != len(self.shifts) + 1:
             raise DomainError("need exactly one more weight matrix than shift vectors")
+        if any(w.ndim != 2 for w in self.weights) or any(v.ndim != 1 for v in self.shifts):
+            raise DomainError("weights must be matrices and shifts vectors")
         for i, v in enumerate(self.shifts):
             if v.shape != (self.weights[i].shape[0],):
                 raise DomainError(f"shift {i + 1} does not match the width of weight {i}")
@@ -153,18 +161,16 @@ def _as_batch(x: np.ndarray, input_dim: int):
 
 
 def _forward_pass(params: NetworkParams, x: np.ndarray, masks=None):
-    """Shared forward computation; returns (activations, pre_relu, probs).
+    """Training forward computation; returns (activations, pre_relu, logits).
 
+    Every activation and pre-activation stays alive for the gradient pass.
     `masks` is an optional list of per-hidden-layer multiplicative factors
     (0 or 1/(1-s)) with the batch shape; they implement inverted dropout.
     """
-    n_hidden = len(params.shifts)
-    activations = [x]
-    pre_relu = []
-    a = x
-    for l in range(n_hidden):
-        h = a @ params.weights[l].T
-        h -= params.shifts[l]
+    activations, pre_relu, a = [x], [], x
+    for l, (w, v) in enumerate(zip(params.weights, params.shifts)):
+        h = a @ w.T
+        h -= v
         a = np.maximum(h, 0.0)
         if masks is not None and masks[l] is not None:
             a *= masks[l]
@@ -174,11 +180,27 @@ def _forward_pass(params: NetworkParams, x: np.ndarray, masks=None):
     return activations, pre_relu, logits
 
 
+def _logits(params: NetworkParams, x: np.ndarray) -> np.ndarray:
+    """The inference loop: one activation alive at a time, ReLU in place."""
+    a = x
+    for l, (w, v) in enumerate(zip(params.weights, params.shifts), start=1):
+        h = a @ w.T
+        h -= v
+        np.maximum(h, 0.0, out=h)
+        if not np.all(np.isfinite(h)):
+            raise NumericError(f"non-finite values after hidden layer {l}")
+        a = h
+    logits = a @ params.weights[-1].T
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("non-finite values in the output logits")
+    return logits
+
+
 def forward_logits(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Class logits before the softmax; mainly a test hook (the classifier
-    is invariant to adding a constant to all K logits)."""
+    """Class logits from `forward`'s loop, before the softmax; a test hook
+    (the classifier is invariant to adding a constant to all K logits)."""
     xb, single = _as_batch(x, params.weights[0].shape[1])
-    _, _, logits = _forward_pass(params, xb)
+    logits = _logits(params, xb)
     return logits[0] if single else logits
 
 
@@ -189,17 +211,23 @@ def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     values.
     """
     xb, single = _as_batch(x, params.weights[0].shape[1])
-    n_hidden = len(params.shifts)
-    a = xb
-    for l in range(n_hidden):
-        a = np.maximum(a @ params.weights[l].T - params.shifts[l], 0.0)
-        if not np.all(np.isfinite(a)):
-            raise NumericError(f"non-finite values after hidden layer {l + 1}")
-    logits = a @ params.weights[-1].T
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite values in the output logits")
-    probs = softmax(logits)
+    probs = softmax(_logits(params, xb))
     return probs[0] if single else probs
+
+
+def predicted_class(probs: np.ndarray):
+    """The classification rule: argmax of the class probabilities as a class
+    in {1..K}, ties to the smallest; an int for one vector, else an array."""
+    probs = np.asarray(probs)
+    if probs.ndim == 1:
+        return int(np.argmax(probs)) + 1
+    return np.argmax(probs, axis=1).astype(np.int64) + 1
+
+
+def classify(params: NetworkParams, scores: np.ndarray):
+    """Predicted class in {1..K} of one score vector (an int) or a batch
+    (an array): `predicted_class` of the forward probabilities."""
+    return predicted_class(forward(params, scores))
 
 
 def _one_hot(label, n_classes: int) -> np.ndarray:
@@ -240,10 +268,20 @@ def ce_loss(probs: np.ndarray, label, clamp: float | None = None) -> float:
     return float(min(loss, clamp)) if clamp is not None else float(loss)
 
 
-def _gradient_pass(params: NetworkParams, activations, pre_relu, probs, y, masks, grad_w, grad_v):
-    """Mean gradient of the CE loss over the batch, written into `grad_w`
-    and `grad_v` (arrays shaped like the weights and shifts, e.g. the views
-    of `flat_views`); returns them unvalidated."""
+def loss_and_gradient(params: NetworkParams, x, y, masks=None, grad_w=None, grad_v=None) -> float:
+    """Mean floored cross-entropy -log max(p_true, PROB_FLOOR) of a batch
+    (x, one-hot y) under dropout `masks`; non-finite once training diverges.
+
+    Given `grad_w` and `grad_v` (arrays shaped like the weights and shifts,
+    e.g. the views of `flat_views`), also writes the mean gradient there.
+    """
+    # divergence surfaces as a non-finite loss; silence its overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        activations, pre_relu, logits = _forward_pass(params, x, masks)
+        probs = softmax(logits)
+        loss = float(-np.log(np.maximum((probs * y).sum(axis=1), PROB_FLOOR)).mean())
+    if grad_w is None:
+        return loss
     n = probs.shape[0]
     delta = (probs - y) / n
     np.matmul(delta.T, activations[-1], out=grad_w[-1])
@@ -257,7 +295,7 @@ def _gradient_pass(params: NetworkParams, activations, pre_relu, probs, y, masks
         np.matmul(upstream.T, activations[l], out=grad_w[l])
         if l > 0:
             upstream = upstream @ params.weights[l]
-    return grad_w, grad_v
+    return loss
 
 
 def backward(params: NetworkParams, x: np.ndarray, label, dropout_masks=None) -> NetworkParams:
@@ -278,11 +316,9 @@ def backward(params: NetworkParams, x: np.ndarray, label, dropout_masks=None) ->
         y = np.stack([_one_hot(int(lbl), k) for lbl in y])
     if y.shape != (xb.shape[0], params.weights[-1].shape[0]):
         raise DomainError("labels do not match the batch")
-    activations, pre_relu, logits = _forward_pass(params, xb, dropout_masks)
-    probs = softmax(logits)
     grad_w = [np.empty_like(w) for w in params.weights]
     grad_v = [np.empty_like(v) for v in params.shifts]
-    _gradient_pass(params, activations, pre_relu, probs, y, dropout_masks, grad_w, grad_v)
+    loss_and_gradient(params, xb, y, dropout_masks, grad_w, grad_v)
     return NetworkParams(weights=grad_w, shifts=grad_v)
 
 

@@ -5,9 +5,10 @@ inverted dropout on hidden units, and optional projection of all
 parameters onto the max-norm unit ball.  `select` runs the full
 hyperparameter procedure: extract scores once at the largest candidate J,
 split 70/30 stratified by class, train every candidate cell on the
-training fold, score it by 0-1 error on the validation fold, pick the
-argmin (ties falling to the lexicographically smallest candidate tuple)
-and retrain on all data.
+training fold, score it by 0-1 error on the validation fold (through
+`network.classify`, the same streaming inference loop and argmax rule
+every prediction uses), pick the argmin (ties falling to the
+lexicographically smallest candidate tuple) and retrain on all data.
 
 Inside `select`, score coordinates are standardized (zero mean, unit
 scale) before training; raw score scales span orders of magnitude and
@@ -22,33 +23,32 @@ one per grid cell, one for the final retrain.  Results are therefore
 bit-reproducible and independent of any execution schedule.
 
 One training step works on flat buffers.  All weights and shifts are
-reshaped views into one contiguous float64 vector (`network.flat_views`),
-the gradient pass writes into a second vector of the same layout, and the
-optimizer updates the whole parameter vector with a fixed sequence of
-in-place ufuncs.  The dropout masks of a step come from one uniform draw,
-sliced layer by layer.  Each elementwise operation is the one the
-per-array formulas perform, in the same order, so the result does not
+reshaped views into one contiguous float64 vector (`network.flat_views`).
+`network.loss_and_gradient` runs the training forward loop, which keeps
+every activation, and writes the gradient into a second vector of the same
+layout; the optimizer then updates the whole parameter vector with a fixed
+sequence of in-place ufuncs.  The dropout masks of a step come from one
+uniform draw, sliced layer by layer.  Each elementwise operation is the one
+the per-array formulas perform, in the same order, so the result does not
 depend on the layout.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basis import BasisOrder
 from .errors import DomainError, NumericError
 from .network import (
-    PROB_FLOOR,
     Architecture,
     NetworkParams,
-    _forward_pass,
-    _gradient_pass,
+    classify,
     flat_views,
     initial_params,
-    softmax,
+    loss_and_gradient,
 )
 from .projection import Dataset, project_batch
 from .rng import as_seed_sequence
@@ -86,11 +86,6 @@ class TrainConfig:
             raise DomainError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise DomainError(f"dropout must lie in [0, 1), got {self.dropout}")
-
-
-def _floored_ce(probs: np.ndarray, y: np.ndarray) -> float:
-    p_true = np.maximum((probs * y).sum(axis=1), PROB_FLOOR)
-    return float(-np.log(p_true).mean())
 
 
 def train(
@@ -159,24 +154,17 @@ def train(
                     factors[b * lo : b * hi].reshape(b, hi - lo)
                     for lo, hi in zip(mask_cols, mask_cols[1:])
                 ]
-            # divergence surfaces as a non-finite loss below; suppress the
-            # intermediate overflow warnings it would spray on the way there
-            with np.errstate(over="ignore", invalid="ignore"):
-                activations, pre_relu, logits = _forward_pass(params, xb, masks)
-                probs = softmax(logits)
-                loss = _floored_ce(probs, yb)
+            loss = loss_and_gradient(params, xb, yb, masks, grad_w, grad_v)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"training loss became non-finite at epoch {epoch + 1}, "
                     f"batch {start // cfg.batch_size + 1}"
                 )
-            _gradient_pass(params, activations, pre_relu, probs, yb, masks, grad_w, grad_v)
             state.step(flat, grad)
             if cfg.clip:
                 np.clip(flat, -1.0, 1.0, out=flat)
         if on_epoch_end is not None:
-            _, _, logits = _forward_pass(params, x)
-            on_epoch_end(epoch, _floored_ce(softmax(logits), y))
+            on_epoch_end(epoch, loss_and_gradient(params, x, y))
     return params
 
 
@@ -323,13 +311,6 @@ class SelectionResult:
     validation_errors: np.ndarray
     final_params: NetworkParams
     grid: HyperGrid
-    candidate_errors: dict = field(default_factory=dict)
-
-
-def _zero_one_error(params: NetworkParams, scores: np.ndarray, labels: np.ndarray) -> float:
-    _, _, logits = _forward_pass(params, scores)
-    pred = np.argmax(logits, axis=1) + 1
-    return float(np.mean(pred != labels))
 
 
 def _standardization(scores: np.ndarray):
@@ -384,15 +365,13 @@ def select(
     shape = (len(grid.n_scores), len(grid.depths), len(grid.widths), len(grid.dropouts))
     errors = np.empty(shape)
     best = None
-    for ci, (flat, cell) in enumerate(
-        zip(np.ndindex(shape), grid.cells())
-    ):
+    for ci, (flat, cell) in enumerate(zip(np.ndindex(shape), grid.cells())):
         j_c, l_c, w_c, s_c = cell
         arch = Architecture(input_dim=j_c, hidden_widths=(w_c,) * l_c, n_classes=k)
         cfg_cell = replace(cfg, dropout=s_c)
         rng = np.random.default_rng(streams[1 + ci])
         params = train(scores[train_idx], labels[train_idx], arch, cfg_cell, rng=rng)
-        err = _zero_one_error(params, scores[val_idx, :j_c], labels[val_idx])
+        err = float(np.mean(classify(params, scores[val_idx, :j_c]) != labels[val_idx]))
         errors[flat] = err
         key = (err, cell)
         if best is None or key < best[0]:
@@ -410,5 +389,4 @@ def select(
         validation_errors=errors,
         final_params=final,
         grid=grid,
-        candidate_errors={cell: errors[flat] for flat, cell in zip(np.ndindex(shape), grid.cells())},
     )

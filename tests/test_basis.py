@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -54,6 +55,16 @@ class TestEnumeration:
     def test_bijective_up_to_10000(self, d):
         mi = BasisOrder(d).multi_indices(10_000)
         assert len({tuple(row) for row in mi.tolist()}) == 10_000
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_filtered_product_order(self, d):
+        # reference: every grade g filters all g^d products for max == g,
+        # which keeps itertools.product's lexicographic order
+        ref, g = [], 0
+        while len(ref) < 2000:
+            g += 1
+            ref += [t for t in itertools.product(range(1, g + 1), repeat=d) if max(t) == g]
+        assert BasisOrder(d).multi_indices(2000).tolist() == [list(t) for t in ref[:2000]]
 
     def test_graded_order_is_monotone(self):
         mi = BasisOrder(3).multi_indices(500)

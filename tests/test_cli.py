@@ -154,6 +154,81 @@ class TestMalformedInputs:
         assert "no samples" in err
         assert "Traceback" not in err
 
+    def test_model_json_infinite_integer_exits_1(self, tmp_path, capsys):
+        from fdnet import Architecture, initial_params
+        from fdnet.dataio import save_model
+
+        data = simulate(tmp_path)
+        model = tmp_path / "model.json"
+        save_model(initial_params(Architecture(4, (8,), 3), np.random.default_rng(0)), model)
+        doc = json.loads(model.read_text())
+        doc["architecture"]["input_dim"] = float("inf")
+        model.write_text(json.dumps(doc))  # written as the bare token Infinity
+        code = main(["predict", "--model", str(model), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "malformed model document" in err
+        assert "Traceback" not in err
+
+    def test_grid_json_infinite_integer_exits_1(self, tmp_path, capsys):
+        data = simulate(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"J": [Infinity], "L": [1], "width": [4], "dropout": [0.0]}')
+        code = main(["train", "--data", str(data), "--grid", str(grid),
+                     "--seed", "1", "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "malformed hyperparameter grid" in err
+        assert "Traceback" not in err
+
+
+class TestModelDimension:
+    """A model refuses data of a dimension it was not trained on."""
+
+    @pytest.fixture
+    def model_2d(self, tmp_path):
+        data = simulate(tmp_path, nk=15)
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(data), "--grid", grid_file(tmp_path),
+                     "--epochs", "5", "--batch", "8", "--seed", "3",
+                     "--out", str(model)]) == 0
+        return model
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_3d_data_on_2d_model_exits_1(self, tmp_path, capsys, model_2d, command):
+        data_3d = tmp_path / "cube.mfd"
+        assert main(["simulate", "--model", "3d-gaussian", "--nk", "5", "--m", "8",
+                     "--seed", "2", "--out", str(data_3d)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "p.csv"
+        argv = [command, "--model", str(model_2d), "--data", str(data_3d)]
+        if command == "predict":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "trained on 2-D data, but the data is 3-D" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_other_grid_of_same_dimension_scores(self, tmp_path, capsys, model_2d):
+        finer = simulate(tmp_path, "finer.mfd", m=25, seed=8)
+        assert main(["eval", "--model", str(model_2d), "--data", str(finer)]) == 0
+        assert "error rate:" in capsys.readouterr().out
+
+    def test_model_without_grid_shape_scores(self, tmp_path, model_2d):
+        from fdnet.dataio import load_model, save_model
+
+        params, meta = load_model(model_2d)
+        assert meta["grid_shape"] == [3, 3]
+        bare = tmp_path / "bare.json"
+        save_model(params, bare)  # library-saved: no metadata at all
+        data = simulate(tmp_path, "other.mfd", seed=9)
+        out_bare, out_full = tmp_path / "bare.csv", tmp_path / "full.csv"
+        assert main(["predict", "--model", str(bare), "--data", str(data), "--out", str(out_bare)]) == 0
+        assert main(["predict", "--model", str(model_2d), "--data", str(data), "--out", str(out_full)]) == 0
+        assert out_bare.read_bytes() == out_full.read_bytes()
+
 
 class TestBenchmarkCommand:
     def test_csv_rows_and_determinism(self, tmp_path):

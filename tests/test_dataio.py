@@ -1,3 +1,4 @@
+import copy
 import gzip
 import json
 import struct
@@ -5,7 +6,16 @@ import struct
 import numpy as np
 import pytest
 
-from fdnet import Architecture, Dataset, FormatError, generate_dataset, get_model, initial_params, midpoint_grid
+from fdnet import (
+    Architecture,
+    Dataset,
+    DomainError,
+    FormatError,
+    generate_dataset,
+    get_model,
+    initial_params,
+    midpoint_grid,
+)
 from fdnet.dataio import (
     BENCHMARK_COLUMNS,
     dataset_to_csv,
@@ -155,6 +165,95 @@ class TestHyperGridJson:
         path = tmp_path / "grid.json"
         path.write_text('{"J": [5], "L": [2], "width": [32]}')
         with pytest.raises(FormatError, match="dropout"):
+            load_hypergrid(path)
+
+
+# values JSON can hold where a loader expects something else; json writes
+# the two floats as the bare tokens Infinity and NaN, which json.load accepts
+JSON_JUNK = (float("inf"), float("nan"), -1, "x", None, [], {})
+
+
+def _node_paths(doc, path=()):
+    """Key paths of every node below the root, containers and leaves alike."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    """A deep copy of `doc` with the node at `path` replaced, or None when an
+    earlier replacement removed that path."""
+    doc = copy.deepcopy(doc)
+    parent, node = None, doc
+    for key in path:
+        keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+        if key not in keys:
+            return None
+        parent, node = node, node[key]
+    parent[path[-1]] = value
+    return doc
+
+
+class TestJsonLoaderFuzz:
+    """c10-style mutation of model and grid JSON: every node replaced by each
+    junk value, then seeded random multi-node mutations.  A loader accepts
+    the document or raises FormatError or DomainError, never anything else."""
+
+    def _crashes(self, tmp_path, loader, doc, seed, n_random=300):
+        paths = list(_node_paths(doc))
+        mutations = [[(p, v)] for p in paths for v in JSON_JUNK]
+        rng = np.random.default_rng(seed)
+        for _ in range(n_random):
+            picks = rng.choice(len(paths), size=int(rng.integers(2, 5)), replace=False)
+            mutations.append([(paths[i], JSON_JUNK[rng.integers(len(JSON_JUNK))]) for i in picks])
+        target = tmp_path / "fuzz.json"
+        crashes = []
+        for mutation in mutations:
+            mutated = doc
+            for path, value in mutation:
+                mutated = _replaced(mutated, path, value) or mutated
+            target.write_text(json.dumps(mutated))
+            try:
+                loader(target)
+            except (FormatError, DomainError):
+                pass
+            except Exception as exc:  # noqa: BLE001 - any other type is the failure
+                crashes.append((mutation, repr(exc)))
+        return crashes
+
+    def test_model_loader(self, tmp_path):
+        from fdnet import Chosen, TrainConfig
+        from fdnet.dataio import metadata_for
+
+        params = initial_params(Architecture(2, (3,), 2), np.random.default_rng(30))
+        meta = metadata_for(Chosen(2, 1, 3, 0.0), TrainConfig(), 1, {"grid_shape": [3, 3]})
+        path = tmp_path / "m.json"
+        save_model(params, path, metadata=meta)
+        doc = json.loads(path.read_text())
+        assert self._crashes(tmp_path, load_model, doc, seed=20240605) == []
+
+    def test_grid_loader(self, tmp_path):
+        doc = {"J": [2, 5], "L": [1, 2], "width": [4], "dropout": [0.0, 0.1]}
+        assert self._crashes(tmp_path, load_hypergrid, doc, seed=20240606) == []
+
+    def test_infinite_integers_are_format_errors(self, tmp_path):
+        params = initial_params(Architecture(2, (3,), 2), np.random.default_rng(31))
+        path = tmp_path / "m.json"
+        save_model(params, path)
+        doc = json.loads(path.read_text())
+        for where in (("architecture", "input_dim"), ("architecture", "hidden_widths", 0),
+                      ("weights", 0, "shape", 1)):
+            path.write_text(json.dumps(_replaced(doc, where, float("inf"))))
+            with pytest.raises(FormatError, match="malformed"):
+                load_model(path)
+        path.write_text('{"J": [Infinity], "L": [1], "width": [4], "dropout": [0.0]}')
+        with pytest.raises(FormatError, match="malformed"):
             load_hypergrid(path)
 
 

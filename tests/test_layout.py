@@ -1,0 +1,68 @@
+"""Module boundaries of the package: no fdnet module reaches into another
+module's private (`_`-prefixed) names, either by importing them or through
+an imported module object."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fdnet"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def _is_fdnet(module: str | None, level: int) -> bool:
+    # relative imports stay inside the package; absolute ones name it
+    return level > 0 or module == "fdnet" or (module or "").startswith("fdnet.")
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_uses(tree: ast.Module) -> list:
+    """(line, text) of every private fdnet name this module takes from another."""
+    found, module_aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_fdnet(node.module, node.level):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append((node.lineno, ast.unparse(node)))
+                else:
+                    # the name may be a module (`from . import dataio`); see below
+                    module_aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if _is_fdnet(alias.name, 0):
+                    module_aliases.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in module_aliases:
+                found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_sources_found():
+    assert {"network.py", "training.py", "evaluation.py", "cli.py"} <= {p.name for p in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    uses = private_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert uses == [], f"{path.name} uses private names of other modules: {uses}"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .network import _forward_pass",
+        "from fdnet.network import forward, _gradient_pass as g",
+        "from . import network\nnetwork._forward_pass",
+        "import fdnet.network\nfdnet.network._logits",
+    ],
+)
+def test_detects_private_use(source):
+    assert private_uses(ast.parse(source))

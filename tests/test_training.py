@@ -324,7 +324,10 @@ class TestSelect:
         cfg = TrainConfig(epochs=60, batch_size=16, learning_rate=1e-2, seed=15)
         result = select(ds, order, grid, cfg)
         assert result.chosen.width == 64
-        errs = result.candidate_errors
+        errs = {
+            cell: result.validation_errors[idx]
+            for idx, cell in zip(np.ndindex(result.validation_errors.shape), grid.cells())
+        }
         assert errs[(2, 1, 64, 0.0)] < errs[(2, 1, 1, 0.0)]
 
     def test_chosen_attains_minimum_with_lexicographic_ties(self):
@@ -333,7 +336,11 @@ class TestSelect:
         grid = HyperGrid(n_scores=(1, 2), depths=(1,), widths=(4, 8), dropouts=(0.0, 0.1))
         cfg = TrainConfig(epochs=25, batch_size=8, learning_rate=1e-2, seed=17)
         result = select(ds, BasisOrder(1), grid, cfg)
-        best = min((err, cell) for cell, err in result.candidate_errors.items())
+        shape = result.validation_errors.shape
+        best = min(
+            (result.validation_errors[idx], cell)
+            for idx, cell in zip(np.ndindex(shape), grid.cells())
+        )
         assert result.chosen.as_tuple() == best[1]
         assert result.validation_errors.min() == best[0]
 
