@@ -238,49 +238,38 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _modal_chosen(chosen: list) -> Chosen:
+    """Most frequent chosen tuple; ties fall to the lexicographically
+    smallest."""
+    tuples = [c.as_tuple() for c in chosen]
+    uniq = sorted(set(tuples))
+    best = max(uniq, key=lambda t: (tuples.count(t), tuple(-x for x in t)))
+    return Chosen(*best)
+
+
+def _benchmark_row(report, replicates, error, sd, se, choice: Chosen) -> str:
+    fields = (report.model_id, report.n_per_class, report.m, replicates, error, sd, se)
+    return ",".join(_fmt(x) for x in (*fields, *choice.as_tuple()))
+
+
 def write_benchmark_csv(report, path) -> None:
     """One summary row (modal chosen tuple) followed by one row per replicate."""
-    from .evaluation import modal_chosen
-
-    rows = [",".join(BENCHMARK_COLUMNS)]
-    summary_choice = modal_chosen(report.chosen)
-    rows.append(
-        ",".join(
-            _fmt(x)
-            for x in (
-                report.model_id,
-                report.n_per_class,
-                report.m,
-                report.replicates,
-                report.mean_error,
-                report.sd,
-                report.se,
-                summary_choice.n_scores,
-                summary_choice.depth,
-                summary_choice.width,
-                summary_choice.dropout,
-            )
-        )
-    )
-    for err, choice in zip(report.errors, report.chosen):
-        rows.append(
-            ",".join(
-                _fmt(x)
-                for x in (
-                    report.model_id,
-                    report.n_per_class,
-                    report.m,
-                    1,
-                    float(err),
-                    None,
-                    None,
-                    choice.n_scores,
-                    choice.depth,
-                    choice.width,
-                    choice.dropout,
-                )
-            )
-        )
+    rows = [
+        ",".join(BENCHMARK_COLUMNS),
+        _benchmark_row(
+            report,
+            report.replicates,
+            report.mean_error,
+            report.sd,
+            report.se,
+            _modal_chosen(report.chosen),
+        ),
+    ]
+    # float(): repr of a numpy float64 is "np.float64(...)" in numpy 2
+    rows += [
+        _benchmark_row(report, 1, float(err), None, None, choice)
+        for err, choice in zip(report.errors, report.chosen)
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -291,8 +280,9 @@ def write_predictions_csv(indices, predictions, probabilities, path) -> None:
     k = probabilities.shape[1]
     header = "index,predicted," + ",".join(f"p{j + 1}" for j in range(k))
     rows = [header]
-    for i, pred, probs in zip(indices, predictions, probabilities):
-        rows.append(f"{i},{pred}," + ",".join(repr(float(p)) for p in probs))
+    # one conversion to Python numbers; repr of a float is its shortest round-trip form
+    for i, pred, probs in zip(indices, np.asarray(predictions).tolist(), probabilities.tolist()):
+        rows.append(f"{i},{pred}," + ",".join(map(repr, probs)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(rows) + "\n")
 

@@ -2,7 +2,8 @@
 
 Domain errors cover invalid arguments and malformed inputs (CLI exit
 code 1); numeric errors cover runtime failures of the numerical routines
-such as diverging losses or non-converging eigensolvers (CLI exit code 2).
+such as diverging losses, non-finite network outputs or a covariance with a
+negative eigenvalue (CLI exit code 2).
 """
 
 
@@ -28,7 +29,8 @@ class FormatError(DomainError):
 
 
 class NumericError(FdnetError, ArithmeticError):
-    """A numerical routine failed at runtime (NaN loss, no convergence)."""
+    """A numerical routine failed at runtime (NaN loss, non-finite layer,
+    indefinite covariance)."""
 
 
 class AliasingWarning(UserWarning):

@@ -26,7 +26,7 @@ from .network import NetworkParams, forward, predicted_class
 from .projection import Dataset, project_batch
 from .rng import as_seed_sequence, seed_to_int
 from .simulation import SimModel, bayes_posterior, default_test_size, generate_dataset
-from .training import Chosen, HyperGrid, TrainConfig, select
+from .training import HyperGrid, TrainConfig, select
 
 
 def misclassification_rate(predictions, labels) -> float:
@@ -198,12 +198,3 @@ def benchmark(
         chosen=chosen,
         kl_risks=kl_risks,
     )
-
-
-def modal_chosen(chosen: list) -> Chosen:
-    """Most frequent chosen tuple; ties fall to the lexicographically
-    smallest."""
-    tuples = [c.as_tuple() for c in chosen]
-    uniq = sorted(set(tuples))
-    best = max(uniq, key=lambda t: (tuples.count(t), tuple(-x for x in t)))
-    return Chosen(*best)

@@ -183,14 +183,17 @@ def _forward_pass(params: NetworkParams, x: np.ndarray, masks=None):
 def _logits(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """The inference loop: one activation alive at a time, ReLU in place."""
     a = x
-    for l, (w, v) in enumerate(zip(params.weights, params.shifts), start=1):
-        h = a @ w.T
-        h -= v
-        np.maximum(h, 0.0, out=h)
-        if not np.all(np.isfinite(h)):
-            raise NumericError(f"non-finite values after hidden layer {l}")
-        a = h
-    logits = a @ params.weights[-1].T
+    # the checks below report overflow as NumericError; numpy's warning would
+    # reach the caller first (or instead, under `-W error`)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, (w, v) in enumerate(zip(params.weights, params.shifts), start=1):
+            h = a @ w.T
+            h -= v
+            np.maximum(h, 0.0, out=h)
+            if not np.all(np.isfinite(h)):
+                raise NumericError(f"non-finite values after hidden layer {l}")
+            a = h
+        logits = a @ params.weights[-1].T
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite values in the output logits")
     return logits

@@ -3,10 +3,11 @@
 Two routes are provided.  The default is fixed-basis integration: the
 sample is integrated against the first J tensor Fourier elements with the
 grid's quadrature weights.  The second route estimates a data-driven basis
-from the sample covariance (a discrete Karhunen-Loeve decomposition) and
-projects onto its leading eigenfunctions.  The benchmark pipeline uses the
-fixed-basis route throughout; the covariance route is provided for
-exploratory use, against the pooled covariance when classes are mixed.
+from the sample covariance (a discrete Karhunen-Loeve decomposition, solved
+by `np.linalg.eigh` under one relative zero tolerance) and projects onto
+its leading eigenfunctions.  The benchmark pipeline uses the fixed-basis
+route throughout; the covariance route is provided for exploratory use,
+against the pooled covariance when classes are mixed.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-    def sample(self, i: int) -> FunctionalSample:
-        label = int(self.labels[i])
-        return FunctionalSample(self.values[i], self.grid, label if label > 0 else None)
 
 
 def _check_aliasing(J: int, grid: Grid) -> None:
@@ -174,96 +171,37 @@ class FpcaResult:
     grid: Grid
 
 
-def empirical_fpca(
-    cov: EmpiricalCovariance,
-    J: int,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> FpcaResult:
+def empirical_fpca(cov: EmpiricalCovariance, J: int) -> FpcaResult:
     """First J eigenpairs of the weighted covariance operator.
 
     Solves the symmetric eigenproblem of D^(1/2) C D^(1/2) (D = diagonal
-    quadrature weights) by deflated power iteration, mapping eigenvectors
+    quadrature weights) with one `np.linalg.eigh` call, mapping eigenvectors
     back so that eigenfunctions are orthonormal under the grid inner
-    product.  Eigenvalues below 1e-9 of the leading one are reported as
-    exact zeros (they are indistinguishable from deflation residue in
-    double precision).  Raises NumericError when an eigenpair fails to
-    converge within `max_iter` iterations.
+    product.  One relative tolerance, zero = 1e-9 times the largest
+    eigenvalue, applies to the whole spectrum: eigenvalues at or below it
+    are reported as exact zeros (they are roundoff in double precision),
+    and a smallest eigenvalue below -zero raises NumericError, because the
+    matrix is then not a covariance.  Eigenfunction signs are arbitrary.
     """
     m = cov.matrix.shape[0]
     if not 1 <= J <= m:
         raise DomainError(f"J must lie in 1..{m}, got {J}")
-    w = cov.grid.node_weights()
-    sw = np.sqrt(w)
+    sw = np.sqrt(cov.grid.node_weights())
     b = sw[:, None] * cov.matrix * sw[None, :]
-    b = 0.5 * (b + b.T)
-    scale = max(float(np.abs(b).max()), 1e-300)
-
-    eigvals = np.empty(J)
-    vecs = np.empty((J, m))
-    for j in range(J):
-        # once the leading eigenvalue is known it sets the zero threshold
-        lead = max(eigvals[0], 1e-300) if j > 0 else scale
-        lam, u = _dominant_eigenpair(b, tol, max_iter, lead, j)
-        # fight roundoff drift: re-orthogonalize against found directions
-        for i in range(j):
-            u -= (vecs[i] @ u) * vecs[i]
-        norm = np.linalg.norm(u)
-        if norm <= 1e-12:
-            u = _complement_vector(vecs[:j], m)
-        else:
-            u /= norm
-        eigvals[j] = lam
-        vecs[j] = u
-        b -= lam * np.outer(u, u)
-
-    if eigvals.min() < -1e-10:
+    eigvals, vecs = np.linalg.eigh(0.5 * (b + b.T))
+    zero = 1e-9 * eigvals[-1]
+    if eigvals[0] < -zero:
         raise NumericError(
-            f"eigensolver produced eigenvalue {eigvals.min():.3e} below tolerance"
+            f"covariance has eigenvalue {eigvals[0]:.3e}, below the tolerance -{zero:.3e}"
         )
-    eigvals = np.maximum(eigvals, 0.0)
-    order_idx = np.argsort(-eigvals, kind="stable")
-    eigvals = eigvals[order_idx]
-    vecs = vecs[order_idx]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        funcs = np.where(sw[None, :] > 0, vecs / sw[None, :], 0.0)
-    return FpcaResult(eigenvalues=eigvals, eigenfunctions=funcs, mean=cov.mean, grid=cov.grid)
-
-
-def _dominant_eigenpair(b, tol, max_iter, lead_scale, j):
-    m = b.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence(0x5EED, spawn_key=(j,)))
-    v = rng.standard_normal(m)
-    v /= np.linalg.norm(v)
-    # eigenvalues this far below the leading one are deflation residue
-    zero_floor = 1e-9 * lead_scale
-    for _ in range(max_iter):
-        z = b @ v
-        nz = np.linalg.norm(z)
-        lam = float(v @ z)
-        if nz <= 1e-300 or abs(lam) <= zero_floor:
-            return 0.0, v
-        resid = np.linalg.norm(z - lam * v)
-        v = z / nz
-        if resid <= tol * max(abs(lam), zero_floor):
-            return lam, v
-    raise NumericError(
-        f"power iteration for eigenpair {j + 1} did not converge within {max_iter} iterations"
+    eigvals = eigvals[::-1][:J]
+    funcs = vecs[:, ::-1][:, :J].T / sw
+    return FpcaResult(
+        eigenvalues=np.where(eigvals > zero, eigvals, 0.0),
+        eigenfunctions=funcs,
+        mean=cov.mean,
+        grid=cov.grid,
     )
-
-
-def _complement_vector(found: np.ndarray, m: int) -> np.ndarray:
-    """Deterministic unit vector orthogonal to the rows of `found`."""
-    for i in range(m):
-        u = np.zeros(m)
-        u[i] = 1.0
-        for row in found:
-            u -= (row @ u) * row
-        norm = np.linalg.norm(u)
-        if norm > 0.5:
-            return u / norm
-    raise NumericError("could not construct an orthogonal complement vector")
 
 
 def fpc_scores(sample: FunctionalSample, fpca: FpcaResult, J: int | None = None) -> np.ndarray:

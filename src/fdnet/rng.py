@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | np.random.SeedSequence | np.random.Generator"
-
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
     """Normalize an int or SeedSequence to a SeedSequence."""

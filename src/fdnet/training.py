@@ -53,6 +53,11 @@ from .network import (
 from .projection import Dataset, project_batch
 from .rng import as_seed_sequence
 
+# moment decay rates and denominator guard of the adaptive-moment update
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -60,16 +65,14 @@ class TrainConfig:
 
     Gradients come from the cross-entropy with probabilities floored at
     1e-12 inside the log.  `clip` projects parameters into [-1, 1] after
-    every update.
+    every update.  The adaptive-moment update uses the fixed ADAM_BETA1,
+    ADAM_BETA2 and ADAM_EPS.
     """
 
     epochs: int = 100
     batch_size: int = 32
     learning_rate: float = 1e-3
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     dropout: float = 0.0
     seed: int = 0
     clip: bool = False
@@ -196,24 +199,24 @@ class _OptState:
             flat -= grad
             return
         self.t += 1
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         m, v, s = self.m, self.v, self.scratch
         # m = beta1 m + (1 - beta1) g
-        m *= cfg.beta1
-        np.multiply(grad, 1.0 - cfg.beta1, out=s)
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=s)
         m += s
         # v = beta2 v + (1 - beta2) g^2; g is spent after this
-        v *= cfg.beta2
+        v *= ADAM_BETA2
         np.square(grad, out=grad)
-        grad *= 1.0 - cfg.beta2
+        grad *= 1.0 - ADAM_BETA2
         v += grad
         # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(m, bc1, out=s)
         s *= cfg.learning_rate
         np.divide(v, bc2, out=grad)
         np.sqrt(grad, out=grad)
-        grad += cfg.eps
+        grad += ADAM_EPS
         s /= grad
         flat -= s
 

@@ -1,6 +1,7 @@
 """Module boundaries of the package: no fdnet module reaches into another
 module's private (`_`-prefixed) names, either by importing them or through
-an imported module object."""
+an imported module object, and every fdnet import sits at module level, so
+each module's dependencies show in its header."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,20 @@ def private_uses(tree: ast.Module) -> list:
     return found
 
 
+def function_imports(tree: ast.Module) -> list:
+    """(line, text) of every fdnet import made inside a function body."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.ImportFrom) and _is_fdnet(node.module, node.level)) or (
+                isinstance(node, ast.Import) and any(_is_fdnet(a.name, 0) for a in node.names)
+            ):
+                found.add((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
 def test_sources_found():
     assert {"network.py", "training.py", "evaluation.py", "cli.py"} <= {p.name for p in SOURCES}
 
@@ -66,3 +81,27 @@ def test_no_private_imports_across_modules(path):
 )
 def test_detects_private_use(source):
     assert private_uses(ast.parse(source))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    imports = function_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert imports == [], f"{path.name} imports fdnet modules inside functions: {imports}"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f():\n    from .evaluation import modal_chosen",
+        "def f():\n    from . import network",
+        "class C:\n    def m(self):\n        import fdnet.network",
+        "async def f():\n    from fdnet import train",
+    ],
+)
+def test_detects_function_import(source):
+    assert function_imports(ast.parse(source))
+
+
+def test_allows_module_level_and_foreign_imports():
+    source = "from .network import forward\ndef f():\n    import json\n    from os import path"
+    assert function_imports(ast.parse(source)) == []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,16 @@ class TestForward:
         params.weights[0][:] = 1e308
         with pytest.raises(NumericError, match="hidden layer 1"):
             forward(params, np.array([1e9, 1e9]))
+
+    def test_overflow_is_an_error_not_a_warning(self):
+        # under `-W error` numpy's overflow warning would replace the NumericError
+        params = zero_params(Architecture(2, (2, 2), 2))
+        params.weights[0][:] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (forward, forward_logits):
+                with pytest.raises(NumericError, match="hidden layer 1"):
+                    fn(params, np.array([1e9, 1e9]))
 
 
 class TestCeLoss:

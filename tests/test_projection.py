@@ -6,10 +6,12 @@ from fdnet import (
     BasisOrder,
     DomainError,
     FunctionalSample,
+    NumericError,
     class_covariance,
     draw_scores,
     empirical_fpca,
     fpc_scores,
+    generate_dataset,
     get_model,
     midpoint_grid,
     pooled_covariance,
@@ -17,6 +19,7 @@ from fdnet import (
     project_batch,
 )
 from fdnet.basis import design_matrix
+from fdnet.projection import EmpiricalCovariance
 
 # Eigenvalues of the class-1 covariance operator of the 2d-gaussian model:
 # kernel sum_j sd_j^2 psi_j(s) psi_j(s') with sd = (8,7,6,5,4); spectrum of
@@ -24,6 +27,18 @@ from fdnet.basis import design_matrix
 # functions (entries 1/((a+c+1)(b+d+1))).  Cross-checked against 2000^2-point
 # quadrature and a dense-grid kernel eigendecomposition.
 CLASS1_OPERATOR_EIGS = np.array([38.6070382, 4.67047678, 1.06859476, 0.0372348611, 0.0166554183])
+
+
+def _grid_orthonormal(grid, count, seed):
+    """`count` random grid functions, orthonormal under the grid inner product."""
+    sw = np.sqrt(grid.node_weights())
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((grid.m, count)))
+    return (q / sw[:, None]).T
+
+
+def _covariance_of(grid, funcs, eigenvalues):
+    matrix = funcs.T @ (eigenvalues[:, None] * funcs)
+    return EmpiricalCovariance(matrix=matrix, mean=np.zeros(grid.m), grid=grid)
 
 
 class TestProject:
@@ -147,8 +162,6 @@ class TestEmpiricalFpca:
         np.testing.assert_array_equal(result.eigenvalues, np.zeros(4))
 
     def test_rank_one(self):
-        from fdnet.projection import EmpiricalCovariance
-
         grid = midpoint_grid((5, 5))
         w = grid.node_weights()
         rng = np.random.default_rng(9)
@@ -180,6 +193,39 @@ class TestEmpiricalFpca:
         w = grid.node_weights()
         gram = result.eigenfunctions @ (w[:, None] * result.eigenfunctions.T)
         assert np.abs(gram - np.eye(6)).max() < 1e-8
+
+    def test_clustered_spectrum(self):
+        # a relative gap of 5e-5 between the top two eigenvalues
+        grid = midpoint_grid((10, 10))
+        funcs = _grid_orthonormal(grid, 3, seed=41)
+        lams = np.array([2.0, 2.0 - 1e-4, 1.0])
+        result = empirical_fpca(_covariance_of(grid, funcs, lams), 4)
+        np.testing.assert_allclose(result.eigenvalues[:3], lams, rtol=0, atol=1e-10)
+        assert result.eigenvalues[3] == 0.0
+        w = grid.node_weights()
+        for found, expected in zip(result.eigenfunctions, funcs):
+            sign = np.sign(found @ (w * expected))
+            np.testing.assert_allclose(sign * found, expected, atol=1e-8)
+
+    @pytest.mark.parametrize("J", [1, 2])
+    def test_indefinite_matrix_refused(self, J):
+        # the whole spectrum is checked, also when J stops above the negative part
+        grid = midpoint_grid((4, 4))
+        funcs = _grid_orthonormal(grid, 2, seed=42)
+        cov = _covariance_of(grid, funcs, np.array([1.0, -0.5]))
+        with pytest.raises(NumericError):
+            empirical_fpca(cov, J)
+
+    def test_large_scale_data_accepted(self):
+        # values near 1e6 leave roundoff of order -1e-2 on the null space:
+        # negligible against the leading eigenvalue, though far from zero
+        model = get_model("2d-gaussian")
+        ds = generate_dataset(model, 20, m=100, seed=31)
+        ds.values *= 1e6
+        result = empirical_fpca(pooled_covariance(ds), 10)
+        rank = model.score_dim
+        assert np.all(result.eigenvalues[:rank] > 0)
+        np.testing.assert_array_equal(result.eigenvalues[rank:], 0.0)
 
     def test_j_bounds(self):
         grid = midpoint_grid((3, 3))
@@ -236,8 +282,6 @@ class TestFpcScores:
 class TestPooledCovariance:
     def test_matches_manual_computation(self):
         model = get_model("2d-gaussian")
-        from fdnet import generate_dataset
-
         ds = generate_dataset(model, 20, m=9, seed=31)
         cov = pooled_covariance(ds)
         centered = ds.values - ds.values.mean(axis=0)

@@ -177,14 +177,14 @@ def reference_train(scores, labels, arch, cfg):
                     p -= cfg.learning_rate * g
             else:
                 t += 1
-                bc1 = 1.0 - cfg.beta1**t
-                bc2 = 1.0 - cfg.beta2**t
+                bc1 = 1.0 - 0.9**t
+                bc2 = 1.0 - 0.999**t
                 for p, g, mi, vi in zip(arrays, grads, m, v):
-                    mi *= cfg.beta1
-                    mi += (1.0 - cfg.beta1) * g
-                    vi *= cfg.beta2
-                    vi += (1.0 - cfg.beta2) * np.square(g)
-                    p -= cfg.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + cfg.eps)
+                    mi *= 0.9
+                    mi += (1.0 - 0.9) * g
+                    vi *= 0.999
+                    vi += (1.0 - 0.999) * np.square(g)
+                    p -= cfg.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + 1e-8)
             if cfg.clip:
                 for p in arrays:
                     np.clip(p, -1.0, 1.0, out=p)
