@@ -20,7 +20,7 @@ from .errors import DomainError, FdnetError, NumericError
 from .evaluation import EvalConfig, benchmark, evaluate, predict, truncated_kl_risk
 from .projection import Dataset
 from .simulation import generate_dataset, get_model
-from .training import TrainConfig, select
+from .training import SelectionResult, TrainConfig, select
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,6 +59,8 @@ def _load_model_for(path: str, dataset: Dataset):
 
 def _head(dataset: Dataset, limit: int) -> Dataset:
     """The first `limit` samples of `dataset`, or all of them when 0."""
+    if limit < 0:
+        raise DomainError(f"a sample limit must be >= 0, got {limit}")
     if not limit:
         return dataset
     return replace(dataset, values=dataset.values[:limit], labels=dataset.labels[:limit])
@@ -84,7 +86,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _run_selection(dataset: Dataset, grid_path: str, cfg: TrainConfig, out: str) -> int:
+def _run_selection(dataset: Dataset, grid_path: str, cfg: TrainConfig, out: str) -> SelectionResult:
     _require_labeled(dataset, "training")
     grid = dataio.load_hypergrid(grid_path)
     order = BasisOrder(dataset.grid.d)
@@ -96,12 +98,13 @@ def _run_selection(dataset: Dataset, grid_path: str, cfg: TrainConfig, out: str)
         f"chosen J={c.n_scores} L={c.depth} width={c.width} dropout={c.dropout}; "
         f"validation error {result.validation_errors.min():.4f}; model written to {out}"
     )
-    return 0
+    return result
 
 
 def _cmd_train(args) -> int:
     dataset = dataio.load_dataset(args.data)
-    return _run_selection(dataset, args.grid, _train_config(args), args.out)
+    _run_selection(dataset, args.grid, _train_config(args), args.out)
+    return 0
 
 
 def _cmd_predict(args) -> int:
@@ -157,12 +160,13 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_mnist(args) -> int:
     dataset = _head(idx.load_idx(args.images, args.labels), args.limit)
-    code = _run_selection(dataset, args.grid, _train_config(args), args.out)
+    result = _run_selection(dataset, args.grid, _train_config(args), args.out)
     if args.test_images and args.test_labels:
+        # the model just written, still in memory; IDX data is always 2-D
         test = _head(idx.load_idx(args.test_images, args.test_labels), args.test_limit)
-        err, _, _ = evaluate(_load_model_for(args.out, test), test)
+        err, _, _ = evaluate(result.final_params, test)
         print(f"test accuracy: {1.0 - err:.4f} on {len(test)} samples")
-    return code
+    return 0
 
 
 def _cmd_export_csv(args) -> int:

@@ -34,6 +34,10 @@ DATASET_MAGIC = b"MFDN1"
 DATASET_VERSION = 1
 MODEL_FORMAT = "fdnet-model"
 MODEL_VERSION = 1
+# float values per write when streaming a model's arrays
+_MODEL_CHUNK = 65536
+# rows per conversion when dumping a dataset to CSV
+_CSV_BLOCK = 1024
 
 BENCHMARK_COLUMNS = (
     "model_id",
@@ -140,27 +144,51 @@ def load_dataset(path) -> Dataset:
 
 
 def save_model(params: NetworkParams, path, metadata: dict | None = None) -> None:
-    """Write a model as JSON; round-trips bit-exactly for finite values."""
+    """Write a model as JSON; round-trips bit-exactly for finite values.
+
+    The file holds one object with sorted keys and no whitespace, then a
+    newline: the bytes of `json.dump(doc, fh, sort_keys=True,
+    separators=(",", ":"))` for the document of the architecture, format,
+    metadata, shifts, version and weights.  It is streamed piece by piece
+    in that key order, so no encoded copy of millions of floats is built
+    in memory.  The small parts go through `json.dumps` with the same
+    settings.  Each float array is written in chunks of `repr` of its
+    values, which is exactly how `json` writes a finite float, and
+    `NetworkParams` holds only finite values; so the bytes are those of
+    the one-shot `json.dump`.
+    """
     arch = params.architecture
-    doc = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "architecture": {
-            "input_dim": arch.input_dim,
-            "hidden_widths": list(arch.hidden_widths),
-            "n_classes": arch.n_classes,
-        },
-        "weights": [
-            {"shape": list(w.shape), "data": w.ravel().tolist()} for w in params.weights
-        ],
-        "shifts": [
-            {"shape": list(v.shape), "data": v.ravel().tolist()} for v in params.shifts
-        ],
-        "metadata": metadata or {},
+    architecture = {
+        "input_dim": arch.input_dim,
+        "hidden_widths": list(arch.hidden_widths),
+        "n_classes": arch.n_classes,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(f'{{"architecture":{_compact(architecture)},"format":{_compact(MODEL_FORMAT)},')
+        fh.write(f'"metadata":{_compact(metadata or {})},"shifts":')
+        _write_arrays(fh, params.shifts)
+        fh.write(f',"version":{_compact(MODEL_VERSION)},"weights":')
+        _write_arrays(fh, params.weights)
+        fh.write("}\n")
+
+
+def _compact(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _write_arrays(fh, arrays) -> None:
+    """A JSON list of {"data": [...], "shape": [...]} entries, the data
+    written _MODEL_CHUNK values at a time."""
+    fh.write("[")
+    for i, arr in enumerate(arrays):
+        flat = arr.ravel()
+        fh.write(',{"data":[' if i else '{"data":[')
+        for lo in range(0, flat.size, _MODEL_CHUNK):
+            if lo:
+                fh.write(",")
+            fh.write(",".join(map(repr, flat[lo : lo + _MODEL_CHUNK].tolist())))
+        fh.write(f'],"shape":{_compact(list(arr.shape))}}}')
+    fh.write("]")
 
 
 def load_model(path):
@@ -290,13 +318,17 @@ def write_predictions_csv(indices, predictions, probabilities, path) -> None:
 def dataset_to_csv(dataset: Dataset, path) -> None:
     """Readable dump: index, label, then the m sample values."""
     m = dataset.grid.m
-    header = "index,label," + ",".join(f"v{j}" for j in range(m))
-    rows = [header]
-    for i in range(len(dataset)):
-        vals = ",".join(repr(float(v)) for v in dataset.values[i])
-        rows.append(f"{i},{int(dataset.labels[i])},{vals}")
+    labels = dataset.labels.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("index,label," + ",".join(f"v{j}" for j in range(m)) + "\n")
+        # one conversion to Python numbers per block of rows; repr of a
+        # float is its shortest round-trip form
+        for lo in range(0, len(dataset), _CSV_BLOCK):
+            block = dataset.values[lo : lo + _CSV_BLOCK].tolist()
+            fh.writelines(
+                f"{i},{labels[i]}," + ",".join(map(repr, values)) + "\n"
+                for i, values in enumerate(block, start=lo)
+            )
 
 
 def metadata_for(chosen: Chosen, cfg, seed: int, extra: dict | None = None) -> dict:

@@ -15,6 +15,7 @@ a process pool.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -56,10 +57,10 @@ def truncated_kl_risk(true_posteriors, estimated_posteriors, c0: float = 2.0) ->
 
     Only the log-ratio is capped from above, so individual summands may be
     negative; a zero estimated probability contributes pi_k * c0 rather
-    than infinity.  Zero true probabilities contribute nothing.
+    than infinity.  Zero true probabilities contribute nothing.  `c0`
+    must be finite and at least 2.
     """
-    if c0 < 2.0:
-        raise DomainError(f"truncation constant must be >= 2, got {c0}")
+    _check_truncation(c0)
     p = np.atleast_2d(np.asarray(true_posteriors, dtype=float))
     q = np.atleast_2d(np.asarray(estimated_posteriors, dtype=float))
     if p.shape != q.shape:
@@ -71,6 +72,12 @@ def truncated_kl_risk(true_posteriors, estimated_posteriors, c0: float = 2.0) ->
     return float(terms.sum(axis=1).mean())
 
 
+def _check_truncation(c0: float) -> None:
+    # written so that NaN fails too
+    if not (math.isfinite(c0) and c0 >= 2.0):
+        raise DomainError(f"truncation constant must be a finite number >= 2, got {c0}")
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     """Risk-reporting settings: truncation constant, replicates, master seed."""
@@ -80,8 +87,7 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c0 < 2.0:
-            raise DomainError(f"truncation constant must be >= 2, got {self.c0}")
+        _check_truncation(self.c0)
         if self.replicates < 1:
             raise DomainError(f"replicates must be >= 1, got {self.replicates}")
 

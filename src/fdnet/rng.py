@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
-    """Normalize an int or SeedSequence to a SeedSequence."""
+    """Normalize a non-negative int or a SeedSequence to a SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
+    if int(seed) < 0:
+        raise DomainError(f"a seed must be a non-negative integer, got {seed}")
     return np.random.SeedSequence(int(seed))
 
 

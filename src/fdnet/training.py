@@ -26,16 +26,18 @@ One training step works on flat buffers.  All weights and shifts are
 reshaped views into one contiguous float64 vector (`network.flat_views`).
 `network.loss_and_gradient` runs the training forward loop, which keeps
 every activation, and writes the gradient into a second vector of the same
-layout; the optimizer then updates the whole parameter vector with a fixed
-sequence of in-place ufuncs.  The dropout masks of a step come from one
-uniform draw, sliced layer by layer.  Each elementwise operation is the one
-the per-array formulas perform, in the same order, so the result does not
-depend on the layout.
+layout; the optimizer then updates the parameter vector with a fixed
+sequence of in-place ufuncs, which Adam runs over one cache-sized slice of
+the vector at a time.  The dropout masks of a step come from one uniform
+draw, sliced layer by layer.  Each elementwise operation is the one the
+per-array formulas perform, in the same order, so the result depends
+neither on the layout nor on where the slices fall.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,6 +59,11 @@ from .rng import as_seed_sequence
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# float64 values per slice of the adaptive-moment update (128 KiB per
+# vector): the slice's moments, gradient, parameters and scratch stay in
+# cache across the update's ufunc sequence instead of streaming the whole
+# vector from memory once per ufunc
+ADAM_SLICE = 16384
 
 
 @dataclass(frozen=True)
@@ -82,9 +89,9 @@ class TrainConfig:
             raise DomainError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        # learning_rate 0 is allowed as an explicit no-op schedule
-        if self.learning_rate < 0:
-            raise DomainError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        # learning_rate 0 is allowed as an explicit no-op schedule; NaN fails too
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise DomainError(f"learning_rate must be a finite number >= 0, got {self.learning_rate}")
         if self.optimizer not in ("sgd", "adam"):
             raise DomainError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -177,10 +184,13 @@ class _OptState:
     `step(flat, grad)` updates `flat` in place and overwrites `grad`: once
     the gradient has entered the moments its buffer is Adam's second
     scratch vector, and SGD scales it by the learning rate.  Adam keeps the
-    two moments and one scratch vector, each the size of `flat`.  The
-    ufunc sequence evaluates the textbook per-element formulas in their
-    usual order, so every parameter gets the bits it would get from
-    updating one array at a time.
+    two moments, each the size of `flat`, and one scratch vector of
+    ADAM_SLICE values, and runs its ufunc sequence over consecutive slices
+    of ADAM_SLICE values (the last one shorter).  Every operation is
+    elementwise, so slicing changes only which values are in cache, not
+    their bits: the ufunc sequence evaluates the textbook per-element
+    formulas in their usual order, and every parameter gets the bits it
+    would get from updating one array at a time.
     """
 
     def __init__(self, size: int, cfg: TrainConfig):
@@ -189,7 +199,7 @@ class _OptState:
         if cfg.optimizer == "adam":
             self.m = np.zeros(size)
             self.v = np.zeros(size)
-            self.scratch = np.empty(size)
+            self.scratch = np.empty(min(size, ADAM_SLICE))
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         cfg = self.cfg
@@ -201,24 +211,27 @@ class _OptState:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        m, v, s = self.m, self.v, self.scratch
-        # m = beta1 m + (1 - beta1) g
-        m *= ADAM_BETA1
-        np.multiply(grad, 1.0 - ADAM_BETA1, out=s)
-        m += s
-        # v = beta2 v + (1 - beta2) g^2; g is spent after this
-        v *= ADAM_BETA2
-        np.square(grad, out=grad)
-        grad *= 1.0 - ADAM_BETA2
-        v += grad
-        # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-        np.divide(m, bc1, out=s)
-        s *= cfg.learning_rate
-        np.divide(v, bc2, out=grad)
-        np.sqrt(grad, out=grad)
-        grad += ADAM_EPS
-        s /= grad
-        flat -= s
+        for lo in range(0, flat.size, ADAM_SLICE):
+            hi = lo + ADAM_SLICE
+            p, g, m, v = flat[lo:hi], grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            s = self.scratch[: p.size]
+            # m = beta1 m + (1 - beta1) g
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+            m += s
+            # v = beta2 v + (1 - beta2) g^2; g is spent after this
+            v *= ADAM_BETA2
+            np.square(g, out=g)
+            g *= 1.0 - ADAM_BETA2
+            v += g
+            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=s)
+            s *= cfg.learning_rate
+            np.divide(v, bc2, out=g)
+            np.sqrt(g, out=g)
+            g += ADAM_EPS
+            s /= g
+            p -= s
 
 
 def split_70_30(labels: np.ndarray, seed):

@@ -183,6 +183,65 @@ class TestMalformedInputs:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("command", ["simulate", "train", "benchmark", "mnist"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, command):
+        if command == "simulate":
+            argv = ["simulate", "--model", "2d-gaussian", "--nk", "5", "--m", "9",
+                    "--out", str(tmp_path / "d.mfd")]
+        elif command == "train":
+            argv = ["train", "--data", str(simulate(tmp_path)), "--grid", grid_file(tmp_path),
+                    "--out", str(tmp_path / "m.json")]
+        elif command == "benchmark":
+            argv = ["benchmark", "--model-id", "2d-gaussian", "--nk", "12", "--m", "9",
+                    "--reps", "1", "--grid", grid_file(tmp_path), "--epochs", "1",
+                    "--out", str(tmp_path / "r.csv")]
+        else:
+            img, lab = write_idx_pair(tmp_path, 100, seed=1)
+            argv = ["mnist", "--images", str(img), "--labels", str(lab),
+                    "--grid", grid_file(tmp_path), "--epochs", "1",
+                    "--out", str(tmp_path / "m.json")]
+        capsys.readouterr()
+        assert main(argv + ["--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "non-negative" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--limit", "--test-limit"])
+    def test_negative_sample_limit_exits_1(self, tmp_path, capsys, flag):
+        img, lab = write_idx_pair(tmp_path, 40, seed=2)
+        out = tmp_path / "m.json"
+        code = main(["mnist", "--images", str(img), "--labels", str(lab),
+                     "--test-images", str(img), "--test-labels", str(lab),
+                     "--grid", grid_file(tmp_path), "--seed", "1", "--epochs", "1",
+                     "--batch", "8", "--out", str(out), flag, "-39"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "limit must be >= 0" in captured.err
+        assert "Traceback" not in captured.err
+        assert "test accuracy" not in captured.out
+
+    @pytest.mark.parametrize(
+        "option, value", [("--c0", "nan"), ("--c0", "inf"), ("--lr", "nan"), ("--lr", "inf")]
+    )
+    def test_nonfinite_option_exits_1(self, tmp_path, capsys, option, value):
+        data = simulate(tmp_path)
+        model = tmp_path / "m.json"
+        if option == "--c0":
+            assert main(["train", "--data", str(data), "--grid", grid_file(tmp_path),
+                         "--epochs", "2", "--batch", "8", "--seed", "1",
+                         "--out", str(model)]) == 0
+            argv = ["eval", "--model", str(model), "--data", str(data)]
+        else:
+            argv = ["train", "--data", str(data), "--grid", grid_file(tmp_path),
+                    "--epochs", "2", "--batch", "8", "--seed", "1", "--out", str(model)]
+        capsys.readouterr()
+        assert main(argv + [option, value]) == 1
+        captured = capsys.readouterr()
+        assert "must be a finite number" in captured.err
+        assert "Traceback" not in captured.err
+        assert "truncated cross-entropy" not in captured.out
+
+
 class TestModelDimension:
     """A model refuses data of a dimension it was not trained on."""
 
@@ -263,6 +322,13 @@ class TestMnistCommand:
         assert "test accuracy" in out
         acc = float(out.split("test accuracy:")[1].split()[0])
         assert acc >= 0.9
+        # the printed accuracy is that of the model file written
+        from fdnet import evaluate
+        from fdnet.dataio import load_model
+        from fdnet.idx import load_idx
+
+        err, _, _ = evaluate(load_model(model_path)[0], load_idx(timg, tlab))
+        assert f"test accuracy: {1.0 - err:.4f} on 80 samples" in out
 
     def test_classifies_first_sample_to_a_digit(self, tmp_path):
         from fdnet import classify, project_batch, BasisOrder

@@ -16,6 +16,7 @@ from fdnet import (
     initial_params,
     midpoint_grid,
 )
+from fdnet import dataio
 from fdnet.dataio import (
     BENCHMARK_COLUMNS,
     dataset_to_csv,
@@ -129,6 +130,41 @@ class TestModelRoundTrip:
         save_model(params, p1, metadata={"a": 1, "b": 2})
         save_model(params, p2, metadata={"a": 1, "b": 2})
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "metadata",
+        [
+            None,
+            {
+                "seed": 7,
+                "grid_shape": [28, 28],
+                "note": "caf\u00e9 \u2603",
+                "none": None,
+                "lr": 0.1,
+                "tiny": 5e-324,
+                "nested": {"b": [1.5, -0.0, {"z": True, "a": 1e300}], "a": None},
+            },
+        ],
+    )
+    def test_bytes_equal_one_shot_json(self, tmp_path, metadata):
+        # W_0 is exactly one write chunk, W_1 more than one with a short tail
+        arch = Architecture(256, (256, 300), 3)
+        assert arch.hidden_widths[0] * arch.input_dim == dataio._MODEL_CHUNK
+        params = initial_params(arch, np.random.default_rng(10))
+        params.weights[1][0, :4] = [-0.0, 5e-324, 1e300, 1 / 3]
+        params.shifts[0][:] = np.random.default_rng(11).standard_normal(256)
+        doc = {
+            "format": "fdnet-model",
+            "version": 1,
+            "architecture": {"input_dim": 256, "hidden_widths": [256, 300], "n_classes": 3},
+            "weights": [{"shape": list(w.shape), "data": w.ravel().tolist()} for w in params.weights],
+            "shifts": [{"shape": list(v.shape), "data": v.ravel().tolist()} for v in params.shifts],
+            "metadata": metadata or {},
+        }
+        expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        path = tmp_path / "model.json"
+        save_model(params, path, metadata=metadata)
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_rejects_non_model_json(self, tmp_path):
         path = tmp_path / "x.json"
@@ -290,6 +326,22 @@ class TestCsvWriters:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 7
         assert lines[0].startswith("index,label,v0")
+
+    @pytest.mark.parametrize("n", [0, 1, 2500])
+    def test_dataset_csv_bytes(self, tmp_path, n):
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal((n, 27)) * 10.0 ** rng.integers(-300, 300, (n, 27))
+        values[:, 0] = -0.0
+        ds = Dataset(values=values, grid=midpoint_grid((3, 3, 3)),
+                     labels=rng.integers(0, 4, n), n_classes=3)
+        path = tmp_path / "dump.csv"
+        dataset_to_csv(ds, path)
+        # the row-by-row formatting the writer must reproduce
+        rows = ["index,label," + ",".join(f"v{j}" for j in range(27))]
+        for i in range(n):
+            vals = ",".join(repr(float(v)) for v in ds.values[i])
+            rows.append(f"{i},{int(ds.labels[i])},{vals}")
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode("utf-8")
 
 
 class TestIdx:

@@ -105,14 +105,16 @@ class TestTruncatedKl:
 
     def test_validation(self):
         p = np.array([[0.5, 0.5]])
-        with pytest.raises(DomainError):
-            truncated_kl_risk(p, p, 1.0)
+        for c0 in (1.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                truncated_kl_risk(p, p, c0)
         with pytest.raises(DomainError):
             truncated_kl_risk(p, np.array([[0.5, 0.25, 0.25]]), 2.0)
 
     def test_eval_config_validation(self):
-        with pytest.raises(DomainError):
-            EvalConfig(c0=1.9)
+        for c0 in (1.9, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                EvalConfig(c0=c0)
         with pytest.raises(DomainError):
             EvalConfig(replicates=0)
 

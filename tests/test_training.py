@@ -17,6 +17,7 @@ from fdnet import (
     train,
 )
 from fdnet.basis import design_matrix
+from fdnet.training import ADAM_SLICE
 
 
 def params_equal(a, b):
@@ -114,6 +115,9 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(DomainError):
             TrainConfig(learning_rate=-1.0)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                TrainConfig(learning_rate=lr)
         with pytest.raises(DomainError):
             TrainConfig(dropout=1.0)
         with pytest.raises(DomainError):
@@ -224,6 +228,28 @@ class TestFlatBufferExactness:
         if clip:
             # the projection must have bound, or this case checks nothing
             assert max(np.abs(w).max() for w in weights) == 1.0
+
+    def test_update_spanning_several_slices(self):
+        # 29 250 parameters: one full Adam slice, then a partial one that
+        # begins inside W_1
+        arch = Architecture(40, (150, 150), 3)
+        assert ADAM_SLICE < arch.param_count < 2 * ADAM_SLICE
+        assert arch.param_count % ADAM_SLICE
+        rng = np.random.default_rng(26)
+        scores, labels = blob_scores(rng, 10, rng.standard_normal((3, 40)), spread=3.0)
+        cfg = TrainConfig(
+            epochs=3, batch_size=8, learning_rate=1e-2, optimizer="adam", dropout=0.2, seed=27
+        )
+        got = train(scores, labels, arch, cfg)
+        weights, shifts = reference_train(scores, labels, arch, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(got.weights, weights))
+        assert all(np.array_equal(a, b) for a, b in zip(got.shifts, shifts))
+        # the values on both sides of the slice boundary and the last one
+        # must have moved, or this case checks nothing there
+        init = initial_params(arch, np.random.default_rng(np.random.SeedSequence(cfg.seed)))
+        moved = np.concatenate([(a != b).ravel() for a, b in zip(
+            (*weights, *shifts), (*init.weights, *init.shifts))])
+        assert moved[[ADAM_SLICE - 1, ADAM_SLICE, -1]].all()
 
 
 class TestSplit:
