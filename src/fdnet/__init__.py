@@ -1,6 +1,6 @@
 """Multiclass classification of grid-observed functional data.
 
-Pipeline: project samples on [0,1]^d onto an ordered tensor Fourier basis,
+Pipeline: integrate samples on [0,1]^d against an ordered tensor Fourier basis,
 feed the truncated score vectors to a feedforward ReLU network with shift
 activations and a softmax head trained under cross-entropy, and choose
 hyperparameters by a stratified 70/30 data split.  Synthetic benchmark
@@ -9,7 +9,7 @@ reporting, and binary dataset / JSON model serialization round out the
 package; see the `cli` module for the command-line surface.
 """
 
-from .basis import BasisOrder, Grid, gram_matrix, midpoint_grid, tensor_basis_eval, univariate_fourier
+from .basis import BasisOrder, Grid, gram_matrix, midpoint_grid, univariate_fourier
 from .errors import AliasingWarning, DomainError, FdnetError, FormatError, NumericError
 from .evaluation import (
     EvalConfig,
@@ -24,41 +24,23 @@ from .evaluation import (
 from .network import (
     Architecture,
     NetworkParams,
-    SparsityReport,
     backward,
     ce_loss,
     classify,
-    clip_weights,
     forward,
-    forward_logits,
     initial_params,
     softmax,
-    sparsity_report,
-    zero_params,
 )
-from .projection import (
-    Dataset,
-    EmpiricalCovariance,
-    FpcaResult,
-    FunctionalSample,
-    class_covariance,
-    empirical_fpca,
-    fpc_scores,
-    pooled_covariance,
-    project,
-    project_batch,
-)
+from .projection import Dataset, project_batch
 from .simulation import (
     MODELS,
     SimModel,
     bayes_error_mc,
     bayes_posterior,
     default_test_size,
-    draw_scores,
     generate_dataset,
     get_model,
     resolve_grid,
-    synthesize,
 )
 from .training import Chosen, HyperGrid, SelectionResult, TrainConfig, select, split_70_30, train
 

@@ -154,15 +154,6 @@ class Grid:
             w = np.multiply.outer(w, aw).ravel()
         return w
 
-    def matches(self, other: "Grid") -> bool:
-        """True when both grids have identical shape, nodes and weights."""
-        if not isinstance(other, Grid) or self.shape != other.shape:
-            return False
-        return all(
-            np.array_equal(a, b) and np.array_equal(wa, wb)
-            for a, b, wa, wb in zip(self.axes, other.axes, self.axis_weights, other.axis_weights)
-        )
-
 
 def midpoint_grid(shape) -> Grid:
     """Midpoint-rule grid: axis with m points has nodes (2i-1)/(2m), weights 1/m."""
@@ -174,20 +165,6 @@ def midpoint_grid(shape) -> Grid:
     axes = tuple((2.0 * np.arange(1, s + 1) - 1.0) / (2.0 * s) for s in shape)
     weights = tuple(np.full(s, 1.0 / s) for s in shape)
     return Grid(axes=axes, axis_weights=weights)
-
-
-def tensor_basis_eval(order: BasisOrder, rank: int, point) -> float:
-    """Evaluate the tensor basis element of `rank` at a single d-vector."""
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    if point.shape != (order.d,):
-        raise DomainError(
-            f"point has dimension {point.shape}, basis order expects ({order.d},)"
-        )
-    mi = order.multi_index(rank)
-    value = 1.0
-    for idx, coord in zip(mi, point):
-        value *= univariate_fourier(idx, float(coord))
-    return value
 
 
 def design_matrix(order: BasisOrder, J: int, grid: Grid) -> np.ndarray:

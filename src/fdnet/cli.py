@@ -59,8 +59,6 @@ def _load_model_for(path: str, dataset: Dataset):
 
 def _head(dataset: Dataset, limit: int) -> Dataset:
     """The first `limit` samples of `dataset`, or all of them when 0."""
-    if limit < 0:
-        raise DomainError(f"a sample limit must be >= 0, got {limit}")
     if not limit:
         return dataset
     return replace(dataset, values=dataset.values[:limit], labels=dataset.labels[:limit])
@@ -119,14 +117,17 @@ def _cmd_eval(args) -> int:
     dataset = dataio.load_dataset(args.data)
     _require_labeled(dataset, "evaluation")
     err, conf, probs = evaluate(_load_model_for(args.model, dataset), dataset)
-    print(f"error rate: {err:.6f}")
-    print("confusion matrix (rows = true class, columns = predicted):")
-    for row in conf:
-        print("  " + " ".join(f"{c:6d}" for c in row))
+    # computed first, so that a refused C0 leaves no partial report
+    tce = None
     if args.c0 is not None:
         onehot = np.zeros_like(probs)
         onehot[np.arange(len(dataset)), dataset.labels - 1] = 1.0
         tce = truncated_kl_risk(onehot, probs, args.c0)
+    print(f"error rate: {err:.6f}")
+    print("confusion matrix (rows = true class, columns = predicted):")
+    for row in conf:
+        print("  " + " ".join(f"{c:6d}" for c in row))
+    if tce is not None:
         print(f"truncated cross-entropy (C0={args.c0}): {tce:.6f}")
     return 0
 
@@ -159,6 +160,10 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_mnist(args) -> int:
+    # before any file is read or any training step is taken
+    for limit in (args.limit, args.test_limit):
+        if limit < 0:
+            raise DomainError(f"a sample limit must be >= 0, got {limit}")
     dataset = _head(idx.load_idx(args.images, args.labels), args.limit)
     result = _run_selection(dataset, args.grid, _train_config(args), args.out)
     if args.test_images and args.test_labels:

@@ -345,7 +345,7 @@ def metadata_for(chosen: Chosen, cfg, seed: int, extra: dict | None = None) -> d
             "epochs": cfg.epochs,
             "batch_size": cfg.batch_size,
             "learning_rate": cfg.learning_rate,
-            "optimizer": cfg.optimizer,
+            "optimizer": "adam",
         },
     }
     if extra:

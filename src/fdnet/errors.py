@@ -2,8 +2,7 @@
 
 Domain errors cover invalid arguments and malformed inputs (CLI exit
 code 1); numeric errors cover runtime failures of the numerical routines
-such as diverging losses, non-finite network outputs or a covariance with a
-negative eigenvalue (CLI exit code 2).
+such as diverging losses or non-finite network outputs (CLI exit code 2).
 """
 
 
@@ -29,8 +28,7 @@ class FormatError(DomainError):
 
 
 class NumericError(FdnetError, ArithmeticError):
-    """A numerical routine failed at runtime (NaN loss, non-finite layer,
-    indefinite covariance)."""
+    """A numerical routine failed at runtime (NaN loss, non-finite layer)."""
 
 
 class AliasingWarning(UserWarning):

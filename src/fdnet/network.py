@@ -10,10 +10,10 @@ conventional layer; they are stored as shifts (not biases) on purpose, and
 every consumer in this package sticks to that sign convention.  The final
 weight matrix maps to K class logits.
 
-Inference (`forward`, `forward_logits`, `classify`) runs one streaming loop
-that keeps one activation alive and raises NumericError at the first
-non-finite layer; training (`loss_and_gradient`, also behind `backward`)
-keeps every activation for the gradient pass.  `predicted_class` is the one
+Inference (`forward`, `classify`) runs one streaming loop that keeps one
+activation alive and raises NumericError at the first non-finite layer;
+training (`loss_and_gradient`, also behind `backward`) keeps every
+activation for the gradient pass.  `predicted_class` is the one
 classification rule: the argmax of the class probabilities.
 """
 
@@ -127,11 +127,6 @@ def flat_views(arch: Architecture, buf: np.ndarray):
     return views[: arch.depth + 1], views[arch.depth + 1 :]
 
 
-def zero_params(arch: Architecture) -> NetworkParams:
-    weights, shifts = flat_views(arch, np.zeros(arch.param_count))
-    return NetworkParams(weights=weights, shifts=shifts)
-
-
 def initial_params(arch: Architecture, rng: np.random.Generator) -> NetworkParams:
     """Symmetric uniform init scaled by 1/sqrt(fan-in); shifts start at zero."""
     widths = arch.layer_widths()
@@ -197,14 +192,6 @@ def _logits(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite values in the output logits")
     return logits
-
-
-def forward_logits(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Class logits from `forward`'s loop, before the softmax; a test hook
-    (the classifier is invariant to adding a constant to all K logits)."""
-    xb, single = _as_batch(x, params.weights[0].shape[1])
-    logits = _logits(params, xb)
-    return logits[0] if single else logits
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
@@ -323,25 +310,3 @@ def backward(params: NetworkParams, x: np.ndarray, label, dropout_masks=None) ->
     grad_v = [np.empty_like(v) for v in params.shifts]
     loss_and_gradient(params, xb, y, dropout_masks, grad_w, grad_v)
     return NetworkParams(weights=grad_w, shifts=grad_v)
-
-
-@dataclass(frozen=True)
-class SparsityReport:
-    """Exact nonzero count and max-entry norm over all weights and shifts."""
-
-    active_count: int
-    max_entry: float
-
-
-def sparsity_report(params: NetworkParams) -> SparsityReport:
-    active = sum(int(np.count_nonzero(a)) for a in (*params.weights, *params.shifts))
-    max_entry = max(float(np.abs(a).max()) if a.size else 0.0 for a in (*params.weights, *params.shifts))
-    return SparsityReport(active_count=active, max_entry=max_entry)
-
-
-def clip_weights(params: NetworkParams) -> NetworkParams:
-    """Project every weight and shift into [-1, 1] (componentwise, idempotent)."""
-    return NetworkParams(
-        weights=[np.clip(w, -1.0, 1.0) for w in params.weights],
-        shifts=[np.clip(v, -1.0, 1.0) for v in params.shifts],
-    )

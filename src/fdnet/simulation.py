@@ -1,7 +1,7 @@
 """Synthetic generators for the benchmark suite.
 
 Eight three-class models produce score vectors from Gaussian, shifted
-Student-t, or exponential laws and synthesize functional observations
+Student-t, or exponential laws and map them to functional observations
 
     X(s) = sum_j xi_j * psi_j(s)
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .basis import Grid, midpoint_grid
 from .errors import DomainError
-from .projection import Dataset, FunctionalSample
+from .projection import Dataset
 from .rng import as_generator, as_seed_sequence
 
 # grid shapes addressable by total sampling frequency m
@@ -234,24 +234,6 @@ def resolve_grid(model: SimModel, m: int | None = None, shape=None) -> Grid:
             f"supported: {sorted(table)} (or pass an explicit per-axis shape)"
         )
     return midpoint_grid(table[m])
-
-
-def draw_scores(model: SimModel, class_index: int, n: int, seed) -> np.ndarray:
-    """n i.i.d. latent score vectors of class `class_index` (1-based), shape (n, p)."""
-    if not 1 <= class_index <= model.n_classes:
-        raise DomainError(f"class index must lie in 1..{model.n_classes}, got {class_index}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return model.laws[class_index - 1].sample(n, as_generator(seed))
-
-
-def synthesize(scores: np.ndarray, model: SimModel, grid: Grid) -> FunctionalSample:
-    """Functional observation with the given latent scores, exact at every node."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape != (model.score_dim,):
-        raise DomainError(f"scores must have shape ({model.score_dim},), got {scores.shape}")
-    values = model.psi_matrix(grid) @ scores
-    return FunctionalSample(values=values, grid=grid)
 
 
 def generate_dataset(

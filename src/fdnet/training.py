@@ -1,14 +1,14 @@
 """Minibatch training under cross-entropy and data-split model selection.
 
-`train` fits one network with plain SGD or the adaptive-moment update,
-inverted dropout on hidden units, and optional projection of all
-parameters onto the max-norm unit ball.  `select` runs the full
-hyperparameter procedure: extract scores once at the largest candidate J,
-split 70/30 stratified by class, train every candidate cell on the
-training fold, score it by 0-1 error on the validation fold (through
-`network.classify`, the same streaming inference loop and argmax rule
-every prediction uses), pick the argmin (ties falling to the
-lexicographically smallest candidate tuple) and retrain on all data.
+`train` fits one network with the adaptive-moment (Adam) update, inverted
+dropout on hidden units, and optional projection of all parameters onto
+the max-norm unit ball.  `select` runs the full hyperparameter procedure:
+extract scores once at the largest candidate J, split 70/30 stratified by
+class, train every candidate cell on the training fold, score it by 0-1
+error on the validation fold (through `network.classify`, the same
+streaming inference loop and argmax rule every prediction uses), pick the
+argmin (ties falling to the lexicographically smallest candidate tuple)
+and retrain on all data.
 
 Inside `select`, score coordinates are standardized (zero mean, unit
 scale) before training; raw score scales span orders of magnitude and
@@ -26,9 +26,8 @@ One training step works on flat buffers.  All weights and shifts are
 reshaped views into one contiguous float64 vector (`network.flat_views`).
 `network.loss_and_gradient` runs the training forward loop, which keeps
 every activation, and writes the gradient into a second vector of the same
-layout; the optimizer then updates the parameter vector with a fixed
-sequence of in-place ufuncs, which Adam runs over one cache-sized slice of
-the vector at a time.  The dropout masks of a step come from one uniform
+layout; Adam then updates the parameter vector with a fixed sequence of
+in-place ufuncs, run over one cache-sized slice of the vector at a time.  The dropout masks of a step come from one uniform
 draw, sliced layer by layer.  Each elementwise operation is the one the
 per-array formulas perform, in the same order, so the result depends
 neither on the layout nor on where the slices fall.
@@ -79,7 +78,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     dropout: float = 0.0
     seed: int = 0
     clip: bool = False
@@ -92,8 +90,6 @@ class TrainConfig:
         # learning_rate 0 is allowed as an explicit no-op schedule; NaN fails too
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise DomainError(f"learning_rate must be a finite number >= 0, got {self.learning_rate}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise DomainError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise DomainError(f"dropout must lie in [0, 1), got {self.dropout}")
 
@@ -145,7 +141,7 @@ def train(
     params = NetworkParams(weights=weights, shifts=shifts)
     grad = np.empty_like(flat)
     grad_w, grad_v = flat_views(arch, grad)
-    state = _OptState(flat.size, cfg)
+    state = _OptState(flat.size, cfg.learning_rate)
     keep = 1.0 - cfg.dropout
     mask_cols = list(itertools.accumulate(arch.hidden_widths, initial=0))
 
@@ -179,35 +175,27 @@ def train(
 
 
 class _OptState:
-    """SGD or bias-corrected adaptive-moment update of one flat parameter vector.
+    """Bias-corrected adaptive-moment update of one flat parameter vector.
 
     `step(flat, grad)` updates `flat` in place and overwrites `grad`: once
-    the gradient has entered the moments its buffer is Adam's second
-    scratch vector, and SGD scales it by the learning rate.  Adam keeps the
-    two moments, each the size of `flat`, and one scratch vector of
-    ADAM_SLICE values, and runs its ufunc sequence over consecutive slices
-    of ADAM_SLICE values (the last one shorter).  Every operation is
-    elementwise, so slicing changes only which values are in cache, not
-    their bits: the ufunc sequence evaluates the textbook per-element
-    formulas in their usual order, and every parameter gets the bits it
-    would get from updating one array at a time.
+    the gradient has entered the moments its buffer is the second scratch
+    vector.  The state is the two moments, each the size of `flat`, and one
+    scratch vector of ADAM_SLICE values; the ufunc sequence runs over
+    consecutive slices of ADAM_SLICE values (the last one shorter).  Every
+    operation is elementwise, so slicing changes only which values are in
+    cache, not their bits: the ufunc sequence evaluates the textbook
+    per-element formulas in their usual order, and every parameter gets the
+    bits it would get from updating one array at a time.
     """
 
-    def __init__(self, size: int, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, size: int, learning_rate: float):
+        self.lr = learning_rate
         self.t = 0
-        if cfg.optimizer == "adam":
-            self.m = np.zeros(size)
-            self.v = np.zeros(size)
-            self.scratch = np.empty(min(size, ADAM_SLICE))
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.scratch = np.empty(min(size, ADAM_SLICE))
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
-        cfg = self.cfg
-        if cfg.optimizer == "sgd":
-            # p -= lr * g
-            grad *= cfg.learning_rate
-            flat -= grad
-            return
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
@@ -226,7 +214,7 @@ class _OptState:
             v += g
             # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
             np.divide(m, bc1, out=s)
-            s *= cfg.learning_rate
+            s *= self.lr
             np.divide(v, bc2, out=g)
             np.sqrt(g, out=g)
             g += ADAM_EPS

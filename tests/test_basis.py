@@ -4,9 +4,28 @@ import math
 import numpy as np
 import pytest
 
-from fdnet import BasisOrder, DomainError, Grid, gram_matrix, midpoint_grid, tensor_basis_eval, univariate_fourier
+from fdnet import BasisOrder, DomainError, Grid, gram_matrix, midpoint_grid, univariate_fourier
+from fdnet.basis import design_matrix
 
 SQRT2 = math.sqrt(2.0)
+
+
+def tensor_basis_eval(order: BasisOrder, rank: int, point) -> float:
+    """Pointwise oracle: the tensor element of `rank` at one d-vector, as a
+    product of univariate elements."""
+    value = 1.0
+    for idx, coord in zip(order.multi_index(rank), point):
+        value *= univariate_fourier(idx, float(coord))
+    return value
+
+
+def design_at(order: BasisOrder, rank: int, point) -> float:
+    """`design_matrix` on the one-node grid at `point`, column `rank`."""
+    grid = Grid(
+        axes=tuple(np.array([c], dtype=float) for c in point),
+        axis_weights=tuple(np.ones(1) for _ in point),
+    )
+    return float(design_matrix(order, rank, grid)[0, rank - 1])
 
 
 class TestUnivariate:
@@ -83,32 +102,33 @@ class TestTensorEval:
         order = BasisOrder(2)
         for point in [(0.0, 0.0), (0.3, 0.9), (1.0, 1.0)]:
             assert tensor_basis_eval(order, 1, point) == 1.0
+            assert design_at(order, 1, point) == 1.0
 
     def test_cos_constant_pair(self):
         # multi-index (2, 1) at (0, 0.9): sqrt(2) cos(0) * 1
         order = BasisOrder(2)
         rank = [tuple(r) for r in order.multi_indices(9).tolist()].index((2, 1)) + 1
         assert tensor_basis_eval(order, rank, (0.0, 0.9)) == pytest.approx(SQRT2, abs=1e-12)
+        assert design_at(order, rank, (0.0, 0.9)) == pytest.approx(SQRT2, abs=1e-12)
 
     def test_three_cos_factors(self):
         order = BasisOrder(3)
         rank = [tuple(r) for r in order.multi_indices(30).tolist()].index((2, 2, 2)) + 1
         assert tensor_basis_eval(order, rank, (0.0, 0.0, 0.0)) == pytest.approx(2 * SQRT2, abs=1e-12)
+        assert design_at(order, rank, (0.0, 0.0, 0.0)) == pytest.approx(2 * SQRT2, abs=1e-12)
 
     def test_factorization_exact(self):
+        # the tabulated design matrix multiplies the same univariate factors
+        # in the same order as the pointwise product
         order = BasisOrder(3)
         rng = np.random.default_rng(5)
         for rank in (1, 4, 11, 29):
             point = rng.random(3)
-            mi = order.multi_index(rank)
-            expected = 1.0
-            for idx, c in zip(mi, point):
-                expected *= univariate_fourier(idx, float(c))
-            assert tensor_basis_eval(order, rank, point) == expected
+            assert design_at(order, rank, point) == tensor_basis_eval(order, rank, point)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            tensor_basis_eval(BasisOrder(2), 1, (0.5, 0.5, 0.5))
+            design_matrix(BasisOrder(2), 1, midpoint_grid((2, 2, 2)))
 
 
 class TestGrid:

@@ -11,24 +11,23 @@ from fdnet import (
     benchmark,
     classify,
     confusion_matrix,
-    forward_logits,
     get_model,
     initial_params,
     misclassification_rate,
     truncated_kl_risk,
-    zero_params,
 )
+from fdnet.network import _forward_pass
 
 
 class TestClassify:
     def test_argmax(self):
         # a 3-class net with fixed logits via zero first layer and shifts
-        params = zero_params(Architecture(2, (3,), 3))
+        params = NetworkParams(weights=[np.zeros((3, 2)), np.zeros((3, 3))], shifts=[np.zeros(3)])
         # forward gives uniform probabilities; tie -> class 1
         assert classify(params, np.zeros(2)) == 1
 
     def test_tie_breaks_to_smallest_index(self):
-        params = zero_params(Architecture(4, (2,), 2))
+        params = NetworkParams(weights=[np.zeros((2, 4)), np.zeros((2, 2))], shifts=[np.zeros(2)])
         assert classify(params, np.ones(4)) == 1
 
     def test_batch_output(self):
@@ -41,7 +40,7 @@ class TestClassify:
     def test_invariant_to_increasing_transforms(self):
         params = initial_params(Architecture(4, (6,), 3), np.random.default_rng(2))
         x = np.random.default_rng(3).standard_normal((50, 4))
-        logits = forward_logits(params, x)
+        logits = _forward_pass(params, x)[2]
         base = np.argmax(logits, axis=1)
         for transform in (lambda z: 3.0 * z + 7.0, np.exp, np.tanh):
             np.testing.assert_array_equal(np.argmax(transform(logits), axis=1), base)

@@ -1,15 +1,25 @@
 """Module boundaries of the package: no fdnet module reaches into another
 module's private (`_`-prefixed) names, either by importing them or through
 an imported module object, and every fdnet import sits at module level, so
-each module's dependencies show in its header."""
+each module's dependencies show in its header.  Every name the package
+re-exports has a caller in the program, the benchmark or the acceptance
+suite."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fdnet"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fdnet"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+# where a re-exported name must be used: the package's own modules, the
+# benchmark and the acceptance suite (the other tests do not count)
+CALLERS = [
+    *(p for p in SOURCES if p.name != "__init__.py"),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
 
 
 def _is_fdnet(module: str | None, level: int) -> bool:
@@ -60,6 +70,27 @@ def function_imports(tree: ast.Module) -> list:
     return sorted(found)
 
 
+def unreferenced_exports(init: ast.Module, callers: list) -> list:
+    """Names `init` re-exports from package modules that no caller tree
+    mentions as a name, an attribute or an imported name."""
+    exported = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    ]
+    used = set()
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name.split(".")[-1] for alias in node.names)
+    return [name for name in exported if name not in used]
+
+
 def test_sources_found():
     assert {"network.py", "training.py", "evaluation.py", "cli.py"} <= {p.name for p in SOURCES}
 
@@ -105,3 +136,20 @@ def test_detects_function_import(source):
 def test_allows_module_level_and_foreign_imports():
     source = "from .network import forward\ndef f():\n    import json\n    from os import path"
     assert function_imports(ast.parse(source)) == []
+
+
+def test_every_export_has_a_caller():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    callers = [ast.parse(p.read_text(), filename=str(p)) for p in CALLERS]
+    dead = unreferenced_exports(init, callers)
+    assert dead == [], f"fdnet re-exports names nothing outside the tests uses: {dead}"
+
+
+def test_detects_unreferenced_export():
+    init = ast.parse("from .network import forward, backward, classify, zero_params\nimport numpy")
+    callers = [
+        ast.parse("import fdnet\nfdnet.forward(p, x)"),
+        ast.parse("from fdnet import backward as grad"),
+        ast.parse("def f(classify):\n    return classify"),
+    ]
+    assert unreferenced_exports(init, callers) == ["zero_params"]

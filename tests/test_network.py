@@ -11,18 +11,23 @@ from fdnet import (
     NumericError,
     backward,
     ce_loss,
-    clip_weights,
     forward,
-    forward_logits,
     initial_params,
     softmax,
-    sparsity_report,
-    zero_params,
 )
+from fdnet.network import _forward_pass
 
 
 def random_params(arch, seed):
     return initial_params(arch, np.random.default_rng(seed))
+
+
+def zero_params(arch):
+    widths = arch.layer_widths()
+    return NetworkParams(
+        weights=[np.zeros((q, p)) for p, q in zip(widths, widths[1:])],
+        shifts=[np.zeros(p) for p in arch.hidden_widths],
+    )
 
 
 def gradcheck(params, x, label, h=1e-5):
@@ -69,7 +74,7 @@ class TestForward:
     def test_invariant_to_logit_shift(self):
         params = random_params(Architecture(5, (8,), 3), seed=2)
         x = np.random.default_rng(3).standard_normal(5)
-        logits = forward_logits(params, x)
+        logits = _forward_pass(params, x[None, :])[2][0]
         np.testing.assert_allclose(softmax(logits + 123.4), forward(params, x), atol=1e-12)
 
     def test_shift_sign_convention(self):
@@ -78,10 +83,11 @@ class TestForward:
             weights=[np.array([[1.0]]), np.array([[1.0], [0.0]])],
             shifts=[np.array([0.5])],
         )
-        low = forward_logits(params, np.array([0.4]))
-        high = forward_logits(params, np.array([1.5]))
-        assert low[0] == 0.0
-        assert high[0] == pytest.approx(1.0)
+        # relu(0.4 - 0.5) = 0 gives equal logits; relu(1.5 - 0.5) = 1 gives (1, 0)
+        low = forward(params, np.array([0.4]))
+        high = forward(params, np.array([1.5]))
+        np.testing.assert_array_equal(low, [0.5, 0.5])
+        assert high[0] == pytest.approx(math.e / (math.e + 1.0), abs=1e-15)
 
     def test_input_width_checked(self):
         params = zero_params(Architecture(4, (3,), 2))
@@ -100,9 +106,8 @@ class TestForward:
         params.weights[0][:] = 1e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for fn in (forward, forward_logits):
-                with pytest.raises(NumericError, match="hidden layer 1"):
-                    fn(params, np.array([1e9, 1e9]))
+            with pytest.raises(NumericError, match="hidden layer 1"):
+                forward(params, np.array([1e9, 1e9]))
 
 
 class TestCeLoss:
@@ -162,8 +167,6 @@ class TestBackward:
         np.testing.assert_array_equal(grads.weights[1], np.outer(probs - y, x))
 
     def test_matches_finite_differences(self):
-        from fdnet.network import _forward_pass
-
         rng = np.random.default_rng(6)
         for trial in range(10):
             arch = Architecture(
@@ -202,46 +205,6 @@ class TestBackward:
         singles = [backward(params, xs[i], int(labels[i])) for i in range(5)]
         mean_w0 = np.mean([g.weights[0] for g in singles], axis=0)
         np.testing.assert_allclose(batch.weights[0], mean_w0, atol=1e-14)
-
-
-class TestSparsityAndClip:
-    def test_all_zero(self):
-        report = sparsity_report(zero_params(Architecture(3, (3,), 2)))
-        assert report.active_count == 0
-        assert report.max_entry == 0.0
-
-    def test_single_entry(self):
-        params = zero_params(Architecture(3, (3,), 2))
-        params.weights[0][1, 2] = 0.5
-        report = sparsity_report(params)
-        assert report.active_count == 1
-        assert report.max_entry == 0.5
-
-    def test_clip_examples(self):
-        params = zero_params(Architecture(2, (2,), 2))
-        params.weights[0][0, 0] = 2.0
-        params.weights[0][0, 1] = -0.3
-        clipped = clip_weights(params)
-        assert clipped.weights[0][0, 0] == 1.0
-        assert clipped.weights[0][0, 1] == -0.3
-
-    def test_clip_idempotent_and_bounded(self):
-        params = random_params(Architecture(4, (5, 5), 3), seed=12)
-        for w in params.weights:
-            w *= 7.0
-        once = clip_weights(params)
-        twice = clip_weights(once)
-        for a, b in zip(once.weights, twice.weights):
-            np.testing.assert_array_equal(a, b)
-        assert sparsity_report(once).max_entry <= 1.0
-
-    def test_clip_never_increases_active_count(self):
-        rng = np.random.default_rng(13)
-        params = random_params(Architecture(4, (6,), 3), seed=14)
-        params.weights[0][rng.random(params.weights[0].shape) < 0.4] = 0.0
-        before = sparsity_report(params).active_count
-        after = sparsity_report(clip_weights(params)).active_count
-        assert after <= before
 
 
 class TestParamsValidation:

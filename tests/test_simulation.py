@@ -3,17 +3,14 @@ import pytest
 
 from fdnet import (
     DomainError,
-    FunctionalSample,
     SimModel,
     bayes_error_mc,
     bayes_posterior,
     default_test_size,
-    draw_scores,
     generate_dataset,
     get_model,
     midpoint_grid,
     resolve_grid,
-    synthesize,
 )
 from fdnet.simulation import ExponentialLaw, GaussianLaw, StudentTLaw
 
@@ -76,77 +73,79 @@ class TestModelRegistry:
         assert get_model("2D-Gaussian").model_id == "2d-gaussian"
 
 
+def draw(model, class_index, n, seed):
+    """n latent score vectors of class `class_index` (1-based), as
+    `generate_dataset` draws them."""
+    return model.laws[class_index - 1].sample(n, np.random.default_rng(seed))
+
+
 class TestDrawScores:
     def test_gaussian_mean_within_monte_carlo_bound(self):
         model = get_model("2d-gaussian")
         n = 100_000
-        draws = draw_scores(model, 1, n, seed=100)
+        draws = draw(model, 1, n, seed=100)
         bound = 3 * model.laws[0].sd / np.sqrt(n)
         np.testing.assert_array_less(np.abs(draws.mean(axis=0) - model.laws[0].mean), bound)
 
     def test_gaussian_sd(self):
         model = get_model("2d-gaussian")
-        draws = draw_scores(model, 3, 100_000, seed=101)
+        draws = draw(model, 3, 100_000, seed=101)
         assert draws[:, 0].std() == pytest.approx(2.5, abs=0.05)
 
     def test_exponential_mean(self):
         model = get_model("2d-mixed3")
-        draws = draw_scores(model, 1, 100_000, seed=102)
+        draws = draw(model, 1, 100_000, seed=102)
         assert draws[:, 0].mean() == pytest.approx(10.0, abs=0.3)
 
     def test_student_t_location(self):
         model = get_model("2d-mixed1")
-        draws = draw_scores(model, 3, 100_000, seed=103)
+        draws = draw(model, 3, 100_000, seed=103)
         # dof 3 has mean equal to the location and variance dof/(dof-2) = 3
         assert draws[:, 0].mean() == pytest.approx(3.0, abs=3 * np.sqrt(3 / 100_000) * 3)
 
     def test_validation(self):
         model = get_model("2d-gaussian")
         with pytest.raises(DomainError):
-            draw_scores(model, 0, 5, seed=0)
+            generate_dataset(model, 0, m=9, seed=0)
         with pytest.raises(DomainError):
-            draw_scores(model, 1, 0, seed=0)
+            generate_dataset(model, 5, m=9, seed=0, subset="validation")
 
 
 class TestSynthesize:
     def test_zero_scores(self):
         model = get_model("2d-gaussian")
-        sample = synthesize(np.zeros(5), model, midpoint_grid((4, 4)))
-        np.testing.assert_array_equal(sample.values, np.zeros(16))
+        values = model.psi_matrix(midpoint_grid((4, 4))) @ np.zeros(5)
+        np.testing.assert_array_equal(values, np.zeros(16))
 
     def test_first_function_is_first_coordinate(self):
         model = get_model("2d-gaussian")
         grid = midpoint_grid((5, 5))
-        sample = synthesize(np.array([1.0, 0, 0, 0, 0]), model, grid)
-        np.testing.assert_allclose(sample.values, grid.node_matrix()[:, 0])
+        values = model.psi_matrix(grid) @ np.array([1.0, 0, 0, 0, 0])
+        np.testing.assert_allclose(values, grid.node_matrix()[:, 0])
 
     def test_point_value(self):
         # scores (1,1,0,0,0) at node (0.25, 0.75): 0.25 + 0.75 = 1
         model = get_model("2d-gaussian")
         grid = midpoint_grid((2, 2))
-        sample = synthesize(np.array([1.0, 1, 0, 0, 0]), model, grid)
+        values = model.psi_matrix(grid) @ np.array([1.0, 1, 0, 0, 0])
         nodes = grid.node_matrix()
         idx = np.flatnonzero((nodes[:, 0] == 0.25) & (nodes[:, 1] == 0.75))[0]
-        assert sample.values[idx] == pytest.approx(1.0, abs=1e-15)
+        assert values[idx] == pytest.approx(1.0, abs=1e-15)
 
     def test_linear_in_scores(self):
         model = get_model("3d-gaussian")
-        grid = midpoint_grid((3, 3, 3))
+        psi = model.psi_matrix(midpoint_grid((3, 3, 3)))
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((2, 9))
-        combo = synthesize(2.0 * a - 0.5 * b, model, grid).values
         np.testing.assert_allclose(
-            combo,
-            2.0 * synthesize(a, model, grid).values - 0.5 * synthesize(b, model, grid).values,
-            rtol=1e-12,
-            atol=1e-12,
+            psi @ (2.0 * a - 0.5 * b), 2.0 * (psi @ a) - 0.5 * (psi @ b), rtol=1e-12, atol=1e-12
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            synthesize(np.zeros(5), get_model("2d-gaussian"), midpoint_grid((3, 3, 3)))
+            get_model("2d-gaussian").psi_matrix(midpoint_grid((3, 3, 3)))
         with pytest.raises(DomainError):
-            synthesize(np.zeros(9), get_model("2d-gaussian"), midpoint_grid((3, 3)))
+            get_model("3d-gaussian").psi_matrix(midpoint_grid((3, 3)))
 
 
 class TestGenerateDataset:
@@ -212,7 +211,7 @@ class TestBayesPosterior:
 
     def test_rows_are_probability_vectors(self):
         model = get_model("3d-gaussian")
-        xi = draw_scores(model, 2, 50, seed=8)
+        xi = draw(model, 2, 50, seed=8)
         post = bayes_posterior(model, xi)
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
         assert post.min() >= 0
