@@ -74,10 +74,14 @@ def _require_labeled(dataset: Dataset, what: str) -> None:
 def _cmd_simulate(args) -> int:
     model = get_model(args.model)
     train_ds = generate_dataset(model, args.nk, m=args.m, seed=args.seed, subset="train")
-    dataio.save_dataset(train_ds, args.out)
-    print(f"wrote {len(train_ds)} training samples to {args.out}")
+    # both sets before either file, so a refused --test-nk writes nothing;
+    # the subsets draw from independent streams, so the order changes no byte
+    test_ds = None
     if args.test_nk:
         test_ds = generate_dataset(model, args.test_nk, m=args.m, seed=args.seed, subset="test")
+    dataio.save_dataset(train_ds, args.out)
+    print(f"wrote {len(train_ds)} training samples to {args.out}")
+    if test_ds is not None:
         test_path = _sibling_path(args.out, "test")
         dataio.save_dataset(test_ds, test_path)
         print(f"wrote {len(test_ds)} test samples to {test_path}")

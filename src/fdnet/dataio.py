@@ -215,9 +215,8 @@ def load_model(path):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         # OverflowError: int() of an Infinity, which Python's json accepts
         raise FormatError(f"malformed model document: {exc}") from exc
-    params = NetworkParams(weights=weights, shifts=shifts)
-    got = params.architecture
-    if got != arch:
+    params = NetworkParams.from_arrays(weights, shifts)
+    if params.architecture != arch:
         raise FormatError("declared architecture does not match the stored arrays")
     meta = doc.get("metadata") or {}  # absent or null: nothing recorded
     shape = meta.get("grid_shape", []) if isinstance(meta, dict) else None
@@ -236,7 +235,8 @@ def _decode_array(entry) -> np.ndarray:
 
 def load_hypergrid(path) -> HyperGrid:
     """Parse candidate lists from JSON: {"J": [...], "L": [...],
-    "width": [...], "dropout": [...]}."""
+    "width": [...], "dropout": [...]}, integers for J, L and width and
+    numbers for dropout; nothing else is converted."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -247,15 +247,21 @@ def load_hypergrid(path) -> HyperGrid:
     missing = {"J", "L", "width", "dropout"} - set(doc)
     if missing:
         raise FormatError(f"hyperparameter grid is missing key(s) {sorted(missing)}")
+    for key, kinds in (("J", int), ("L", int), ("width", int), ("dropout", (int, float))):
+        values = doc[key]
+        # bool is an int subclass; strings and floats must not be coerced
+        if not isinstance(values, list) or any(
+            isinstance(v, bool) or not isinstance(v, kinds) for v in values
+        ):
+            what = "numbers" if key == "dropout" else "integers"
+            raise FormatError(
+                f"malformed hyperparameter grid: {key} must be a list of JSON {what}, got {values!r}"
+            )
     try:
-        return HyperGrid(
-            n_scores=tuple(int(j) for j in doc["J"]),
-            depths=tuple(int(l) for l in doc["L"]),
-            widths=tuple(int(w) for w in doc["width"]),
-            dropouts=tuple(float(s) for s in doc["dropout"]),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
+        dropouts = tuple(float(s) for s in doc["dropout"])
+    except OverflowError as exc:  # an integer beyond the float range
         raise FormatError(f"malformed hyperparameter grid: {exc}") from exc
+    return HyperGrid(n_scores=doc["J"], depths=doc["L"], widths=doc["width"], dropouts=dropouts)
 
 
 def _fmt(x) -> str:

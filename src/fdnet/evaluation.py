@@ -139,10 +139,10 @@ def evaluate(params: NetworkParams, dataset: Dataset):
 
 
 def _run_replicate(args):
-    (model, n_k, m, shape, grid, cfg, rep_ss, test_nk, c0) = args
+    (model, n_k, m, grid, cfg, rep_ss, test_nk, c0) = args
     data_ss, select_ss = rep_ss.spawn(2)
-    train_ds = generate_dataset(model, n_k, m=m, shape=shape, seed=data_ss, subset="train")
-    test_ds = generate_dataset(model, test_nk, m=m, shape=shape, seed=data_ss, subset="test")
+    train_ds = generate_dataset(model, n_k, m=m, seed=data_ss, subset="train")
+    test_ds = generate_dataset(model, test_nk, m=m, seed=data_ss, subset="test")
     cfg_rep = replace(cfg, seed=seed_to_int(select_ss))
     result = select(train_ds, BasisOrder(model.d), grid, cfg_rep)
     err, conf, probs = evaluate(result.final_params, test_ds)
@@ -156,12 +156,11 @@ def _run_replicate(args):
 def benchmark(
     model: SimModel,
     n_per_class: int,
-    m: int | None,
+    m: int,
     grid: HyperGrid,
     train_cfg: TrainConfig,
     eval_cfg: EvalConfig,
     *,
-    shape=None,
     test_per_class: int | None = None,
     workers: int = 1,
 ) -> EvalReport:
@@ -172,11 +171,13 @@ def benchmark(
     `workers` > 1 distributes replicates over processes without changing
     any result.
     """
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     reps = eval_cfg.replicates
     test_nk = test_per_class if test_per_class is not None else default_test_size(n_per_class)
     rep_streams = as_seed_sequence(eval_cfg.seed).spawn(reps)
     arglist = [
-        (model, n_per_class, m, shape, grid, train_cfg, rep_streams[r], test_nk, eval_cfg.c0)
+        (model, n_per_class, m, grid, train_cfg, rep_streams[r], test_nk, eval_cfg.c0)
         for r in range(reps)
     ]
     if workers > 1:
@@ -194,7 +195,7 @@ def benchmark(
     return EvalReport(
         model_id=model.model_id,
         n_per_class=n_per_class,
-        m=m if m is not None else int(np.prod(shape)),
+        m=m,
         replicates=reps,
         errors=errors,
         mean_error=float(errors.mean()),

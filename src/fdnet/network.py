@@ -10,6 +10,13 @@ conventional layer; they are stored as shifts (not biases) on purpose, and
 every consumer in this package sticks to that sign convention.  The final
 weight matrix maps to K class logits.
 
+`NetworkParams` is the one representation of these parameters: the
+architecture and one contiguous float64 vector theta of length
+`param_count`, laid out as W_0..W_L then v_1..v_L, each row-major.  Writes
+through the per-layer views land in theta, so one elementwise operation
+updates every weight and shift; gradients share the layout, and
+`NetworkParams.from_arrays` packs separate arrays.
+
 Inference (`forward`, `classify`) runs one streaming loop that keeps one
 activation alive and raises NumericError at the first non-finite layer;
 training (`loss_and_gradient`, also behind `backward`) keeps every
@@ -64,67 +71,51 @@ class Architecture:
         return sum(math.prod(shape) for shape in self.param_shapes())
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NetworkParams:
-    """Weights and shifts of one network.
+    """Weights and shifts of one network, held in one flat vector.
 
-    `weights[l]` has shape (p_{l+1}, p_l) for l = 0..L, `shifts[l]` has
-    length p_{l+1} for l = 0..L-1 and is subtracted before the ReLU that
-    follows `weights[l]`.
+    `flat` is laid out as in the module docstring; `weights[l]`, shape
+    (p_{l+1}, p_l), and `shifts[l]`, length p_{l+1}, are views into it.
     """
 
-    weights: list
-    shifts: list
+    architecture: Architecture
+    flat: np.ndarray
 
     def __post_init__(self):
-        self.weights = [np.asarray(w, dtype=float) for w in self.weights]
-        self.shifts = [np.asarray(v, dtype=float) for v in self.shifts]
-        if len(self.weights) != len(self.shifts) + 1:
-            raise DomainError("need exactly one more weight matrix than shift vectors")
-        if any(w.ndim != 2 for w in self.weights) or any(v.ndim != 1 for v in self.shifts):
-            raise DomainError("weights must be matrices and shifts vectors")
-        for i, v in enumerate(self.shifts):
-            if v.shape != (self.weights[i].shape[0],):
-                raise DomainError(f"shift {i + 1} does not match the width of weight {i}")
-        for i in range(len(self.weights) - 1):
-            if self.weights[i + 1].shape[1] != self.weights[i].shape[0]:
-                raise DomainError(f"weight matrices {i} and {i + 1} have mismatched widths")
-        for arr in (*self.weights, *self.shifts):
-            if not np.all(np.isfinite(arr)):
-                raise DomainError("network parameters must be finite")
+        arch, flat = self.architecture, self.flat
+        size = arch.param_count
+        if flat.shape != (size,) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
+            raise DomainError(f"need a contiguous float64 vector of length {size}")
+        _check_finite(flat)
+        views, start = [], 0
+        for shape in arch.param_shapes():
+            end = start + math.prod(shape)
+            views.append(flat[start:end].reshape(shape))
+            start = end
+        object.__setattr__(self, "weights", views[: arch.depth + 1])
+        object.__setattr__(self, "shifts", views[arch.depth + 1 :])
 
-    @property
-    def architecture(self) -> Architecture:
-        return Architecture(
-            input_dim=self.weights[0].shape[1],
-            hidden_widths=tuple(w.shape[0] for w in self.weights[:-1]),
-            n_classes=self.weights[-1].shape[0],
-        )
+    def __reduce__(self):
+        # a pickled or copied network rebuilds its views over its own vector
+        return NetworkParams, (self.architecture, self.flat)
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            weights=[w.copy() for w in self.weights],
-            shifts=[v.copy() for v in self.shifts],
-        )
+    @classmethod
+    def from_arrays(cls, weights, shifts) -> "NetworkParams":
+        """Pack per-layer arrays W_0..W_L and v_1..v_L into one vector."""
+        arrays = [np.asarray(a, dtype=float) for a in (*weights, *shifts)]
+        if len(weights) != len(shifts) + 1 or any(w.ndim != 2 for w in arrays[: len(weights)]):
+            raise DomainError("need weight matrices W_0..W_L and one shift vector fewer")
+        w = arrays[: len(weights)]
+        arch = Architecture(w[0].shape[1], tuple(a.shape[0] for a in w[:-1]), w[-1].shape[0])
+        if [a.shape for a in arrays] != arch.param_shapes():
+            raise DomainError(f"array shapes do not chain into a network of widths {arch.layer_widths()}")
+        return cls(arch, np.concatenate([a.ravel() for a in arrays]))
 
 
-def flat_views(arch: Architecture, buf: np.ndarray):
-    """(weights, shifts) of `arch` as reshaped views into one flat vector.
-
-    `buf` is a contiguous float64 vector of length `arch.param_count`,
-    laid out as W_0..W_L then v_1..v_L, each row-major.  Writes through the
-    views land in `buf`, so one elementwise operation on `buf` updates
-    every weight and shift at once.
-    """
-    size = arch.param_count
-    if buf.shape != (size,) or buf.dtype != np.float64 or not buf.flags.c_contiguous:
-        raise DomainError(f"need a contiguous float64 vector of length {size}")
-    views, start = [], 0
-    for shape in arch.param_shapes():
-        end = start + math.prod(shape)
-        views.append(buf[start:end].reshape(shape))
-        start = end
-    return views[: arch.depth + 1], views[arch.depth + 1 :]
+def _check_finite(flat: np.ndarray) -> None:
+    if not np.all(np.isfinite(flat)):
+        raise DomainError("network parameters must be finite")
 
 
 def initial_params(arch: Architecture, rng: np.random.Generator) -> NetworkParams:
@@ -134,7 +125,7 @@ def initial_params(arch: Architecture, rng: np.random.Generator) -> NetworkParam
     for i in range(len(widths) - 1):
         bound = 1.0 / np.sqrt(widths[i])
         weights.append(rng.uniform(-bound, bound, size=(widths[i + 1], widths[i])))
-    return NetworkParams(weights=weights, shifts=[np.zeros(w) for w in arch.hidden_widths])
+    return NetworkParams.from_arrays(weights, [np.zeros(w) for w in arch.hidden_widths])
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -200,7 +191,7 @@ def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     Raises NumericError naming the first layer that produced non-finite
     values.
     """
-    xb, single = _as_batch(x, params.weights[0].shape[1])
+    xb, single = _as_batch(x, params.architecture.input_dim)
     probs = softmax(_logits(params, xb))
     return probs[0] if single else probs
 
@@ -258,20 +249,21 @@ def ce_loss(probs: np.ndarray, label, clamp: float | None = None) -> float:
     return float(min(loss, clamp)) if clamp is not None else float(loss)
 
 
-def loss_and_gradient(params: NetworkParams, x, y, masks=None, grad_w=None, grad_v=None) -> float:
+def loss_and_gradient(params: NetworkParams, x, y, masks=None, grad: NetworkParams | None = None) -> float:
     """Mean floored cross-entropy -log max(p_true, PROB_FLOOR) of a batch
     (x, one-hot y) under dropout `masks`; non-finite once training diverges.
 
-    Given `grad_w` and `grad_v` (arrays shaped like the weights and shifts,
-    e.g. the views of `flat_views`), also writes the mean gradient there.
+    Given `grad` (a NetworkParams of the same architecture), also writes
+    the mean gradient into its views, and so into `grad.flat`.
     """
     # divergence surfaces as a non-finite loss; silence its overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
         activations, pre_relu, logits = _forward_pass(params, x, masks)
         probs = softmax(logits)
         loss = float(-np.log(np.maximum((probs * y).sum(axis=1), PROB_FLOOR)).mean())
-    if grad_w is None:
+    if grad is None:
         return loss
+    grad_w, grad_v = grad.weights, grad.shifts
     n = probs.shape[0]
     delta = (probs - y) / n
     np.matmul(delta.T, activations[-1], out=grad_w[-1])
@@ -293,20 +285,21 @@ def backward(params: NetworkParams, x: np.ndarray, label, dropout_masks=None) ->
 
     For a batch input the mean gradient over the batch is returned.  The
     result reuses the NetworkParams container, gradients laid out exactly
-    like the parameters.  `dropout_masks`, when given, must be the same
-    multiplicative factors used in the corresponding forward pass; dropped
-    units receive zero gradient.
+    like the parameters; a non-finite gradient raises DomainError.
+    `dropout_masks`, when given, must be the same multiplicative factors
+    used in the corresponding forward pass; dropped units receive zero
+    gradient.
     """
-    xb, single = _as_batch(x, params.weights[0].shape[1])
+    arch = params.architecture
+    xb, single = _as_batch(x, arch.input_dim)
     y = np.asarray(label, dtype=float)
-    if single and (y.ndim == 0 or y.shape == (params.weights[-1].shape[0],)):
-        y = _one_hot(label, params.weights[-1].shape[0])[None, :]
+    if single and (y.ndim == 0 or y.shape == (arch.n_classes,)):
+        y = _one_hot(label, arch.n_classes)[None, :]
     elif y.ndim == 1 and y.shape[0] == xb.shape[0]:
-        k = params.weights[-1].shape[0]
-        y = np.stack([_one_hot(int(lbl), k) for lbl in y])
-    if y.shape != (xb.shape[0], params.weights[-1].shape[0]):
+        y = np.stack([_one_hot(int(lbl), arch.n_classes) for lbl in y])
+    if y.shape != (xb.shape[0], arch.n_classes):
         raise DomainError("labels do not match the batch")
-    grad_w = [np.empty_like(w) for w in params.weights]
-    grad_v = [np.empty_like(v) for v in params.shifts]
-    loss_and_gradient(params, xb, y, dropout_masks, grad_w, grad_v)
-    return NetworkParams(weights=grad_w, shifts=grad_v)
+    grad = NetworkParams(arch, np.zeros(arch.param_count))
+    loss_and_gradient(params, xb, y, dropout_masks, grad)
+    _check_finite(grad.flat)
+    return grad

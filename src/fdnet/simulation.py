@@ -218,20 +218,13 @@ def get_model(model_id: str) -> SimModel:
     return MODELS[key]
 
 
-def resolve_grid(model: SimModel, m: int | None = None, shape=None) -> Grid:
-    """Grid for a model from either a sampling frequency m or an explicit shape."""
-    if (m is None) == (shape is None):
-        raise DomainError("specify exactly one of m or shape")
-    if shape is not None:
-        shape = tuple(int(s) for s in (shape if not isinstance(shape, int) else (shape,)))
-        if len(shape) != model.d:
-            raise DomainError(f"shape {shape} does not match model dimension {model.d}")
-        return midpoint_grid(shape)
+def resolve_grid(model: SimModel, m: int) -> Grid:
+    """Grid for a model at the sampling frequency m (see SUPPORTED_M)."""
     table = SUPPORTED_M[model.d]
     if m not in table:
         raise DomainError(
             f"unsupported sampling frequency m={m} for a {model.d}-dimensional model; "
-            f"supported: {sorted(table)} (or pass an explicit per-axis shape)"
+            f"supported: {sorted(table)}"
         )
     return midpoint_grid(table[m])
 
@@ -240,8 +233,7 @@ def generate_dataset(
     model: SimModel,
     n_per_class: int,
     *,
-    m: int | None = None,
-    shape=None,
+    m: int,
     seed,
     subset: str = "train",
 ) -> Dataset:
@@ -255,7 +247,7 @@ def generate_dataset(
         raise DomainError(f"n_per_class must be >= 1, got {n_per_class}")
     if subset not in ("train", "test"):
         raise DomainError(f"subset must be 'train' or 'test', got {subset!r}")
-    grid = resolve_grid(model, m=m, shape=shape)
+    grid = resolve_grid(model, m)
     streams = as_seed_sequence(seed).spawn(2)
     rng = np.random.default_rng(streams[0 if subset == "train" else 1])
     psi = model.psi_matrix(grid)

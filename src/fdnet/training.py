@@ -1,14 +1,13 @@
 """Minibatch training under cross-entropy and data-split model selection.
 
-`train` fits one network with the adaptive-moment (Adam) update, inverted
-dropout on hidden units, and optional projection of all parameters onto
-the max-norm unit ball.  `select` runs the full hyperparameter procedure:
-extract scores once at the largest candidate J, split 70/30 stratified by
-class, train every candidate cell on the training fold, score it by 0-1
-error on the validation fold (through `network.classify`, the same
-streaming inference loop and argmax rule every prediction uses), pick the
-argmin (ties falling to the lexicographically smallest candidate tuple)
-and retrain on all data.
+`train` fits one network with the adaptive-moment (Adam) update and
+inverted dropout on hidden units.  `select` runs the full hyperparameter
+procedure: extract scores once at the largest candidate J, split 70/30
+stratified by class, train every candidate cell on the training fold,
+score it by 0-1 error on the validation fold (through `network.classify`,
+the same streaming inference loop and argmax rule every prediction uses),
+pick the argmin (ties falling to the lexicographically smallest candidate
+tuple) and retrain on all data.
 
 Inside `select`, score coordinates are standardized (zero mean, unit
 scale) before training; raw score scales span orders of magnitude and
@@ -22,15 +21,16 @@ deterministically ordered SeedSequence spawns: one stream for the split,
 one per grid cell, one for the final retrain.  Results are therefore
 bit-reproducible and independent of any execution schedule.
 
-One training step works on flat buffers.  All weights and shifts are
-reshaped views into one contiguous float64 vector (`network.flat_views`).
-`network.loss_and_gradient` runs the training forward loop, which keeps
-every activation, and writes the gradient into a second vector of the same
-layout; Adam then updates the parameter vector with a fixed sequence of
-in-place ufuncs, run over one cache-sized slice of the vector at a time.  The dropout masks of a step come from one uniform
-draw, sliced layer by layer.  Each elementwise operation is the one the
-per-array formulas perform, in the same order, so the result depends
-neither on the layout nor on where the slices fall.
+One training step works on flat vectors.  The parameters are one
+`NetworkParams`, whose weights and shifts are views into one contiguous
+float64 vector.  `network.loss_and_gradient` runs the training forward
+loop, which keeps every activation, and writes the gradient into a second
+`NetworkParams` of the same layout; Adam then updates the parameter
+vector with a fixed sequence of in-place ufuncs, run over one cache-sized
+slice of the vector at a time.  The dropout masks of a step come from one
+uniform draw, sliced layer by layer.  Each elementwise operation is the
+one the per-array formulas perform, in the same order, so the result
+depends neither on the layout nor on where the slices fall.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .network import (
     Architecture,
     NetworkParams,
     classify,
-    flat_views,
     initial_params,
     loss_and_gradient,
 )
@@ -70,9 +69,8 @@ class TrainConfig:
     """Optimizer schedule; `seed` drives initialization, shuffling and dropout.
 
     Gradients come from the cross-entropy with probabilities floored at
-    1e-12 inside the log.  `clip` projects parameters into [-1, 1] after
-    every update.  The adaptive-moment update uses the fixed ADAM_BETA1,
-    ADAM_BETA2 and ADAM_EPS.
+    1e-12 inside the log.  The adaptive-moment update uses the fixed
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
     """
 
     epochs: int = 100
@@ -80,7 +78,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     dropout: float = 0.0
     seed: int = 0
-    clip: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -134,14 +131,9 @@ def train(
 
     if rng is None:
         rng = np.random.default_rng(as_seed_sequence(cfg.seed))
-    init = initial_params(arch, rng)
-    flat = np.concatenate([a.ravel() for a in (*init.weights, *init.shifts)])
-    del init  # the per-array copies would stay alive for the whole run
-    weights, shifts = flat_views(arch, flat)
-    params = NetworkParams(weights=weights, shifts=shifts)
-    grad = np.empty_like(flat)
-    grad_w, grad_v = flat_views(arch, grad)
-    state = _OptState(flat.size, cfg.learning_rate)
+    params = initial_params(arch, rng)
+    grad = NetworkParams(arch, np.zeros(arch.param_count))
+    state = _OptState(arch.param_count, cfg.learning_rate)
     keep = 1.0 - cfg.dropout
     mask_cols = list(itertools.accumulate(arch.hidden_widths, initial=0))
 
@@ -160,15 +152,13 @@ def train(
                     factors[b * lo : b * hi].reshape(b, hi - lo)
                     for lo, hi in zip(mask_cols, mask_cols[1:])
                 ]
-            loss = loss_and_gradient(params, xb, yb, masks, grad_w, grad_v)
+            loss = loss_and_gradient(params, xb, yb, masks, grad)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"training loss became non-finite at epoch {epoch + 1}, "
                     f"batch {start // cfg.batch_size + 1}"
                 )
-            state.step(flat, grad)
-            if cfg.clip:
-                np.clip(flat, -1.0, 1.0, out=flat)
+            state.step(params.flat, grad.flat)
         if on_epoch_end is not None:
             on_epoch_end(epoch, loss_and_gradient(params, x, y))
     return params
@@ -314,7 +304,6 @@ class SelectionResult:
     chosen: Chosen
     validation_errors: np.ndarray
     final_params: NetworkParams
-    grid: HyperGrid
 
 
 def _standardization(scores: np.ndarray):
@@ -330,7 +319,7 @@ def _absorb_input_affine(params: NetworkParams, mu: np.ndarray, sd: np.ndarray) 
     W0' = W0 / sd and V1' = V1 + W0' mu reproduce the trained map exactly:
     relu(W0 (x - mu)/sd - V1) = relu(W0' x - (V1 + W0' mu)).
     """
-    out = params.copy()
+    out = NetworkParams(params.architecture, params.flat.copy())
     out.weights[0] /= sd[None, :]
     out.shifts[0] += out.weights[0] @ mu
     return out
@@ -392,5 +381,4 @@ def select(
         chosen=Chosen(j_c, l_c, w_c, s_c),
         validation_errors=errors,
         final_params=final,
-        grid=grid,
     )

@@ -36,6 +36,14 @@ class TestSimulate:
         simulate(tmp_path, "data.mfd", test_nk=5)
         assert (tmp_path / "data.test.mfd").exists()
 
+    def test_refused_test_size_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "data.mfd"
+        code = main(["simulate", "--model", "2d-gaussian", "--nk", "5", "--m", "9",
+                     "--test-nk", "-1", "--seed", "1", "--out", str(out)])
+        assert code == 1
+        assert "n_per_class must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_model_exits_1(self, tmp_path, capsys):
         code = main(["simulate", "--model", "nope", "--nk", "5", "--m", "9",
                      "--seed", "1", "--out", str(tmp_path / "x.mfd")])
@@ -172,15 +180,26 @@ class TestMalformedInputs:
         assert "Traceback" not in err
 
     def test_grid_json_infinite_integer_exits_1(self, tmp_path, capsys):
+        # and every other value that is not a JSON integer (J, L, width) or
+        # number (dropout); none of them may be coerced into a grid
         data = simulate(tmp_path)
         grid = tmp_path / "grid.json"
-        grid.write_text('{"J": [Infinity], "L": [1], "width": [4], "dropout": [0.0]}')
-        code = main(["train", "--data", str(data), "--grid", str(grid),
-                     "--seed", "1", "--out", str(tmp_path / "m.json")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "malformed hyperparameter grid" in err
-        assert "Traceback" not in err
+        for doc in (
+            '{"J": [Infinity], "L": [1], "width": [4], "dropout": [0.0]}',
+            '{"J": [1.7], "L": [1], "width": [4], "dropout": [0.0]}',
+            '{"J": [true], "L": [1], "width": ["4"], "dropout": [false]}',
+            '{"J": [2], "L": [1.0], "width": [4], "dropout": [0.0]}',
+            '{"J": [2], "L": [1], "width": [4], "dropout": ["0.1"]}',
+            '{"J": [2], "L": "12", "width": [4], "dropout": [0.0]}',
+        ):
+            grid.write_text(doc)
+            code = main(["train", "--data", str(data), "--grid", str(grid), "--epochs", "1",
+                         "--batch", "8", "--seed", "1", "--out", str(tmp_path / "m.json")])
+            assert code == 1, doc
+            err = capsys.readouterr().err
+            assert "malformed hyperparameter grid" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
 
 
     @pytest.mark.parametrize("command", ["simulate", "train", "benchmark", "mnist"])
@@ -304,6 +323,18 @@ class TestBenchmarkCommand:
         lines = out1.read_text().strip().split("\n")
         assert len(lines) == 1 + 1 + 3  # header, summary, one row per replicate
         assert out1.read_bytes() == out2.read_bytes()  # parallel == serial
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_exits_1(self, tmp_path, capsys, workers):
+        out = tmp_path / "r.csv"
+        code = main(["benchmark", "--model-id", "2d-gaussian", "--nk", "12", "--m", "9",
+                     "--reps", "1", "--grid", grid_file(tmp_path), "--seed", "5",
+                     "--epochs", "1", "--batch", "8", "--workers", workers, "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "workers must be >= 1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestMnistCommand:

@@ -22,12 +22,12 @@ from fdnet.network import _forward_pass
 class TestClassify:
     def test_argmax(self):
         # a 3-class net with fixed logits via zero first layer and shifts
-        params = NetworkParams(weights=[np.zeros((3, 2)), np.zeros((3, 3))], shifts=[np.zeros(3)])
+        params = NetworkParams.from_arrays([np.zeros((3, 2)), np.zeros((3, 3))], [np.zeros(3)])
         # forward gives uniform probabilities; tie -> class 1
         assert classify(params, np.zeros(2)) == 1
 
     def test_tie_breaks_to_smallest_index(self):
-        params = NetworkParams(weights=[np.zeros((2, 4)), np.zeros((2, 2))], shifts=[np.zeros(2)])
+        params = NetworkParams.from_arrays([np.zeros((2, 4)), np.zeros((2, 2))], [np.zeros(2)])
         assert classify(params, np.ones(4)) == 1
 
     def test_batch_output(self):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -24,7 +27,7 @@ def random_params(arch, seed):
 
 def zero_params(arch):
     widths = arch.layer_widths()
-    return NetworkParams(
+    return NetworkParams.from_arrays(
         weights=[np.zeros((q, p)) for p, q in zip(widths, widths[1:])],
         shifts=[np.zeros(p) for p in arch.hidden_widths],
     )
@@ -58,7 +61,7 @@ class TestForward:
     def test_known_softmax_value(self):
         # identity weights, zero shifts, input (1,0,0) -> logits (1,0,0)
         eye = np.eye(3)
-        params = NetworkParams(weights=[eye, eye], shifts=[np.zeros(3)])
+        params = NetworkParams.from_arrays(weights=[eye, eye], shifts=[np.zeros(3)])
         probs = forward(params, np.array([1.0, 0.0, 0.0]))
         e = math.e
         np.testing.assert_allclose(probs, [e / (e + 2), 1 / (e + 2), 1 / (e + 2)], atol=1e-12)
@@ -79,7 +82,7 @@ class TestForward:
 
     def test_shift_sign_convention(self):
         # one unit: relu(w x - v) with w = 1, v = 0.5
-        params = NetworkParams(
+        params = NetworkParams.from_arrays(
             weights=[np.array([[1.0]]), np.array([[1.0], [0.0]])],
             shifts=[np.array([0.5])],
         )
@@ -159,7 +162,7 @@ class TestBackward:
         # with identity first layer and nonnegative input, the last-layer
         # gradient is exactly outer(p - y, hidden activation)
         eye = np.eye(3)
-        params = NetworkParams(weights=[eye, eye], shifts=[np.zeros(3)])
+        params = NetworkParams.from_arrays(weights=[eye, eye], shifts=[np.zeros(3)])
         x = np.array([0.7, 0.1, 0.0])
         probs = forward(params, x)
         y = np.array([0.0, 1.0, 0.0])
@@ -195,6 +198,13 @@ class TestBackward:
         np.testing.assert_array_equal(grads.shifts[0][2], 0.0)
         np.testing.assert_array_equal(grads.weights[0][2], np.zeros(4))
 
+    def test_nonfinite_gradient_raises(self):
+        # an infinite hidden activation times a zero output weight gives NaN
+        params = zero_params(Architecture(2, (2,), 2))
+        params.weights[0][:] = 1e300
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match="finite"):
+            backward(params, np.array([1e10, 1e10]), 1)
+
     def test_batch_gradient_is_mean(self):
         arch = Architecture(3, (4,), 2)
         params = random_params(arch, seed=10)
@@ -210,18 +220,53 @@ class TestBackward:
 class TestParamsValidation:
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
-            NetworkParams(weights=[np.ones((3, 2)), np.ones((2, 4))], shifts=[np.ones(3)])
+            NetworkParams.from_arrays(weights=[np.ones((3, 2)), np.ones((2, 4))], shifts=[np.ones(3)])
 
     def test_shift_length_mismatch(self):
         with pytest.raises(DomainError):
-            NetworkParams(weights=[np.ones((3, 2)), np.ones((2, 3))], shifts=[np.ones(2)])
+            NetworkParams.from_arrays(weights=[np.ones((3, 2)), np.ones((2, 3))], shifts=[np.ones(2)])
 
     def test_nonfinite_rejected(self):
         w = np.ones((2, 2))
         w[0, 0] = np.nan
         with pytest.raises(DomainError):
-            NetworkParams(weights=[w, np.ones((2, 2))], shifts=[np.zeros(2)])
+            NetworkParams.from_arrays(weights=[w, np.ones((2, 2))], shifts=[np.zeros(2)])
 
     def test_architecture_roundtrip(self):
         arch = Architecture(5, (7, 3), 4)
         assert zero_params(arch).architecture == arch
+
+
+class TestFlatLayout:
+    def test_two_fields(self):
+        assert [f.name for f in dataclasses.fields(NetworkParams)] == ["architecture", "flat"]
+
+    def test_weights_then_shifts_row_major(self):
+        w0, w1, v = np.arange(6.0).reshape(3, 2), np.arange(6.0, 12.0).reshape(2, 3), -np.arange(3.0)
+        params = NetworkParams.from_arrays([w0, w1], [v])
+        np.testing.assert_array_equal(params.flat, np.concatenate([w0.ravel(), w1.ravel(), v]))
+        assert params.architecture == Architecture(2, (3,), 2)
+
+    def test_views_write_through(self):
+        params = random_params(Architecture(3, (4, 5), 2), seed=12)
+        for view in (*params.weights, *params.shifts):
+            assert np.shares_memory(view, params.flat)
+        params.shifts[-1][-1] = 7.0
+        assert params.flat[-1] == 7.0
+        params.flat[0] = -7.0
+        assert params.weights[0][0, 0] == -7.0
+
+    def test_flat_vector_checked(self):
+        arch = Architecture(2, (3,), 2)
+        size = arch.param_count
+        short, single, strided = np.zeros(size - 1), np.zeros(size, np.float32), np.zeros(2 * size)[::2]
+        for flat in (short, single, strided, np.full(size, np.nan)):
+            with pytest.raises(DomainError):
+                NetworkParams(arch, flat)
+
+    def test_copies_keep_the_views(self):
+        params = random_params(Architecture(3, (4,), 2), seed=13)
+        for clone in (copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+            assert not np.shares_memory(clone.flat, params.flat)
+            np.testing.assert_array_equal(clone.flat, params.flat)
+            assert all(np.shares_memory(view, clone.flat) for view in (*clone.weights, *clone.shifts))

@@ -10,7 +10,6 @@ from fdnet import (
     generate_dataset,
     get_model,
     midpoint_grid,
-    resolve_grid,
 )
 from fdnet.simulation import ExponentialLaw, GaussianLaw, StudentTLaw
 
@@ -179,17 +178,6 @@ class TestGenerateDataset:
     def test_unsupported_m_lists_choices(self):
         with pytest.raises(DomainError, match=r"9, 25, 100, 400"):
             generate_dataset(get_model("2d-gaussian"), 5, m=50, seed=0)
-
-    def test_explicit_shape_accepted(self):
-        ds = generate_dataset(get_model("2d-gaussian"), 4, shape=(6, 7), seed=6)
-        assert ds.grid.shape == (6, 7)
-
-    def test_resolve_grid_requires_exactly_one_spec(self):
-        model = get_model("2d-gaussian")
-        with pytest.raises(DomainError):
-            resolve_grid(model)
-        with pytest.raises(DomainError):
-            resolve_grid(model, m=9, shape=(3, 3))
 
     def test_default_test_sizes(self):
         assert default_test_size(200) == 100
