@@ -9,39 +9,13 @@ reporting, and binary dataset / JSON model serialization round out the
 package; see the `cli` module for the command-line surface.
 """
 
-from .basis import BasisOrder, Grid, gram_matrix, midpoint_grid, univariate_fourier
+from .basis import BasisOrder, Grid, gram_matrix, midpoint_grid
 from .errors import AliasingWarning, DomainError, FdnetError, FormatError, NumericError
-from .evaluation import (
-    EvalConfig,
-    EvalReport,
-    benchmark,
-    confusion_matrix,
-    evaluate,
-    misclassification_rate,
-    predict,
-    truncated_kl_risk,
-)
-from .network import (
-    Architecture,
-    NetworkParams,
-    backward,
-    ce_loss,
-    classify,
-    forward,
-    initial_params,
-    softmax,
-)
+from .evaluation import EvalConfig, benchmark, evaluate, predict, truncated_kl_risk
+from .network import Architecture, NetworkParams, backward, classify, forward, initial_params
 from .projection import Dataset, project_batch
-from .simulation import (
-    MODELS,
-    SimModel,
-    bayes_error_mc,
-    bayes_posterior,
-    default_test_size,
-    generate_dataset,
-    get_model,
-    resolve_grid,
-)
+from .simulation import SimModel, bayes_error_mc, bayes_posterior, default_test_size
+from .simulation import generate_dataset, get_model
 from .training import Chosen, HyperGrid, SelectionResult, TrainConfig, select, split_70_30, train
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def _shell(d: int, g: int) -> list:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasisOrder:
     """Deterministic rank -> multi-index enumeration for a tensor basis.
 
@@ -73,31 +73,20 @@ class BasisOrder:
     """
 
     d: int
-    _cache: list = field(default_factory=list, repr=False, compare=False)
-    _grade: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.d <= 3:
             raise DomainError(f"spatial dimension must be 1, 2 or 3, got {self.d}")
 
-    def _extend_to(self, J: int) -> None:
-        while len(self._cache) < J:
-            self._grade += 1
-            self._cache.extend(_shell(self.d, self._grade))
-
-    def multi_index(self, rank: int) -> tuple:
-        """The d-tuple of univariate indices assigned to `rank` (1-based)."""
-        if rank < 1:
-            raise DomainError(f"rank must be >= 1, got {rank}")
-        self._extend_to(rank)
-        return self._cache[rank - 1]
-
     def multi_indices(self, J: int) -> np.ndarray:
-        """The first `J` multi-indices as a (J, d) integer array."""
+        """The multi-indices of ranks 1..J as a (J, d) integer array."""
         if J < 1:
             raise DomainError(f"J must be >= 1, got {J}")
-        self._extend_to(J)
-        return np.array(self._cache[:J], dtype=np.int64)
+        out, grade = [], 0
+        while len(out) < J:
+            grade += 1
+            out += _shell(self.d, grade)
+        return np.array(out[:J], dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,12 +12,11 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import dataio, idx
 from .basis import BasisOrder
 from .errors import DomainError, FdnetError, NumericError
 from .evaluation import EvalConfig, benchmark, evaluate, predict, truncated_kl_risk
+from .network import one_hot
 from .projection import Dataset
 from .simulation import generate_dataset, get_model
 from .training import SelectionResult, TrainConfig, select
@@ -93,7 +92,7 @@ def _run_selection(dataset: Dataset, grid_path: str, cfg: TrainConfig, out: str)
     grid = dataio.load_hypergrid(grid_path)
     order = BasisOrder(dataset.grid.d)
     result = select(dataset, order, grid, cfg)
-    meta = dataio.metadata_for(result.chosen, cfg, cfg.seed, {"grid_shape": list(dataset.grid.shape)})
+    meta = dataio.metadata_for(result.chosen, cfg, {"grid_shape": list(dataset.grid.shape)})
     dataio.save_model(result.final_params, out, metadata=meta)
     c = result.chosen
     print(
@@ -124,9 +123,7 @@ def _cmd_eval(args) -> int:
     # computed first, so that a refused C0 leaves no partial report
     tce = None
     if args.c0 is not None:
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(len(dataset)), dataset.labels - 1] = 1.0
-        tce = truncated_kl_risk(onehot, probs, args.c0)
+        tce = truncated_kl_risk(one_hot(dataset.labels, dataset.n_classes), probs, args.c0)
     print(f"error rate: {err:.6f}")
     print("confusion matrix (rows = true class, columns = predicted):")
     for row in conf:

@@ -205,29 +205,37 @@ def load_model(path):
     if doc.get("version") != MODEL_VERSION:
         raise FormatError(f"unsupported model version {doc.get('version')!r}")
     try:
-        arch = Architecture(
-            input_dim=int(doc["architecture"]["input_dim"]),
-            hidden_widths=tuple(doc["architecture"]["hidden_widths"]),
-            n_classes=int(doc["architecture"]["n_classes"]),
-        )
+        spec = doc["architecture"]
+        widths = _json_ints([spec["input_dim"], *spec["hidden_widths"], spec["n_classes"]], "architecture")
+        arch = Architecture(widths[0], tuple(widths[1:-1]), widths[-1])
         weights = [_decode_array(entry) for entry in doc["weights"]]
         shifts = [_decode_array(entry) for entry in doc["shifts"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: int() of an Infinity, which Python's json accepts
+        # OverflowError: an integer beyond the float range in the data
         raise FormatError(f"malformed model document: {exc}") from exc
     params = NetworkParams.from_arrays(weights, shifts)
     if params.architecture != arch:
         raise FormatError("declared architecture does not match the stored arrays")
     meta = doc.get("metadata") or {}  # absent or null: nothing recorded
     shape = meta.get("grid_shape", []) if isinstance(meta, dict) else None
-    if not (isinstance(shape, list) and len(shape) <= 3):
-        raise FormatError("model metadata must be an object, its grid_shape a list of at most 3 axis lengths")
+    if not (isinstance(shape, list) and len(shape) <= 3 and all(type(s) is int for s in shape)):
+        raise FormatError("model metadata must be an object, its grid_shape a list of at most 3 integers")
     return params, meta
 
 
+def _json_ints(values, what: str) -> list:
+    # bool is an int subclass; strings and floats must not be coerced
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"{what} must hold JSON integers, got {values!r}")
+    return values
+
+
 def _decode_array(entry) -> np.ndarray:
-    shape = tuple(int(s) for s in entry["shape"])
-    data = np.asarray(entry["data"], dtype=float)
+    shape = tuple(_json_ints(entry["shape"], "shape"))
+    data = entry["data"]
+    if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+        raise ValueError("array data must be a list of JSON numbers")
+    data = np.asarray(data, dtype=float)
     if data.size != int(np.prod(shape)):
         raise ValueError(f"array data length {data.size} does not match shape {shape}")
     return data.reshape(shape)
@@ -337,10 +345,10 @@ def dataset_to_csv(dataset: Dataset, path) -> None:
             )
 
 
-def metadata_for(chosen: Chosen, cfg, seed: int, extra: dict | None = None) -> dict:
+def metadata_for(chosen: Chosen, cfg, extra: dict | None = None) -> dict:
     """Standard training metadata recorded into model files."""
     meta = {
-        "seed": seed,
+        "seed": cfg.seed,
         "chosen": {
             "J": chosen.n_scores,
             "L": chosen.depth,

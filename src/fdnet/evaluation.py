@@ -132,7 +132,11 @@ def predict(params: NetworkParams, dataset: Dataset):
 
 
 def evaluate(params: NetworkParams, dataset: Dataset):
-    """(error_rate, confusion, probs) of a fitted network on a labeled dataset."""
+    """(error_rate, confusion, probs) of a fitted network on a labeled
+    dataset with the network's number of classes."""
+    if dataset.n_classes != params.architecture.n_classes:
+        k = params.architecture.n_classes
+        raise DomainError(f"the model has {k} classes, but the data has {dataset.n_classes}")
     pred, probs = predict(params, dataset)
     err = misclassification_rate(pred, dataset.labels)
     return err, confusion_matrix(pred, dataset.labels, dataset.n_classes), probs

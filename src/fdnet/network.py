@@ -17,11 +17,14 @@ through the per-layer views land in theta, so one elementwise operation
 updates every weight and shift; gradients share the layout, and
 `NetworkParams.from_arrays` packs separate arrays.
 
-Inference (`forward`, `classify`) runs one streaming loop that keeps one
-activation alive and raises NumericError at the first non-finite layer;
-training (`loss_and_gradient`, also behind `backward`) keeps every
-activation for the gradient pass.  `predicted_class` is the one
-classification rule: the argmax of the class probabilities.
+Every entry point takes a batch: inputs are (n, J) arrays, and a 1-D
+input raises DomainError.  Labels take one encoding, the one-hot (n, K)
+matrix that `one_hot` builds from classes in {1..K}.  Inference
+(`forward`, `classify`) runs one streaming loop that keeps one activation
+alive and raises NumericError at the first non-finite layer; training
+(`loss_and_gradient`, also behind `backward`) keeps every activation for
+the gradient pass.  `predicted_class` is the one classification rule: the
+argmax of each row of class probabilities.
 """
 
 from __future__ import annotations
@@ -136,14 +139,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _as_batch(x: np.ndarray, input_dim: int):
+def _as_batch(x: np.ndarray, input_dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != input_dim:
-        raise DomainError(f"input has shape {x.shape}, network expects width {input_dim}")
-    return x, single
+        raise DomainError(f"input has shape {x.shape}, network expects a batch (n, {input_dim})")
+    return x
 
 
 def _forward_pass(params: NetworkParams, x: np.ndarray, masks=None):
@@ -186,67 +186,36 @@ def _logits(params: NetworkParams, x: np.ndarray) -> np.ndarray:
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for one input (J,) or a batch (n, J).
+    """Class probabilities (n, K) of a batch (n, J).
 
     Raises NumericError naming the first layer that produced non-finite
     values.
     """
-    xb, single = _as_batch(x, params.architecture.input_dim)
-    probs = softmax(_logits(params, xb))
-    return probs[0] if single else probs
+    return softmax(_logits(params, _as_batch(x, params.architecture.input_dim)))
 
 
-def predicted_class(probs: np.ndarray):
-    """The classification rule: argmax of the class probabilities as a class
-    in {1..K}, ties to the smallest; an int for one vector, else an array."""
-    probs = np.asarray(probs)
-    if probs.ndim == 1:
-        return int(np.argmax(probs)) + 1
+def predicted_class(probs: np.ndarray) -> np.ndarray:
+    """The classification rule: the argmax of each row of (n, K) class
+    probabilities as a class in {1..K}, ties to the smallest."""
     return np.argmax(probs, axis=1).astype(np.int64) + 1
 
 
-def classify(params: NetworkParams, scores: np.ndarray):
-    """Predicted class in {1..K} of one score vector (an int) or a batch
-    (an array): `predicted_class` of the forward probabilities."""
+def classify(params: NetworkParams, scores: np.ndarray) -> np.ndarray:
+    """Predicted classes in {1..K} of a batch (n, J) of score vectors:
+    `predicted_class` of the forward probabilities."""
     return predicted_class(forward(params, scores))
 
 
-def _one_hot(label, n_classes: int) -> np.ndarray:
-    """Accept an int class in {1..K} or an explicit one-hot vector."""
-    arr = np.asarray(label)
-    if arr.ndim == 0:
-        k = int(arr)
-        if not 1 <= k <= n_classes:
-            raise DomainError(f"class label must lie in 1..{n_classes}, got {k}")
-        y = np.zeros(n_classes)
-        y[k - 1] = 1.0
-        return y
-    y = arr.astype(float)
-    if y.shape != (n_classes,) or not np.isclose(y.sum(), 1.0) or set(np.unique(y)) - {0.0, 1.0}:
-        raise DomainError("label must be a one-hot vector of length K")
+def one_hot(labels, n_classes: int) -> np.ndarray:
+    """The (n, K) one-hot matrix of integer class labels in {1..K}."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.dtype.kind not in "iu" or (
+        labels.size and (labels.min() < 1 or labels.max() > n_classes)
+    ):
+        raise DomainError(f"labels must be a vector of integer classes in 1..{n_classes}")
+    y = np.zeros((labels.size, n_classes))
+    y[np.arange(labels.size), labels - 1] = 1.0
     return y
-
-
-def ce_loss(probs: np.ndarray, label, clamp: float | None = None) -> float:
-    """Cross-entropy -log p_true, optionally truncated at `clamp`.
-
-    A zero true-class probability without a clamp returns +inf (flagged
-    with a RuntimeWarning); with a clamp the truncation binds instead.
-    """
-    probs = np.asarray(probs, dtype=float)
-    if clamp is not None and clamp < 2.0:
-        raise DomainError(f"truncation constant must be >= 2, got {clamp}")
-    y = _one_hot(label, probs.shape[-1])
-    p_true = float(probs @ y)
-    if p_true <= 0.0:
-        if clamp is None:
-            import warnings
-
-            warnings.warn("true-class probability is 0; loss is infinite", RuntimeWarning)
-            return float("inf")
-        return float(clamp)
-    loss = -np.log(p_true)
-    return float(min(loss, clamp)) if clamp is not None else float(loss)
 
 
 def loss_and_gradient(params: NetworkParams, x, y, masks=None, grad: NetworkParams | None = None) -> float:
@@ -280,26 +249,18 @@ def loss_and_gradient(params: NetworkParams, x, y, masks=None, grad: NetworkPara
     return loss
 
 
-def backward(params: NetworkParams, x: np.ndarray, label, dropout_masks=None) -> NetworkParams:
-    """Exact gradient of the CE loss with respect to every weight and shift.
+def backward(params: NetworkParams, x: np.ndarray, y: np.ndarray) -> NetworkParams:
+    """Exact mean gradient of the CE loss of a batch (n, J) with one-hot
+    labels (n, K), for every weight and shift.
 
-    For a batch input the mean gradient over the batch is returned.  The
-    result reuses the NetworkParams container, gradients laid out exactly
-    like the parameters; a non-finite gradient raises DomainError.
-    `dropout_masks`, when given, must be the same multiplicative factors
-    used in the corresponding forward pass; dropped units receive zero
-    gradient.
+    The result reuses the NetworkParams container, gradients laid out
+    exactly like the parameters; a non-finite gradient raises DomainError.
     """
     arch = params.architecture
-    xb, single = _as_batch(x, arch.input_dim)
-    y = np.asarray(label, dtype=float)
-    if single and (y.ndim == 0 or y.shape == (arch.n_classes,)):
-        y = _one_hot(label, arch.n_classes)[None, :]
-    elif y.ndim == 1 and y.shape[0] == xb.shape[0]:
-        y = np.stack([_one_hot(int(lbl), arch.n_classes) for lbl in y])
-    if y.shape != (xb.shape[0], arch.n_classes):
-        raise DomainError("labels do not match the batch")
+    xb = _as_batch(x, arch.input_dim)
+    if np.shape(y) != (xb.shape[0], arch.n_classes):
+        raise DomainError("labels must be a one-hot (n, K) matrix matching the batch")
     grad = NetworkParams(arch, np.zeros(arch.param_count))
-    loss_and_gradient(params, xb, y, dropout_masks, grad)
+    loss_and_gradient(params, xb, np.asarray(y, dtype=float), grad=grad)
     _check_finite(grad.flat)
     return grad

@@ -272,7 +272,8 @@ def default_test_size(n_per_class: int) -> int:
 
 
 def bayes_posterior(model: SimModel, scores: np.ndarray) -> np.ndarray:
-    """Exact class posteriors at latent scores, for all-Gaussian models.
+    """Exact class posteriors (n, K) at a batch (n, score_dim) of latent
+    scores, for all-Gaussian models.
 
     Assumes the balanced design (equal class priors).  Computed from the
     diagonal-Gaussian log densities in log space.
@@ -283,11 +284,8 @@ def bayes_posterior(model: SimModel, scores: np.ndarray) -> np.ndarray:
             "are only available for all-Gaussian models"
         )
     x = np.asarray(scores, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != model.score_dim:
-        raise DomainError(f"scores must have {model.score_dim} coordinates")
+    if x.ndim != 2 or x.shape[1] != model.score_dim:
+        raise DomainError(f"scores must be a batch (n, {model.score_dim})")
     logdens = np.empty((x.shape[0], model.n_classes))
     for k, law in enumerate(model.laws):
         z = (x - law.mean) / law.sd
@@ -295,7 +293,7 @@ def bayes_posterior(model: SimModel, scores: np.ndarray) -> np.ndarray:
     logdens -= logdens.max(axis=1, keepdims=True)
     post = np.exp(logdens)
     post /= post.sum(axis=1, keepdims=True)
-    return post[0] if single else post
+    return post
 
 
 def bayes_error_mc(model: SimModel, n_draws: int, seed) -> float:

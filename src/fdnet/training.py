@@ -49,6 +49,7 @@ from .network import (
     classify,
     initial_params,
     loss_and_gradient,
+    one_hot,
 )
 from .projection import Dataset, project_batch
 from .rng import as_seed_sequence
@@ -117,17 +118,13 @@ def train(
         raise DomainError(f"score vectors have length {width}, network expects >= {arch.input_dim}")
     if cfg.batch_size > n:
         raise DomainError(f"batch_size {cfg.batch_size} exceeds the {n} training samples")
-    k = arch.n_classes
-    if labels.min() < 1 or labels.max() > k:
-        raise DomainError(f"labels must lie in 1..{k}")
-    present = np.bincount(labels, minlength=k + 1)[1:]
+    y = one_hot(labels, arch.n_classes)
+    present = y.sum(axis=0)
     if np.any(present == 0):
         missing = [i + 1 for i in np.flatnonzero(present == 0)]
         raise DomainError(f"training data has no samples for class(es) {missing}")
 
     x = np.ascontiguousarray(scores[:, : arch.input_dim])
-    y = np.zeros((n, k))
-    y[np.arange(n), labels - 1] = 1.0
 
     if rng is None:
         rng = np.random.default_rng(as_seed_sequence(cfg.seed))

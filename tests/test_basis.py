@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from fdnet import BasisOrder, DomainError, Grid, gram_matrix, midpoint_grid, univariate_fourier
-from fdnet.basis import design_matrix
+from fdnet import BasisOrder, DomainError, Grid, gram_matrix, midpoint_grid
+from fdnet.basis import design_matrix, univariate_fourier
 
 SQRT2 = math.sqrt(2.0)
 
@@ -14,7 +14,7 @@ def tensor_basis_eval(order: BasisOrder, rank: int, point) -> float:
     """Pointwise oracle: the tensor element of `rank` at one d-vector, as a
     product of univariate elements."""
     value = 1.0
-    for idx, coord in zip(order.multi_index(rank), point):
+    for idx, coord in zip(order.multi_indices(rank)[-1], point):
         value *= univariate_fourier(idx, float(coord))
     return value
 
@@ -61,14 +61,14 @@ class TestEnumeration:
     def test_first_ranks_2d_frozen(self):
         order = BasisOrder(2)
         expected = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3), (3, 1), (3, 2), (3, 3), (1, 4)]
-        assert [order.multi_index(r) for r in range(1, 11)] == expected
+        assert [tuple(row) for row in order.multi_indices(10).tolist()] == expected
 
     def test_first_ranks_1d_and_3d(self):
-        assert [BasisOrder(1).multi_index(r) for r in range(1, 5)] == [(1,), (2,), (3,), (4,)]
-        order = BasisOrder(3)
-        assert order.multi_index(1) == (1, 1, 1)
-        assert order.multi_index(2) == (1, 1, 2)
-        assert order.multi_index(8) == (2, 2, 2)
+        assert BasisOrder(1).multi_indices(4).tolist() == [[1], [2], [3], [4]]
+        first = BasisOrder(3).multi_indices(8).tolist()
+        assert first[0] == [1, 1, 1]
+        assert first[1] == [1, 1, 2]
+        assert first[7] == [2, 2, 2]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bijective_up_to_10000(self, d):
@@ -92,7 +92,7 @@ class TestEnumeration:
 
     def test_rank_validation(self):
         with pytest.raises(DomainError):
-            BasisOrder(2).multi_index(0)
+            BasisOrder(2).multi_indices(0)
         with pytest.raises(DomainError):
             BasisOrder(4)
 

@@ -163,21 +163,39 @@ class TestMalformedInputs:
         assert "Traceback" not in err
 
     def test_model_json_infinite_integer_exits_1(self, tmp_path, capsys):
+        # and every other value that is not a JSON integer (widths, shapes,
+        # grid_shape) or number (array data); none of them may be coerced
         from fdnet import Architecture, initial_params
         from fdnet.dataio import save_model
 
         data = simulate(tmp_path)
-        model = tmp_path / "model.json"
-        save_model(initial_params(Architecture(4, (8,), 3), np.random.default_rng(0)), model)
-        doc = json.loads(model.read_text())
-        doc["architecture"]["input_dim"] = float("inf")
-        model.write_text(json.dumps(doc))  # written as the bare token Infinity
-        code = main(["predict", "--model", str(model), "--data", str(data),
-                     "--out", str(tmp_path / "p.csv")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "malformed model document" in err
-        assert "Traceback" not in err
+        model, out = tmp_path / "model.json", tmp_path / "p.csv"
+        save_model(initial_params(Architecture(4, (8,), 3), np.random.default_rng(0)), model,
+                   metadata={"grid_shape": [3, 3]})
+        good = json.loads(model.read_text())
+        edits = [
+            # float("inf") is written as the bare token Infinity
+            lambda d: d["architecture"].update(input_dim=float("inf")),
+            lambda d: d["architecture"].update(input_dim="4"),
+            lambda d: d["architecture"].update(input_dim=4.5),
+            lambda d: d["architecture"].update(hidden_widths=["8"]),
+            lambda d: d["architecture"].update(n_classes=True),
+            lambda d: d["weights"][0].update(shape=["8", 4]),
+            lambda d: d["shifts"][0]["data"].__setitem__(0, "0.5"),
+            lambda d: d["shifts"][0]["data"].__setitem__(0, True),
+            lambda d: d["shifts"][0]["data"].__setitem__(0, None),
+            lambda d: d["metadata"].update(grid_shape=["3", 3]),
+        ]
+        for i, edit in enumerate(edits):
+            doc = json.loads(json.dumps(good))
+            edit(doc)
+            model.write_text(json.dumps(doc))
+            code = main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)])
+            assert code == 1, i
+            err = capsys.readouterr().err
+            assert "malformed model document" in err or "grid_shape" in err, i
+            assert "Traceback" not in err
+            assert not out.exists(), i
 
     def test_grid_json_infinite_integer_exits_1(self, tmp_path, capsys):
         # and every other value that is not a JSON integer (J, L, width) or
@@ -263,7 +281,7 @@ class TestMalformedInputs:
 
 
 class TestModelDimension:
-    """A model refuses data of a dimension it was not trained on."""
+    """A model refuses data of a dimension or class count it was not trained on."""
 
     @pytest.fixture
     def model_2d(self, tmp_path):
@@ -289,6 +307,25 @@ class TestModelDimension:
         assert "trained on 2-D data, but the data is 3-D" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("n_classes, c0", [(2, []), (5, ["--c0", "2"])])
+    def test_other_class_count_exits_1(self, tmp_path, capsys, model_2d, n_classes, c0):
+        from dataclasses import replace
+
+        from fdnet.dataio import load_dataset, save_dataset
+
+        # the 3-class model's own training samples, saved with another K
+        data = load_dataset(tmp_path / "data.mfd")
+        keep = data.labels <= n_classes
+        labels = data.labels[keep] if n_classes == 2 else np.where(data.labels == 3, 5, data.labels)
+        other = tmp_path / "other.mfd"
+        save_dataset(replace(data, values=data.values[keep], labels=labels, n_classes=n_classes), other)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_2d), "--data", str(other), *c0]) == 1
+        captured = capsys.readouterr()
+        assert f"the model has 3 classes, but the data has {n_classes}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_other_grid_of_same_dimension_scores(self, tmp_path, capsys, model_2d):
         finer = simulate(tmp_path, "finer.mfd", m=25, seed=8)
@@ -376,7 +413,7 @@ class TestMnistCommand:
         params, _ = load_model(model_path)
         test = load_idx(img, lab)
         scores = project_batch(test.values[:1], test.grid, BasisOrder(2), 15)
-        digit = classify(params, scores[0]) - 1
+        digit = classify(params, scores)[0] - 1
         assert 0 <= digit <= 9
 
 

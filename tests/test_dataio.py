@@ -267,7 +267,7 @@ class TestJsonLoaderFuzz:
         from fdnet.dataio import metadata_for
 
         params = initial_params(Architecture(2, (3,), 2), np.random.default_rng(30))
-        meta = metadata_for(Chosen(2, 1, 3, 0.0), TrainConfig(), 1, {"grid_shape": [3, 3]})
+        meta = metadata_for(Chosen(2, 1, 3, 0.0), TrainConfig(seed=1), {"grid_shape": [3, 3]})
         path = tmp_path / "m.json"
         save_model(params, path, metadata=meta)
         doc = json.loads(path.read_text())

@@ -10,12 +10,11 @@ from fdnet import (
     TrainConfig,
     benchmark,
     classify,
-    confusion_matrix,
     get_model,
     initial_params,
-    misclassification_rate,
     truncated_kl_risk,
 )
+from fdnet.evaluation import confusion_matrix, misclassification_rate
 from fdnet.network import _forward_pass
 
 
@@ -24,11 +23,11 @@ class TestClassify:
         # a 3-class net with fixed logits via zero first layer and shifts
         params = NetworkParams.from_arrays([np.zeros((3, 2)), np.zeros((3, 3))], [np.zeros(3)])
         # forward gives uniform probabilities; tie -> class 1
-        assert classify(params, np.zeros(2)) == 1
+        assert classify(params, np.zeros((1, 2))).tolist() == [1]
 
     def test_tie_breaks_to_smallest_index(self):
         params = NetworkParams.from_arrays([np.zeros((2, 4)), np.zeros((2, 2))], [np.zeros(2)])
-        assert classify(params, np.ones(4)) == 1
+        assert classify(params, np.ones((1, 4))).tolist() == [1]
 
     def test_batch_output(self):
         params = initial_params(Architecture(3, (5,), 4), np.random.default_rng(0))
@@ -76,6 +75,24 @@ class TestConfusion:
         conf = confusion_matrix([1, 2, 2, 3], [1, 2, 3, 3], 3)
         assert conf[0, 0] == 1 and conf[1, 1] == 1 and conf[2, 2] == 1
         assert conf[2, 1] == 1
+
+
+class TestEvaluate:
+    def test_class_count_must_match(self):
+        from dataclasses import replace
+
+        from fdnet import evaluate, generate_dataset
+
+        data = generate_dataset(get_model("2d-gaussian"), 4, m=9, seed=1, subset="test")
+        params = initial_params(Architecture(3, (4,), 3), np.random.default_rng(5))
+        assert evaluate(params, data)[1].shape == (3, 3)
+        keep = data.labels <= 2
+        for other in (
+            replace(data, values=data.values[keep], labels=data.labels[keep], n_classes=2),
+            replace(data, n_classes=5),
+        ):
+            with pytest.raises(DomainError, match="the model has 3 classes"):
+                evaluate(params, other)
 
 
 class TestTruncatedKl:

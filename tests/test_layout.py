@@ -14,12 +14,16 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fdnet"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 # where a re-exported name must be used: the package's own modules, the
-# benchmark and the acceptance suite (the other tests do not count)
-CALLERS = [
-    *(p for p in SOURCES if p.name != "__init__.py"),
-    *sorted((ROOT / "perfbench").glob("*.py")),
-    ROOT / "tests" / "test_acceptance.py",
-]
+# benchmark and the acceptance suite (the other tests do not count), keyed
+# by their path under the repository root
+CALLERS = {
+    str(p.relative_to(ROOT)): p
+    for p in (
+        *(p for p in SOURCES if p.name != "__init__.py"),
+        *sorted((ROOT / "perfbench").glob("*.py")),
+        ROOT / "tests" / "test_acceptance.py",
+    )
+}
 
 
 def _is_fdnet(module: str | None, level: int) -> bool:
@@ -70,25 +74,35 @@ def function_imports(tree: ast.Module) -> list:
     return sorted(found)
 
 
-def unreferenced_exports(init: ast.Module, callers: list) -> list:
+def unreferenced_exports(init: ast.Module, callers: dict) -> list:
     """Names `init` re-exports from package modules that no caller tree
-    mentions as a name, an attribute or an imported name."""
+    mentions as a name, an attribute or an imported name.  `callers` maps
+    a path under the repository root to its tree.  Mentions inside the
+    exporting module do not count; string constants in the benchmark do,
+    since its tracer hooks functions by name."""
     exported = [
-        alias.asname or alias.name
+        (alias.asname or alias.name, f"src/fdnet/{node.module}.py")
         for node in init.body
         if isinstance(node, ast.ImportFrom) and node.level > 0
         for alias in node.names
     ]
-    used = set()
-    for tree in callers:
+    used = {}
+    for path, tree in callers.items():
+        names = used[path] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                names.add(node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                used.update(alias.name.split(".")[-1] for alias in node.names)
-    return [name for name in exported if name not in used]
+                names.update(alias.name.split(".")[-1] for alias in node.names)
+            elif path.startswith("perfbench/") and isinstance(node, ast.Constant):
+                names.add(node.value)
+    return [
+        name
+        for name, home in exported
+        if not any(name in names for path, names in used.items() if path != home)
+    ]
 
 
 def test_sources_found():
@@ -140,16 +154,28 @@ def test_allows_module_level_and_foreign_imports():
 
 def test_every_export_has_a_caller():
     init = ast.parse((PACKAGE / "__init__.py").read_text())
-    callers = [ast.parse(p.read_text(), filename=str(p)) for p in CALLERS]
+    callers = {path: ast.parse(p.read_text(), filename=str(p)) for path, p in CALLERS.items()}
     dead = unreferenced_exports(init, callers)
     assert dead == [], f"fdnet re-exports names nothing outside the tests uses: {dead}"
 
 
 def test_detects_unreferenced_export():
     init = ast.parse("from .network import forward, backward, classify, zero_params\nimport numpy")
-    callers = [
-        ast.parse("import fdnet\nfdnet.forward(p, x)"),
-        ast.parse("from fdnet import backward as grad"),
-        ast.parse("def f(classify):\n    return classify"),
-    ]
+    callers = {
+        "src/fdnet/cli.py": ast.parse("import fdnet\nfdnet.forward(p, x)"),
+        "perfbench/child.py": ast.parse("from fdnet import backward as grad"),
+        "tests/test_acceptance.py": ast.parse("def f(classify):\n    return classify"),
+    }
     assert unreferenced_exports(init, callers) == ["zero_params"]
+
+
+def test_detects_export_only_its_own_module_mentions():
+    init = ast.parse("from .network import forward, softmax\nfrom .training import train, select")
+    callers = {
+        "src/fdnet/network.py": ast.parse("def forward(x):\n    return softmax(x)"),
+        "src/fdnet/training.py": ast.parse("def select():\n    return train()"),
+        "src/fdnet/cli.py": ast.parse("forward(x)\nprint('softmax', 'select')"),
+        "perfbench/tracer.py": ast.parse("HOOKS = (('fdnet.training', 'train'),)"),
+    }
+    # a string counts only in the benchmark, a mention only outside the home module
+    assert unreferenced_exports(init, callers) == ["softmax", "select"]

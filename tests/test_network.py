@@ -13,12 +13,12 @@ from fdnet import (
     NetworkParams,
     NumericError,
     backward,
-    ce_loss,
+    classify,
     forward,
     initial_params,
-    softmax,
+    truncated_kl_risk,
 )
-from fdnet.network import _forward_pass
+from fdnet.network import _forward_pass, loss_and_gradient, one_hot, softmax
 
 
 def random_params(arch, seed):
@@ -35,7 +35,7 @@ def zero_params(arch):
 
 def gradcheck(params, x, label, h=1e-5):
     """Max relative error of backward against central finite differences."""
-    grads = backward(params, x, label)
+    grads = backward(params, x[None, :], np.eye(params.architecture.n_classes)[[label - 1]])
     worst = 0.0
     for arrs, gs in ((params.weights, grads.weights), (params.shifts, grads.shifts)):
         for a, g in zip(arrs, gs):
@@ -44,9 +44,9 @@ def gradcheck(params, x, label, h=1e-5):
                 i = it.multi_index
                 orig = a[i]
                 a[i] = orig + h
-                up = ce_loss(forward(params, x), label)
+                up = -np.log(forward(params, x[None, :])[0, label - 1])
                 a[i] = orig - h
-                down = ce_loss(forward(params, x), label)
+                down = -np.log(forward(params, x[None, :])[0, label - 1])
                 a[i] = orig
                 fd = (up - down) / (2.0 * h)
                 worst = max(worst, abs(g[i] - fd) / max(abs(g[i]) + abs(fd), 1e-3))
@@ -56,13 +56,13 @@ def gradcheck(params, x, label, h=1e-5):
 class TestForward:
     def test_zero_params_give_uniform(self):
         params = zero_params(Architecture(4, (6,), 3))
-        np.testing.assert_allclose(forward(params, np.ones(4)), np.full(3, 1 / 3), atol=1e-15)
+        np.testing.assert_allclose(forward(params, np.ones((1, 4))), np.full((1, 3), 1 / 3), atol=1e-15)
 
     def test_known_softmax_value(self):
         # identity weights, zero shifts, input (1,0,0) -> logits (1,0,0)
         eye = np.eye(3)
         params = NetworkParams.from_arrays(weights=[eye, eye], shifts=[np.zeros(3)])
-        probs = forward(params, np.array([1.0, 0.0, 0.0]))
+        probs = forward(params, np.array([[1.0, 0.0, 0.0]]))[0]
         e = math.e
         np.testing.assert_allclose(probs, [e / (e + 2), 1 / (e + 2), 1 / (e + 2)], atol=1e-12)
         assert probs[0] == pytest.approx(0.57612, abs=1e-5)
@@ -76,8 +76,8 @@ class TestForward:
 
     def test_invariant_to_logit_shift(self):
         params = random_params(Architecture(5, (8,), 3), seed=2)
-        x = np.random.default_rng(3).standard_normal(5)
-        logits = _forward_pass(params, x[None, :])[2][0]
+        x = np.random.default_rng(3).standard_normal((1, 5))
+        logits = _forward_pass(params, x)[2]
         np.testing.assert_allclose(softmax(logits + 123.4), forward(params, x), atol=1e-12)
 
     def test_shift_sign_convention(self):
@@ -87,21 +87,20 @@ class TestForward:
             shifts=[np.array([0.5])],
         )
         # relu(0.4 - 0.5) = 0 gives equal logits; relu(1.5 - 0.5) = 1 gives (1, 0)
-        low = forward(params, np.array([0.4]))
-        high = forward(params, np.array([1.5]))
+        low, high = forward(params, np.array([[0.4], [1.5]]))
         np.testing.assert_array_equal(low, [0.5, 0.5])
         assert high[0] == pytest.approx(math.e / (math.e + 1.0), abs=1e-15)
 
     def test_input_width_checked(self):
         params = zero_params(Architecture(4, (3,), 2))
         with pytest.raises(DomainError):
-            forward(params, np.ones(5))
+            forward(params, np.ones((2, 5)))
 
     def test_nonfinite_intermediate_names_layer(self):
         params = zero_params(Architecture(2, (2, 2), 2))
         params.weights[0][:] = 1e308
         with pytest.raises(NumericError, match="hidden layer 1"):
-            forward(params, np.array([1e9, 1e9]))
+            forward(params, np.array([[1e9, 1e9]]))
 
     def test_overflow_is_an_error_not_a_warning(self):
         # under `-W error` numpy's overflow warning would replace the NumericError
@@ -110,52 +109,83 @@ class TestForward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="hidden layer 1"):
-                forward(params, np.array([1e9, 1e9]))
+                forward(params, np.array([[1e9, 1e9]]))
+
+
+class TestBatchContract:
+    """Inputs are (n, J) batches and labels one-hot (n, K) matrices."""
+
+    def test_one_dimensional_input_refused(self):
+        params = random_params(Architecture(3, (4,), 2), seed=14)
+        for call in (
+            lambda: forward(params, np.ones(3)),
+            lambda: classify(params, np.ones(3)),
+            lambda: backward(params, np.ones(3), np.array([1.0, 0.0])),
+        ):
+            with pytest.raises(DomainError, match="batch"):
+                call()
+
+    def test_labels_must_be_one_hot_rows(self):
+        params = random_params(Architecture(3, (4,), 2), seed=15)
+        x = np.ones((2, 3))
+        for y in (np.array([1, 2]), 2, np.array([0.0, 1.0]), np.eye(2)[:1], np.eye(3)[:2]):
+            with pytest.raises(DomainError, match="one-hot"):
+                backward(params, x, y)
+
+    def test_one_hot(self):
+        np.testing.assert_array_equal(one_hot([2, 1, 3], 3), np.eye(3)[[1, 0, 2]])
+        assert one_hot(np.array([], dtype=np.int64), 2).shape == (0, 2)
+        for labels in ([0, 1], [1, 4], [[1, 2]], 2, [1.7, 2.0]):
+            with pytest.raises(DomainError):
+                one_hot(labels, 3)
 
 
 class TestCeLoss:
+    """Cross-entropy of one-hot truth: `truncated_kl_risk` against `one_hot`
+    labels is the mean of -log p_true, each term truncated at c0."""
+
     def test_perfect_prediction(self):
-        assert ce_loss(np.array([0.0, 1.0]), 2) == 0.0
+        assert truncated_kl_risk(one_hot([2], 2), np.array([[0.0, 1.0]])) == 0.0
 
     def test_uniform_three_way(self):
-        loss = ce_loss(np.full(3, 1 / 3), 1)
+        loss = truncated_kl_risk(one_hot([1], 3), np.full((1, 3), 1 / 3), 3.0)
         assert loss == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_clamp_binds(self):
-        probs = np.array([1e-9, 1.0 - 1e-9])
-        assert ce_loss(probs, 1, clamp=2.0) == 2.0
+        probs = np.array([[1e-9, 1.0 - 1e-9]])
+        assert truncated_kl_risk(one_hot([1], 2), probs, 2.0) == 2.0
 
     def test_clamp_never_increases(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             p = rng.dirichlet(np.ones(4))
             label = int(rng.integers(1, 5))
-            plain = ce_loss(p, label)
-            clamped = ce_loss(p, label, clamp=2.0)
+            plain = -math.log(p[label - 1])
+            clamped = truncated_kl_risk(one_hot([label], 4), p[None, :], 2.0)
             assert clamped <= plain + 1e-15
             if plain <= 2.0:
                 assert clamped == pytest.approx(plain, abs=1e-15)
 
     def test_zero_probability_flagged(self):
-        with pytest.warns(RuntimeWarning):
-            loss = ce_loss(np.array([0.0, 1.0]), 1)
-        assert math.isinf(loss)
-        assert ce_loss(np.array([0.0, 1.0]), 1, clamp=3.0) == 3.0
+        # the truncation binds instead of an infinite loss, and no warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert truncated_kl_risk(one_hot([1], 2), np.array([[0.0, 1.0]]), 3.0) == 3.0
 
     def test_accepts_one_hot(self):
-        assert ce_loss(np.array([0.25, 0.75]), np.array([0.0, 1.0])) == pytest.approx(
-            -math.log(0.75)
-        )
+        probs = np.array([[0.25, 0.75], [0.5, 0.5]])
+        expected = -(math.log(0.75) + math.log(0.5)) / 2
+        assert truncated_kl_risk(one_hot([2, 1], 2), probs) == pytest.approx(expected)
 
     def test_clamp_validation(self):
         with pytest.raises(DomainError):
-            ce_loss(np.array([0.5, 0.5]), 1, clamp=1.5)
+            truncated_kl_risk(one_hot([1], 2), np.array([[0.5, 0.5]]), 1.5)
 
 
 class TestBackward:
     def test_zero_input_zero_first_gradient(self):
         params = random_params(Architecture(4, (5,), 3), seed=5)
-        grads = backward(params, np.zeros(4), 2)
+        grads = backward(params, np.zeros((1, 4)), one_hot([2], 3))
         np.testing.assert_array_equal(grads.weights[0], np.zeros_like(params.weights[0]))
 
     def test_softmax_layer_gradient_closed_form(self):
@@ -163,10 +193,10 @@ class TestBackward:
         # gradient is exactly outer(p - y, hidden activation)
         eye = np.eye(3)
         params = NetworkParams.from_arrays(weights=[eye, eye], shifts=[np.zeros(3)])
-        x = np.array([0.7, 0.1, 0.0])
+        x = np.array([[0.7, 0.1, 0.0]])
         probs = forward(params, x)
-        y = np.array([0.0, 1.0, 0.0])
-        grads = backward(params, x, 2)
+        y = np.array([[0.0, 1.0, 0.0]])
+        grads = backward(params, x, y)
         np.testing.assert_array_equal(grads.weights[1], np.outer(probs - y, x))
 
     def test_matches_finite_differences(self):
@@ -191,28 +221,30 @@ class TestBackward:
     def test_dropped_units_get_zero_gradient(self):
         arch = Architecture(4, (6,), 3)
         params = random_params(arch, seed=8)
-        x = np.abs(np.random.default_rng(9).standard_normal(4)) + 0.5
+        x = np.abs(np.random.default_rng(9).standard_normal((1, 4))) + 0.5
         mask = np.ones((1, 6)) / 0.9
         mask[0, 2] = 0.0  # drop unit 3 of the hidden layer
-        grads = backward(params, x[None, :], np.array([1]), dropout_masks=[mask])
+        grads = NetworkParams(arch, np.full(arch.param_count, np.pi))
+        loss_and_gradient(params, x, one_hot([1], 3), [mask], grads)
         np.testing.assert_array_equal(grads.shifts[0][2], 0.0)
         np.testing.assert_array_equal(grads.weights[0][2], np.zeros(4))
+        assert not np.any(grads.flat == np.pi)  # every entry was written
 
     def test_nonfinite_gradient_raises(self):
         # an infinite hidden activation times a zero output weight gives NaN
         params = zero_params(Architecture(2, (2,), 2))
         params.weights[0][:] = 1e300
         with np.errstate(all="ignore"), pytest.raises(DomainError, match="finite"):
-            backward(params, np.array([1e10, 1e10]), 1)
+            backward(params, np.array([[1e10, 1e10]]), one_hot([1], 2))
 
     def test_batch_gradient_is_mean(self):
         arch = Architecture(3, (4,), 2)
         params = random_params(arch, seed=10)
         rng = np.random.default_rng(11)
         xs = rng.standard_normal((5, 3))
-        labels = rng.integers(1, 3, size=5)
-        batch = backward(params, xs, labels)
-        singles = [backward(params, xs[i], int(labels[i])) for i in range(5)]
+        ys = one_hot(rng.integers(1, 3, size=5), 2)
+        batch = backward(params, xs, ys)
+        singles = [backward(params, xs[i : i + 1], ys[i : i + 1]) for i in range(5)]
         mean_w0 = np.mean([g.weights[0] for g in singles], axis=0)
         np.testing.assert_allclose(batch.weights[0], mean_w0, atol=1e-14)
 

@@ -31,7 +31,7 @@ class TestModelRegistry:
             "3d-mixed2",
             "3d-mixed3",
         }
-        from fdnet import MODELS
+        from fdnet.simulation import MODELS
 
         assert set(MODELS) == ids
 
@@ -188,14 +188,14 @@ class TestGenerateDataset:
 class TestBayesPosterior:
     def test_mode_of_class_one(self):
         model = get_model("2d-gaussian")
-        post = bayes_posterior(model, model.laws[0].mean)
-        assert int(np.argmax(post)) + 1 == 1
+        post = bayes_posterior(model, model.laws[0].mean[None, :])
+        assert int(np.argmax(post[0])) + 1 == 1
 
     def test_degenerate_symmetric_model(self):
         law = GaussianLaw(np.zeros(2), np.ones(2))
         model = SimModel("degenerate", 2, (law, law, law))
-        post = bayes_posterior(model, np.array([0.3, -0.8]))
-        np.testing.assert_allclose(post, np.full(3, 1 / 3), atol=1e-12)
+        post = bayes_posterior(model, np.array([[0.3, -0.8]]))
+        np.testing.assert_allclose(post, np.full((1, 3), 1 / 3), atol=1e-12)
 
     def test_rows_are_probability_vectors(self):
         model = get_model("3d-gaussian")
@@ -203,6 +203,11 @@ class TestBayesPosterior:
         post = bayes_posterior(model, xi)
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
         assert post.min() >= 0
+
+    def test_rejects_single_vector(self):
+        model = get_model("2d-gaussian")
+        with pytest.raises(DomainError, match="batch"):
+            bayes_posterior(model, model.laws[0].mean)
 
     def test_rejects_mixed_models(self):
         with pytest.raises(DomainError, match="Gaussian"):
