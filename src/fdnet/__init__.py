@@ -16,6 +16,7 @@ from .network import Architecture, NetworkParams, backward, classify, forward, i
 from .projection import Dataset, project_batch
 from .simulation import SimModel, bayes_error_mc, bayes_posterior, default_test_size
 from .simulation import generate_dataset, get_model
-from .training import Chosen, HyperGrid, SelectionResult, TrainConfig, select, split_70_30, train
+from .training import Chosen, Classifier, HyperGrid, SelectionResult, TrainConfig, select
+from .training import split_70_30, train
 
 __version__ = "0.1.0"

@@ -46,16 +46,6 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _load_model_for(path: str, dataset: Dataset):
-    """The network of a model file, refused for data of another dimension
-    (another grid on the same [0,1]^d is fine; no recorded shape, no check)."""
-    params, meta = dataio.load_model(path)
-    d = len(meta.get("grid_shape", []))
-    if d and d != dataset.grid.d:
-        raise DomainError(f"model {path} was trained on {d}-D data, but the data is {dataset.grid.d}-D")
-    return params
-
-
 def _head(dataset: Dataset, limit: int) -> Dataset:
     """The first `limit` samples of `dataset`, or all of them when 0."""
     if not limit:
@@ -92,8 +82,7 @@ def _run_selection(dataset: Dataset, grid_path: str, cfg: TrainConfig, out: str)
     grid = dataio.load_hypergrid(grid_path)
     order = BasisOrder(dataset.grid.d)
     result = select(dataset, order, grid, cfg)
-    meta = dataio.metadata_for(result.chosen, cfg, {"grid_shape": list(dataset.grid.shape)})
-    dataio.save_model(result.final_params, out, metadata=meta)
+    dataio.save_model(result.classifier, out, metadata=dataio.metadata_for(result.chosen, cfg))
     c = result.chosen
     print(
         f"chosen J={c.n_scores} L={c.depth} width={c.width} dropout={c.dropout}; "
@@ -110,7 +99,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     dataset = dataio.load_dataset(args.data)
-    preds, probs = predict(_load_model_for(args.model, dataset), dataset)
+    model, _ = dataio.load_model(args.model)
+    preds, probs = predict(model, dataset)
     dataio.write_predictions_csv(range(len(dataset)), preds, probs, args.out)
     print(f"wrote {len(dataset)} predictions to {args.out}")
     return 0
@@ -119,7 +109,8 @@ def _cmd_predict(args) -> int:
 def _cmd_eval(args) -> int:
     dataset = dataio.load_dataset(args.data)
     _require_labeled(dataset, "evaluation")
-    err, conf, probs = evaluate(_load_model_for(args.model, dataset), dataset)
+    model, _ = dataio.load_model(args.model)
+    err, conf, probs = evaluate(model, dataset)
     # computed first, so that a refused C0 leaves no partial report
     tce = None
     if args.c0 is not None:
@@ -170,7 +161,7 @@ def _cmd_mnist(args) -> int:
     if args.test_images and args.test_labels:
         # the model just written, still in memory; IDX data is always 2-D
         test = _head(idx.load_idx(args.test_images, args.test_labels), args.test_limit)
-        err, _, _ = evaluate(result.final_params, test)
+        err, _, _ = evaluate(result.classifier, test)
         print(f"test accuracy: {1.0 - err:.4f} on {len(test)} samples")
     return 0
 

@@ -1,5 +1,11 @@
 """Serialization: binary dataset files, JSON model files, CSV reports.
 
+A model file holds one `training.Classifier`: the network's architecture
+and arrays, and metadata whose `grid_shape` entry is the classifier's grid
+shape.  `save_model` writes that entry from the model, and `load_model`
+rebuilds the classifier from it, so a file without a `grid_shape` list is
+refused.
+
 Dataset files are binary (3-D datasets reach 10^5+ values per file and CSV
 parsing would dominate runtime); `dataset_to_csv` provides a readable dump
 when needed.  All writers are deterministic: identical inputs produce
@@ -28,7 +34,7 @@ from .basis import midpoint_grid
 from .errors import DomainError, FormatError
 from .network import Architecture, NetworkParams
 from .projection import Dataset
-from .training import Chosen, HyperGrid
+from .training import Chosen, Classifier, HyperGrid
 
 DATASET_MAGIC = b"MFDN1"
 DATASET_VERSION = 1
@@ -143,8 +149,12 @@ def load_dataset(path) -> Dataset:
     )
 
 
-def save_model(params: NetworkParams, path, metadata: dict | None = None) -> None:
-    """Write a model as JSON; round-trips bit-exactly for finite values.
+def save_model(model: Classifier, path, metadata: dict | None = None) -> None:
+    """Write a classifier as JSON; round-trips bit-exactly for finite values.
+
+    The metadata written is the caller's `metadata` plus the model's
+    `grid_shape`; a caller's metadata that holds a `grid_shape` key raises
+    DomainError and writes nothing.
 
     The file holds one object with sorted keys and no whitespace, then a
     newline: the bytes of `json.dump(doc, fh, sort_keys=True,
@@ -157,6 +167,11 @@ def save_model(params: NetworkParams, path, metadata: dict | None = None) -> Non
     `NetworkParams` holds only finite values; so the bytes are those of
     the one-shot `json.dump`.
     """
+    metadata = metadata or {}
+    if "grid_shape" in metadata:
+        raise DomainError("the model records its own grid_shape; the metadata must not hold one")
+    metadata = {**metadata, "grid_shape": list(model.grid_shape)}
+    params = model.params
     arch = params.architecture
     architecture = {
         "input_dim": arch.input_dim,
@@ -165,7 +180,7 @@ def save_model(params: NetworkParams, path, metadata: dict | None = None) -> Non
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{"architecture":{_compact(architecture)},"format":{_compact(MODEL_FORMAT)},')
-        fh.write(f'"metadata":{_compact(metadata or {})},"shifts":')
+        fh.write(f'"metadata":{_compact(metadata)},"shifts":')
         _write_arrays(fh, params.shifts)
         fh.write(f',"version":{_compact(MODEL_VERSION)},"weights":')
         _write_arrays(fh, params.weights)
@@ -192,7 +207,7 @@ def _write_arrays(fh, arrays) -> None:
 
 
 def load_model(path):
-    """Read a model file; returns (NetworkParams, metadata dict)."""
+    """Read a model file; returns (Classifier, metadata dict)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -216,11 +231,10 @@ def load_model(path):
     params = NetworkParams.from_arrays(weights, shifts)
     if params.architecture != arch:
         raise FormatError("declared architecture does not match the stored arrays")
-    meta = doc.get("metadata") or {}  # absent or null: nothing recorded
-    shape = meta.get("grid_shape", []) if isinstance(meta, dict) else None
-    if not (isinstance(shape, list) and len(shape) <= 3 and all(type(s) is int for s in shape)):
-        raise FormatError("model metadata must be an object, its grid_shape a list of at most 3 integers")
-    return params, meta
+    meta = doc.get("metadata")
+    if not (isinstance(meta, dict) and isinstance(meta.get("grid_shape"), list)):
+        raise FormatError("model metadata must be an object that records a grid_shape list")
+    return Classifier(params, meta["grid_shape"]), meta
 
 
 def _json_ints(values, what: str) -> list:
@@ -345,9 +359,9 @@ def dataset_to_csv(dataset: Dataset, path) -> None:
             )
 
 
-def metadata_for(chosen: Chosen, cfg, extra: dict | None = None) -> dict:
+def metadata_for(chosen: Chosen, cfg) -> dict:
     """Standard training metadata recorded into model files."""
-    meta = {
+    return {
         "seed": cfg.seed,
         "chosen": {
             "J": chosen.n_scores,
@@ -362,6 +376,3 @@ def metadata_for(chosen: Chosen, cfg, extra: dict | None = None) -> dict:
             "optimizer": "adam",
         },
     }
-    if extra:
-        meta.update(extra)
-    return meta

@@ -1,10 +1,13 @@
 """Dataset-level prediction, misclassification metrics, truncated KL risk,
 and the Monte-Carlo benchmark harness.
 
-`predict` projects a dataset at the network's input width and runs
-`network.forward` once; classes come from `network.predicted_class`, the
-only argmax rule.  `evaluate` also returns the probabilities, so the KL
-risk of a replicate or the CLI's truncated cross-entropy needs no second pass.
+`predict` takes a fitted `training.Classifier` and refuses data of a
+dimension other than that of its grid shape (another grid of the same
+dimension is scored).  It projects the dataset at the network's input
+width and runs `network.forward` once; classes come from
+`network.predicted_class`, the only argmax rule.  `evaluate` also returns
+the probabilities, so the KL risk of a replicate or the CLI's truncated
+cross-entropy needs no second pass.
 
 The benchmark runs R independent replicates: each draws fresh training and
 test data, runs the full selection procedure, and evaluates on the test
@@ -23,11 +26,11 @@ import numpy as np
 
 from .basis import BasisOrder
 from .errors import DomainError
-from .network import NetworkParams, forward, predicted_class
+from .network import forward, predicted_class
 from .projection import Dataset, project_batch
 from .rng import as_seed_sequence, seed_to_int
 from .simulation import SimModel, bayes_posterior, default_test_size, generate_dataset
-from .training import HyperGrid, TrainConfig, select
+from .training import Classifier, HyperGrid, TrainConfig, select
 
 
 def misclassification_rate(predictions, labels) -> float:
@@ -58,13 +61,14 @@ def truncated_kl_risk(true_posteriors, estimated_posteriors, c0: float = 2.0) ->
     Only the log-ratio is capped from above, so individual summands may be
     negative; a zero estimated probability contributes pi_k * c0 rather
     than infinity.  Zero true probabilities contribute nothing.  `c0`
-    must be finite and at least 2.
+    must be finite and at least 2.  Both arguments are (n, K) arrays, one
+    row per sample.
     """
     _check_truncation(c0)
-    p = np.atleast_2d(np.asarray(true_posteriors, dtype=float))
-    q = np.atleast_2d(np.asarray(estimated_posteriors, dtype=float))
-    if p.shape != q.shape:
-        raise DomainError("posterior lists must have matching shapes")
+    p = np.asarray(true_posteriors, dtype=float)
+    q = np.asarray(estimated_posteriors, dtype=float)
+    if p.ndim != 2 or p.shape != q.shape:
+        raise DomainError(f"posteriors must be two (n, K) arrays, got shapes {p.shape} and {q.shape}")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.log(p) - np.log(q)
         capped = np.minimum(ratio, c0)
@@ -122,22 +126,25 @@ class EvalReport:
         return float(np.mean(self.kl_risks))
 
 
-def predict(params: NetworkParams, dataset: Dataset):
-    """(classes, probs) of a fitted network on every sample of `dataset`,
-    projected onto the dataset's d-dimensional basis at the input width."""
-    order = BasisOrder(dataset.grid.d)
-    scores = project_batch(dataset.values, dataset.grid, order, params.architecture.input_dim)
-    probs = forward(params, scores)
+def predict(model: Classifier, dataset: Dataset):
+    """(classes, probs) of a fitted classifier on every sample of `dataset`,
+    projected onto the d-dimensional basis at the network's input width;
+    data of a dimension other than the model's d raises DomainError."""
+    d, j = len(model.grid_shape), model.params.architecture.input_dim
+    if dataset.grid.d != d:
+        raise DomainError(f"the model was trained on {d}-D data, but the data is {dataset.grid.d}-D")
+    scores = project_batch(dataset.values, dataset.grid, BasisOrder(d), j)
+    probs = forward(model.params, scores)
     return predicted_class(probs), probs
 
 
-def evaluate(params: NetworkParams, dataset: Dataset):
-    """(error_rate, confusion, probs) of a fitted network on a labeled
-    dataset with the network's number of classes."""
-    if dataset.n_classes != params.architecture.n_classes:
-        k = params.architecture.n_classes
+def evaluate(model: Classifier, dataset: Dataset):
+    """(error_rate, confusion, probs) of a fitted classifier on a labeled
+    dataset of its dimension, with the network's number of classes."""
+    k = model.params.architecture.n_classes
+    if dataset.n_classes != k:
         raise DomainError(f"the model has {k} classes, but the data has {dataset.n_classes}")
-    pred, probs = predict(params, dataset)
+    pred, probs = predict(model, dataset)
     err = misclassification_rate(pred, dataset.labels)
     return err, confusion_matrix(pred, dataset.labels, dataset.n_classes), probs
 
@@ -149,7 +156,7 @@ def _run_replicate(args):
     test_ds = generate_dataset(model, test_nk, m=m, seed=data_ss, subset="test")
     cfg_rep = replace(cfg, seed=seed_to_int(select_ss))
     result = select(train_ds, BasisOrder(model.d), grid, cfg_rep)
-    err, conf, probs = evaluate(result.final_params, test_ds)
+    err, conf, probs = evaluate(result.classifier, test_ds)
 
     kl = None
     if model.is_gaussian:

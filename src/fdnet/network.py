@@ -30,6 +30,7 @@ argmax of each row of class probabilities.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,15 @@ import numpy as np
 from .errors import DomainError, NumericError
 
 PROB_FLOOR = 1e-12  # floor inside log() when training; keeps CE finite
+
+
+def as_count(value, what: str) -> int:
+    """`value` as an int, refused unless it is an integer: a Python or numpy
+    integer passes, while a bool, float or string raises DomainError
+    instead of being converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -48,7 +58,10 @@ class Architecture:
     n_classes: int
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_widths", tuple(int(p) for p in self.hidden_widths))
+        object.__setattr__(self, "input_dim", as_count(self.input_dim, "input_dim"))
+        widths = tuple(as_count(p, "a hidden width") for p in self.hidden_widths)
+        object.__setattr__(self, "hidden_widths", widths)
+        object.__setattr__(self, "n_classes", as_count(self.n_classes, "n_classes"))
         if self.input_dim < 1:
             raise DomainError(f"input_dim must be >= 1, got {self.input_dim}")
         if len(self.hidden_widths) < 1 or any(p < 1 for p in self.hidden_widths):

@@ -23,13 +23,6 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(int(seed))
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Normalize an int, SeedSequence or Generator to a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(as_seed_sequence(seed))
-
-
 def seed_to_int(ss: np.random.SeedSequence) -> int:
     """Collapse a SeedSequence to a stable 64-bit integer seed."""
     return int(ss.generate_state(1, np.uint64)[0])

@@ -29,8 +29,9 @@ import numpy as np
 
 from .basis import Grid, midpoint_grid
 from .errors import DomainError
+from .network import predicted_class
 from .projection import Dataset
-from .rng import as_generator, as_seed_sequence
+from .rng import as_seed_sequence
 
 # grid shapes addressable by total sampling frequency m
 SUPPORTED_M = {
@@ -299,13 +300,13 @@ def bayes_posterior(model: SimModel, scores: np.ndarray) -> np.ndarray:
 def bayes_error_mc(model: SimModel, n_draws: int, seed) -> float:
     """Monte-Carlo estimate of the Bayes misclassification error under
     equal priors, using `n_draws` total latent draws split over classes."""
-    rng = as_generator(seed)
+    rng = np.random.default_rng(as_seed_sequence(seed))
     n_per = -(-n_draws // model.n_classes)  # ceil
     wrong = 0
     total = 0
     for k in range(1, model.n_classes + 1):
         xi = model.laws[k - 1].sample(n_per, rng)
-        pred = np.argmax(bayes_posterior(model, xi), axis=1) + 1
+        pred = predicted_class(bayes_posterior(model, xi))
         wrong += int(np.sum(pred != k))
         total += n_per
     return wrong / total

@@ -7,7 +7,9 @@ stratified by class, train every candidate cell on the training fold,
 score it by 0-1 error on the validation fold (through `network.classify`,
 the same streaming inference loop and argmax rule every prediction uses),
 pick the argmin (ties falling to the lexicographically smallest candidate
-tuple) and retrain on all data.
+tuple) and retrain on all data.  The fitted model is a `Classifier`: the
+final network and the grid shape of its training data, whose length is
+the dimension of the data the model accepts.
 
 Inside `select`, score coordinates are standardized (zero mean, unit
 scale) before training; raw score scales span orders of magnitude and
@@ -46,6 +48,7 @@ from .errors import DomainError, NumericError
 from .network import (
     Architecture,
     NetworkParams,
+    as_count,
     classify,
     initial_params,
     loss_and_gradient,
@@ -81,6 +84,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
         if self.epochs < 1:
             raise DomainError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -258,8 +263,9 @@ class HyperGrid:
     dropouts: tuple
 
     def __post_init__(self):
-        for name in ("n_scores", "depths", "widths", "dropouts"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("n_scores", "depths", "widths"):
+            object.__setattr__(self, name, tuple(as_count(v, name) for v in getattr(self, name)))
+        object.__setattr__(self, "dropouts", tuple(self.dropouts))
         if not all((self.n_scores, self.depths, self.widths, self.dropouts)):
             raise DomainError("every candidate list must be nonempty")
         if any(j < 1 for j in self.n_scores) or any(l < 1 for l in self.depths):
@@ -290,17 +296,40 @@ class Chosen:
         return (self.n_scores, self.depth, self.width, self.dropout)
 
 
+@dataclass(frozen=True)
+class Classifier:
+    """A fitted network and the grid shape of the data it was trained on.
+
+    The network reads the first `params.architecture.input_dim` scores on
+    the d-dimensional basis, d = len(grid_shape).  It accepts data on any
+    grid over [0,1]^d and refuses data of another dimension.  `grid_shape`
+    holds 1 to 3 positive integers.
+    """
+
+    params: NetworkParams
+    grid_shape: tuple
+
+    def __post_init__(self):
+        shape = self.grid_shape
+        if isinstance(shape, (tuple, list)):
+            shape = tuple(as_count(s, "a grid_shape entry") for s in shape)
+        if not (isinstance(shape, tuple) and 1 <= len(shape) <= 3 and min(shape) >= 1):
+            raise DomainError(f"grid_shape must hold 1 to 3 positive integers, got {shape!r}")
+        object.__setattr__(self, "grid_shape", shape)
+
+
 @dataclass
 class SelectionResult:
     """Outcome of the selection procedure.
 
     `validation_errors` is indexed [i_J, i_L, i_width, i_dropout] in the
     order of the candidate lists; `chosen` attains its minimum.
+    `classifier` is the winner retrained on all samples.
     """
 
     chosen: Chosen
     validation_errors: np.ndarray
-    final_params: NetworkParams
+    classifier: Classifier
 
 
 def _standardization(scores: np.ndarray):
@@ -333,7 +362,7 @@ def select(
     Scores are extracted once at max(n_scores) and truncated per cell.
     Every cell trains on the 70% fold and is scored by 0-1 error on the
     30% fold; the final model retrains on all samples with the winning
-    tuple.
+    tuple and keeps the dataset's grid shape.
     """
     labels = dataset.labels
     if labels.min() < 1:
@@ -377,5 +406,5 @@ def select(
     return SelectionResult(
         chosen=Chosen(j_c, l_c, w_c, s_c),
         validation_errors=errors,
-        final_params=final,
+        classifier=Classifier(final, dataset.grid.shape),
     )

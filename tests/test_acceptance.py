@@ -34,14 +34,14 @@ from fdnet import (
     backward,
     bayes_error_mc,
     benchmark,
-    classify,
+    evaluate,
     forward,
     generate_dataset,
     get_model,
     gram_matrix,
     initial_params,
     midpoint_grid,
-    project_batch,
+    predict,
     select,
     truncated_kl_risk,
 )
@@ -184,8 +184,7 @@ def test_c6_bayes_oracle_consistency():
     train_ds = generate_dataset(model, 700, m=400, seed=1234, subset="train")
     test_ds = generate_dataset(model, 300, m=400, seed=1234, subset="test")
     result = select(train_ds, order, DENSE_GRID, BENCH_CFG)
-    scores = project_batch(test_ds.values, test_ds.grid, order, result.chosen.n_scores)
-    err = float(np.mean(classify(result.final_params, scores) != test_ds.labels))
+    err = evaluate(result.classifier, test_ds)[0]
     ok = err <= PINNED_BAYES_ERROR + 0.05
     report(
         6,
@@ -259,9 +258,7 @@ def _digits_accuracy(train_ds, test_ds, epochs):
     order = BasisOrder(2)
     cfg = TrainConfig(epochs=epochs, batch_size=128, learning_rate=1e-3, seed=6)
     result = select(train_ds, order, MNIST_CELL, cfg)
-    scores = project_batch(test_ds.values, test_ds.grid, order, result.chosen.n_scores)
-    pred = classify(result.final_params, scores)
-    return float(np.mean(pred == test_ds.labels)), result.chosen
+    return float(np.mean(predict(result.classifier, test_ds)[0] == test_ds.labels)), result.chosen
 
 
 def _subset(ds, n):

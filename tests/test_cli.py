@@ -167,11 +167,12 @@ class TestMalformedInputs:
         # grid_shape) or number (array data); none of them may be coerced
         from fdnet import Architecture, initial_params
         from fdnet.dataio import save_model
+        from fdnet.training import Classifier
 
         data = simulate(tmp_path)
         model, out = tmp_path / "model.json", tmp_path / "p.csv"
-        save_model(initial_params(Architecture(4, (8,), 3), np.random.default_rng(0)), model,
-                   metadata={"grid_shape": [3, 3]})
+        params = initial_params(Architecture(4, (8,), 3), np.random.default_rng(0))
+        save_model(Classifier(params, (3, 3)), model)
         good = json.loads(model.read_text())
         edits = [
             # float("inf") is written as the bare token Infinity
@@ -332,18 +333,32 @@ class TestModelDimension:
         assert main(["eval", "--model", str(model_2d), "--data", str(finer)]) == 0
         assert "error rate:" in capsys.readouterr().out
 
-    def test_model_without_grid_shape_scores(self, tmp_path, model_2d):
+    def test_library_saved_model_records_grid_shape(self, tmp_path, model_2d):
         from fdnet.dataio import load_model, save_model
 
-        params, meta = load_model(model_2d)
-        assert meta["grid_shape"] == [3, 3]
+        model, meta = load_model(model_2d)
+        assert meta["grid_shape"] == [3, 3] and model.grid_shape == (3, 3)
         bare = tmp_path / "bare.json"
-        save_model(params, bare)  # library-saved: no metadata at all
+        save_model(model, bare)  # library-saved: no caller metadata at all
+        assert json.loads(bare.read_text())["metadata"] == {"grid_shape": [3, 3]}
         data = simulate(tmp_path, "other.mfd", seed=9)
         out_bare, out_full = tmp_path / "bare.csv", tmp_path / "full.csv"
         assert main(["predict", "--model", str(bare), "--data", str(data), "--out", str(out_bare)]) == 0
         assert main(["predict", "--model", str(model_2d), "--data", str(data), "--out", str(out_full)]) == 0
         assert out_bare.read_bytes() == out_full.read_bytes()
+
+    def test_model_without_grid_shape_exits_1(self, tmp_path, capsys, model_2d):
+        doc = json.loads(model_2d.read_text())
+        del doc["metadata"]["grid_shape"]
+        bare, out = tmp_path / "bare.json", tmp_path / "p.csv"
+        bare.write_text(json.dumps(doc))
+        data = simulate(tmp_path, "other.mfd", seed=9)
+        capsys.readouterr()
+        assert main(["predict", "--model", str(bare), "--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "grid_shape" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestBenchmarkCommand:
@@ -400,7 +415,9 @@ class TestMnistCommand:
         assert f"test accuracy: {1.0 - err:.4f} on 80 samples" in out
 
     def test_classifies_first_sample_to_a_digit(self, tmp_path):
-        from fdnet import classify, project_batch, BasisOrder
+        from dataclasses import replace
+
+        from fdnet import predict
         from fdnet.dataio import load_model
         from fdnet.idx import load_idx
 
@@ -410,10 +427,10 @@ class TestMnistCommand:
         assert main(["mnist", "--images", str(img), "--labels", str(lab),
                      "--grid", grid, "--seed", "6", "--out", str(model_path),
                      "--epochs", "15", "--batch", "32"]) == 0
-        params, _ = load_model(model_path)
+        model, _ = load_model(model_path)
         test = load_idx(img, lab)
-        scores = project_batch(test.values[:1], test.grid, BasisOrder(2), 15)
-        digit = classify(params, scores)[0] - 1
+        first = replace(test, values=test.values[:1], labels=test.labels[:1])
+        digit = predict(model, first)[0][0] - 1
         assert 0 <= digit <= 9
 
 

@@ -28,6 +28,7 @@ from fdnet.dataio import (
     write_benchmark_csv,
 )
 from fdnet.idx import load_idx
+from fdnet.training import Classifier
 from synth_digits import idx_image_bytes, idx_label_bytes, make_digit_arrays, write_idx_pair
 
 
@@ -117,17 +118,18 @@ class TestModelRoundTrip:
         params.weights[0][0, 0] = 1e-300
         params.weights[1][0, 0] = 0.1
         path = tmp_path / "model.json"
-        save_model(params, path, metadata={"seed": 1})
+        save_model(Classifier(params, (5, 6)), path, metadata={"seed": 1})
         loaded, meta = load_model(path)
-        assert loaded.architecture == params.architecture
-        np.testing.assert_array_equal(loaded.flat, params.flat)
-        assert meta == {"seed": 1}
+        assert loaded.params.architecture == params.architecture
+        np.testing.assert_array_equal(loaded.params.flat, params.flat)
+        assert loaded.grid_shape == (5, 6)
+        assert meta == {"seed": 1, "grid_shape": [5, 6]}
 
     def test_deterministic_bytes(self, tmp_path):
         params = initial_params(Architecture(3, (4,), 2), np.random.default_rng(9))
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
-        save_model(params, p1, metadata={"a": 1, "b": 2})
-        save_model(params, p2, metadata={"a": 1, "b": 2})
+        save_model(Classifier(params, (3, 3)), p1, metadata={"a": 1, "b": 2})
+        save_model(Classifier(params, (3, 3)), p2, metadata={"a": 1, "b": 2})
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize(
@@ -136,7 +138,6 @@ class TestModelRoundTrip:
             None,
             {
                 "seed": 7,
-                "grid_shape": [28, 28],
                 "note": "caf\u00e9 \u2603",
                 "none": None,
                 "lr": 0.1,
@@ -158,11 +159,11 @@ class TestModelRoundTrip:
             "architecture": {"input_dim": 256, "hidden_widths": [256, 300], "n_classes": 3},
             "weights": [{"shape": list(w.shape), "data": w.ravel().tolist()} for w in params.weights],
             "shifts": [{"shape": list(v.shape), "data": v.ravel().tolist()} for v in params.shifts],
-            "metadata": metadata or {},
+            "metadata": {**(metadata or {}), "grid_shape": [28, 28]},
         }
         expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         path = tmp_path / "model.json"
-        save_model(params, path, metadata=metadata)
+        save_model(Classifier(params, (28, 28)), path, metadata=metadata)
         assert path.read_bytes() == expected.encode("utf-8")
 
     def test_rejects_non_model_json(self, tmp_path):
@@ -180,11 +181,33 @@ class TestModelRoundTrip:
     def test_rejects_architecture_mismatch(self, tmp_path):
         params = initial_params(Architecture(3, (4,), 2), np.random.default_rng(10))
         path = tmp_path / "m.json"
-        save_model(params, path)
+        save_model(Classifier(params, (3, 3)), path)
         doc = json.loads(path.read_text())
         doc["architecture"]["input_dim"] = 5
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="architecture"):
+            load_model(path)
+
+    def test_caller_grid_shape_refused(self, tmp_path):
+        params = initial_params(Architecture(3, (4,), 2), np.random.default_rng(12))
+        path = tmp_path / "m.json"
+        with pytest.raises(DomainError, match="grid_shape"):
+            save_model(Classifier(params, (3, 3)), path, metadata={"grid_shape": [3, 3]})
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "metadata",
+        # the entry rule itself is Classifier's; the loader only has to reach it
+        [None, [], {}, {"grid_shape": None}, {"grid_shape": 3}, {"grid_shape": [3, 3, 3, 3]}],
+    )
+    def test_rejects_missing_or_malformed_grid_shape(self, tmp_path, metadata):
+        params = initial_params(Architecture(3, (4,), 2), np.random.default_rng(13))
+        path = tmp_path / "m.json"
+        save_model(Classifier(params, (3, 3)), path)
+        doc = json.loads(path.read_text())
+        doc["metadata"] = metadata
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match="grid_shape"):
             load_model(path)
 
 
@@ -267,9 +290,9 @@ class TestJsonLoaderFuzz:
         from fdnet.dataio import metadata_for
 
         params = initial_params(Architecture(2, (3,), 2), np.random.default_rng(30))
-        meta = metadata_for(Chosen(2, 1, 3, 0.0), TrainConfig(seed=1), {"grid_shape": [3, 3]})
+        meta = metadata_for(Chosen(2, 1, 3, 0.0), TrainConfig(seed=1))
         path = tmp_path / "m.json"
-        save_model(params, path, metadata=meta)
+        save_model(Classifier(params, (3, 3)), path, metadata=meta)
         doc = json.loads(path.read_text())
         assert self._crashes(tmp_path, load_model, doc, seed=20240605) == []
 
@@ -280,7 +303,7 @@ class TestJsonLoaderFuzz:
     def test_infinite_integers_are_format_errors(self, tmp_path):
         params = initial_params(Architecture(2, (3,), 2), np.random.default_rng(31))
         path = tmp_path / "m.json"
-        save_model(params, path)
+        save_model(Classifier(params, (3, 3)), path)
         doc = json.loads(path.read_text())
         for where in (("architecture", "input_dim"), ("architecture", "hidden_widths", 0),
                       ("weights", 0, "shape", 1)):

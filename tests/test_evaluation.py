@@ -16,6 +16,7 @@ from fdnet import (
 )
 from fdnet.evaluation import confusion_matrix, misclassification_rate
 from fdnet.network import _forward_pass
+from fdnet.training import Classifier
 
 
 class TestClassify:
@@ -85,14 +86,31 @@ class TestEvaluate:
 
         data = generate_dataset(get_model("2d-gaussian"), 4, m=9, seed=1, subset="test")
         params = initial_params(Architecture(3, (4,), 3), np.random.default_rng(5))
-        assert evaluate(params, data)[1].shape == (3, 3)
+        model = Classifier(params, data.grid.shape)
+        assert evaluate(model, data)[1].shape == (3, 3)
         keep = data.labels <= 2
         for other in (
             replace(data, values=data.values[keep], labels=data.labels[keep], n_classes=2),
             replace(data, n_classes=5),
         ):
             with pytest.raises(DomainError, match="the model has 3 classes"):
-                evaluate(params, other)
+                evaluate(model, other)
+
+    def test_other_dimension_refused(self):
+        # the library path refuses it too, not only the command line
+        from fdnet import BasisOrder, evaluate, generate_dataset, predict, select
+
+        square = generate_dataset(get_model("2d-gaussian"), 12, m=9, seed=2, subset="train")
+        grid = HyperGrid(n_scores=(4,), depths=(1,), widths=(8,), dropouts=(0.0,))
+        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=1e-2, seed=3)
+        model = select(square, BasisOrder(2), grid, cfg).classifier
+        cube = generate_dataset(get_model("3d-gaussian"), 4, m=8, seed=4, subset="test")
+        for score in (predict, evaluate):
+            with pytest.raises(DomainError, match="trained on 2-D data, but the data is 3-D"):
+                score(model, cube)
+        # another grid over the unit square still scores
+        finer = generate_dataset(get_model("2d-gaussian"), 4, m=25, seed=4, subset="test")
+        assert evaluate(model, finer)[1].shape == (3, 3)
 
 
 class TestTruncatedKl:
@@ -126,6 +144,13 @@ class TestTruncatedKl:
                 truncated_kl_risk(p, p, c0)
         with pytest.raises(DomainError):
             truncated_kl_risk(p, np.array([[0.5, 0.25, 0.25]]), 2.0)
+
+    def test_one_sample_vectors_refused(self):
+        # the batch contract: one row per sample, so a 1-D pair is not read as one row
+        v = np.array([0.5, 0.5])
+        for true, est in ((v, v), (v, v[None, :]), (np.float64(0.5), np.float64(0.5))):
+            with pytest.raises(DomainError, match=r"\(n, K\) arrays"):
+                truncated_kl_risk(true, est, 2.0)
 
     def test_eval_config_validation(self):
         for c0 in (1.9, float("nan"), float("inf")):
@@ -213,7 +238,7 @@ class TestBenchmark:
             test_ds = generate_dataset(model, 3334, m=400, seed=77, subset="test")
             result = select(train_ds, order, grid, cfg)
             scores = project_batch(test_ds.values, test_ds.grid, order, 10)
-            _, _, logits = _forward_pass(result.final_params, scores)
+            _, _, logits = _forward_pass(result.classifier.params, scores)
             return truncated_kl_risk(bayes_posterior(model, test_ds.latent), softmax(logits), 2.0)
 
         assert risk_at(700) < risk_at(200)

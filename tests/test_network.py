@@ -268,6 +268,20 @@ class TestParamsValidation:
         arch = Architecture(5, (7, 3), 4)
         assert zero_params(arch).architecture == arch
 
+    @pytest.mark.parametrize(
+        "args",
+        [(4, (8.7,), 3), (4.5, (8,), 3), (4, (8,), 3.0), (True, (8,), 3), (4, ("8",), 3),
+         ("4", (8,), 3), (4, (np.float64(8),), 3)],
+    )
+    def test_architecture_counts_must_be_integers(self, args):
+        with pytest.raises(DomainError, match="must be an integer"):
+            Architecture(*args)
+
+    def test_architecture_accepts_numpy_integers(self):
+        arch = Architecture(np.int64(4), (np.int32(8),), np.uint8(3))
+        assert arch == Architecture(4, (8,), 3)
+        assert all(type(w) is int for w in arch.layer_widths())
+
 
 class TestFlatLayout:
     def test_two_fields(self):

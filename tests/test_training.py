@@ -17,7 +17,7 @@ from fdnet import (
     train,
 )
 from fdnet.basis import design_matrix
-from fdnet.training import ADAM_SLICE
+from fdnet.training import ADAM_SLICE, Classifier
 
 
 def params_equal(a, b):
@@ -107,6 +107,17 @@ class TestTrain:
                 TrainConfig(learning_rate=lr)
         with pytest.raises(DomainError):
             TrainConfig(dropout=1.0)
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_config_counts_must_be_integers(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(4))
+        assert (cfg.epochs, cfg.batch_size) == (3, 4)
+        assert type(cfg.epochs) is int and type(cfg.batch_size) is int
 
 
 def reference_train(scores, labels, arch, cfg):
@@ -281,6 +292,7 @@ class TestSelect:
         result = select(ds, BasisOrder(1), grid, cfg)
         assert result.chosen.as_tuple() == (2, 1, 8, 0.0)
         assert result.validation_errors.shape == (1, 1, 1, 1)
+        assert result.classifier.grid_shape == ds.grid.shape
 
     def test_underfit_versus_fit(self):
         # XOR-style blobs: a single hidden unit cannot separate them,
@@ -339,7 +351,8 @@ class TestSelect:
         b = select(ds, BasisOrder(1), grid, cfg)
         assert a.chosen == b.chosen
         np.testing.assert_array_equal(a.validation_errors, b.validation_errors)
-        assert params_equal(a.final_params, b.final_params)
+        assert params_equal(a.classifier.params, b.classifier.params)
+        assert a.classifier.grid_shape == b.classifier.grid_shape
 
     def test_final_params_consume_raw_scores(self):
         # the folded-out standardization must classify raw projections well
@@ -351,7 +364,7 @@ class TestSelect:
         from fdnet import project_batch
 
         scores = project_batch(ds.values, ds.grid, BasisOrder(1), 2)
-        pred = classify(result.final_params, scores)
+        pred = classify(result.classifier.params, scores)
         assert np.mean(pred != ds.labels) <= 0.05
 
     def test_requires_labels(self):
@@ -372,7 +385,31 @@ class TestHyperGrid:
         with pytest.raises(DomainError):
             HyperGrid(n_scores=(2,), depths=(1,), widths=(4,), dropouts=(1.0,))
 
+    @pytest.mark.parametrize("field", ["n_scores", "depths", "widths"])
+    @pytest.mark.parametrize("value", [8.7, 4.5, 2.0, True, "4"])
+    def test_counts_must_be_integers(self, field, value):
+        lists = {"n_scores": (2,), "depths": (1,), "widths": (4,), "dropouts": (0.0,)}
+        lists[field] = (value,)
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            HyperGrid(**lists)
+
+    def test_accepts_numpy_integers(self):
+        grid = HyperGrid(n_scores=np.array([2, 3]), depths=(np.int64(1),), widths=(4,), dropouts=(0.0,))
+        assert grid.n_scores == (2, 3) and grid.depths == (1,)
+        assert all(type(v) is int for v in (*grid.n_scores, *grid.depths))
+
     def test_cell_enumeration(self):
         grid = HyperGrid(n_scores=(1, 2), depths=(1,), widths=(4, 8), dropouts=(0.0,))
         assert grid.n_cells == 4
         assert list(grid.cells())[0] == (1, 1, 4, 0.0)
+
+
+class TestClassifier:
+    def test_grid_shape_rule(self):
+        params = initial_params(Architecture(2, (4,), 2), np.random.default_rng(0))
+        model = Classifier(params, [np.int64(3), 3])
+        assert model.grid_shape == (3, 3) and all(type(s) is int for s in model.grid_shape)
+        assert Classifier(params, (2, 2, 2)).grid_shape == (2, 2, 2)
+        for shape in ((), (3, 3, 3, 3), (0, 3), (-1,), (True, 3), (3.0, 3), ("3",), ((3,), 3), 3, None):
+            with pytest.raises(DomainError, match="grid_shape"):
+                Classifier(params, shape)
