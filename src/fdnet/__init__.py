@@ -1,15 +1,17 @@
 """Multiclass classification of grid-observed functional data.
 
-Pipeline: integrate samples on [0,1]^d against an ordered tensor Fourier basis,
-feed the truncated score vectors to a feedforward ReLU network with shift
-activations and a softmax head trained under cross-entropy, and choose
-hyperparameters by a stratified 70/30 data split.  Synthetic benchmark
-generators, misclassification and truncated Kullback-Leibler risk
-reporting, and binary dataset / JSON model serialization round out the
-package; see the `cli` module for the command-line surface.
+Pipeline: integrate samples observed on a midpoint grid over [0,1]^d (a
+`Grid`, fixed by its shape) against the tensor Fourier basis, whose order
+depends only on d; feed the truncated score vectors to a feedforward ReLU
+network with shift activations and a softmax head trained under
+cross-entropy; and choose hyperparameters by a stratified 70/30 data
+split.  Synthetic benchmark generators, misclassification and truncated
+Kullback-Leibler risk reporting, and binary dataset / JSON model
+serialization round out the package; see the `cli` module for the
+command-line surface.
 """
 
-from .basis import BasisOrder, Grid, gram_matrix, midpoint_grid
+from .basis import Grid, gram_matrix
 from .errors import AliasingWarning, DomainError, FdnetError, FormatError, NumericError
 from .evaluation import EvalConfig, benchmark, evaluate, predict, truncated_kl_risk
 from .network import Architecture, NetworkParams, backward, classify, forward, initial_params

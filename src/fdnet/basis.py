@@ -10,11 +10,13 @@ and is orthonormal in L2[0, 1].  Multivariate elements are products of one
 univariate element per axis.  Ranks enumerate the d-tuples of univariate
 indices graded by their maximum entry, ties broken lexicographically, so
 rank 1 is always the all-constant element and low frequencies come first.
-The enumeration depends only on the dimension and is stable across runs.
+The enumeration, `multi_indices(d, J)`, depends only on the dimension and
+is stable across runs; every basis function takes d from the grid.
 
 Integrals against grid-observed data use the midpoint rule: an m-point axis
-carries nodes (2i - 1) / (2m) with equal weights 1/m.  Samples arrive only
-at grid nodes, so no higher-order rule is applicable.
+carries nodes (2i - 1) / (2m) with equal weights 1/m, so a `Grid` is fixed
+by its shape alone.  Samples arrive only at grid nodes, so no higher-order
+rule is applicable.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_count
 
 SQRT2 = math.sqrt(2.0)
 
@@ -63,73 +65,52 @@ def _shell(d: int, g: int) -> list:
     return out
 
 
+def multi_indices(d: int, J: int) -> np.ndarray:
+    """The d-dimensional multi-indices of ranks 1..J as a (J, d) integer
+    array: a bijection from ranks to distinct d-tuples of univariate
+    indices, graded by their maximum entry and ordered lexicographically
+    within a grade."""
+    if J < 1:
+        raise DomainError(f"J must be >= 1, got {J}")
+    out, grade = [], 0
+    while len(out) < J:
+        grade += 1
+        out += _shell(d, grade)
+    return np.array(out[:J], dtype=np.int64)
+
+
 @dataclass(frozen=True)
-class BasisOrder:
-    """Deterministic rank -> multi-index enumeration for a tensor basis.
-
-    The enumeration is a bijection from ranks 1, 2, ... to distinct
-    d-tuples of univariate indices: tuples are graded by their maximum
-    entry and ordered lexicographically within a grade.
-    """
-
-    d: int
-
-    def __post_init__(self):
-        if not 1 <= self.d <= 3:
-            raise DomainError(f"spatial dimension must be 1, 2 or 3, got {self.d}")
-
-    def multi_indices(self, J: int) -> np.ndarray:
-        """The multi-indices of ranks 1..J as a (J, d) integer array."""
-        if J < 1:
-            raise DomainError(f"J must be >= 1, got {J}")
-        out, grade = [], 0
-        while len(out) < J:
-            grade += 1
-            out += _shell(self.d, grade)
-        return np.array(out[:J], dtype=np.int64)
-
-
-@dataclass(frozen=True, eq=False)
 class Grid:
-    """Rectangular quadrature grid on [0, 1]^d.
+    """Midpoint grid on [0, 1]^d, fixed by its shape: 1 to 3 positive integers.
 
-    `axes[a]` holds the node coordinates of axis `a` and `axis_weights[a]`
-    the matching quadrature weights.  The weight of a full grid node is the
-    product of its per-axis weights, and the weights sum to 1 (the volume
-    of the unit cube).  Flattened node order is row-major: axis 0 slowest.
+    Axis `a` has nodes (2i - 1) / (2 s_a) for i = 1..s_a, each weighted
+    1 / s_a.  The weight of a full grid node is the product of its per-axis
+    weights, and the weights sum to 1 (the volume of the unit cube).
+    Flattened node order is row-major: axis 0 slowest.
     """
 
-    axes: tuple
-    axis_weights: tuple
+    shape: tuple
 
     def __post_init__(self):
-        if not 1 <= len(self.axes) <= 3:
-            raise DomainError(f"grid dimension must be 1, 2 or 3, got {len(self.axes)}")
-        if len(self.axis_weights) != len(self.axes):
-            raise DomainError("axes and axis_weights must have equal length")
-        total = 1.0
-        for nodes, w in zip(self.axes, self.axis_weights):
-            if len(nodes) != len(w) or len(nodes) == 0:
-                raise DomainError("each axis needs matching, nonempty nodes and weights")
-            if not np.all(np.isfinite(nodes)) or nodes.min() < 0.0 or nodes.max() > 1.0:
-                raise DomainError("grid nodes must lie in [0, 1]")
-            if not np.all(np.isfinite(w)) or w.min() <= 0.0:
-                raise DomainError("quadrature weights must be positive")
-            total *= float(np.sum(w))
-        if abs(total - 1.0) > 1e-9:
-            raise DomainError(f"quadrature weights must sum to 1, got {total!r}")
+        shape = self.shape
+        if isinstance(shape, (tuple, list)):
+            shape = tuple(as_count(s, "a grid_shape entry") for s in shape)
+        if not (isinstance(shape, tuple) and 1 <= len(shape) <= 3 and min(shape) >= 1):
+            raise DomainError(f"grid_shape must hold 1 to 3 positive integers, got {shape!r}")
+        object.__setattr__(self, "shape", shape)
 
     @property
     def d(self) -> int:
-        return len(self.axes)
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(len(a) for a in self.axes)
+        return len(self.shape)
 
     @property
     def m(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
+
+    @property
+    def axes(self) -> tuple:
+        """The node coordinates of each axis."""
+        return tuple((2.0 * np.arange(1, s + 1) - 1.0) / (2.0 * s) for s in self.shape)
 
     def node_matrix(self) -> np.ndarray:
         """All grid nodes as an (m, d) array in row-major order."""
@@ -137,54 +118,41 @@ class Grid:
         return np.stack([c.ravel() for c in mesh], axis=1)
 
     def node_weights(self) -> np.ndarray:
-        """Quadrature weight of every node, flattened row-major, shape (m,)."""
+        """Quadrature weight of every node, flattened row-major, shape (m,).
+
+        A product of per-axis weights, not 1 / m: the two differ in the last
+        bit, (1/5)**3 != 1/125 in float64."""
         w = np.array([1.0])
-        for aw in self.axis_weights:
-            w = np.multiply.outer(w, aw).ravel()
+        for s in self.shape:
+            w = np.multiply.outer(w, np.full(s, 1.0 / s)).ravel()
         return w
 
 
-def midpoint_grid(shape) -> Grid:
-    """Midpoint-rule grid: axis with m points has nodes (2i-1)/(2m), weights 1/m."""
-    if isinstance(shape, int):
-        shape = (shape,)
-    shape = tuple(int(s) for s in shape)
-    if any(s < 1 for s in shape):
-        raise DomainError(f"grid shape entries must be >= 1, got {shape}")
-    axes = tuple((2.0 * np.arange(1, s + 1) - 1.0) / (2.0 * s) for s in shape)
-    weights = tuple(np.full(s, 1.0 / s) for s in shape)
-    return Grid(axes=axes, axis_weights=weights)
-
-
-def design_matrix(order: BasisOrder, J: int, grid: Grid) -> np.ndarray:
+def design_matrix(J: int, grid: Grid) -> np.ndarray:
     """Values of the first `J` basis elements at every grid node, shape (m, J).
 
     Exploits the tensor structure: univariate values are tabulated once per
     axis and combined by indexing, so the cost is O(m * J) multiplications.
     """
-    if J < 1:
-        raise DomainError(f"J must be >= 1, got {J}")
-    if grid.d != order.d:
-        raise DomainError(f"grid dimension {grid.d} does not match basis dimension {order.d}")
-    mi = order.multi_indices(J)
+    mi = multi_indices(grid.d, J)
     flat_axis_pos = np.indices(grid.shape).reshape(grid.d, -1)
     phi = np.ones((grid.m, J))
-    for a in range(grid.d):
+    for a, nodes in enumerate(grid.axes):
         max_idx = int(mi[:, a].max())
         table = np.empty((grid.shape[a], max_idx))
         for idx in range(1, max_idx + 1):
-            table[:, idx - 1] = univariate_fourier(idx, grid.axes[a])
+            table[:, idx - 1] = univariate_fourier(idx, nodes)
         phi *= table[flat_axis_pos[a][:, None], mi[None, :, a] - 1]
     return phi
 
 
-def gram_matrix(order: BasisOrder, J: int, grid: Grid) -> np.ndarray:
+def gram_matrix(J: int, grid: Grid) -> np.ndarray:
     """Quadrature Gram matrix G[a, b] = sum_nodes w * phi_a * phi_b, shape (J, J).
 
     Equals the identity up to quadrature error when the grid resolves the
     first J elements; a coarse grid under-resolves and the deviation grows.
     """
-    phi = design_matrix(order, J, grid)
+    phi = design_matrix(J, grid)
     w = grid.node_weights()
     g = phi.T @ (phi * w[:, None])
     return 0.5 * (g + g.T)

@@ -13,7 +13,6 @@ import sys
 from dataclasses import replace
 
 from . import dataio, idx
-from .basis import BasisOrder
 from .errors import DomainError, FdnetError, NumericError
 from .evaluation import EvalConfig, benchmark, evaluate, predict, truncated_kl_risk
 from .network import one_hot
@@ -80,8 +79,7 @@ def _cmd_simulate(args) -> int:
 def _run_selection(dataset: Dataset, grid_path: str, cfg: TrainConfig, out: str) -> SelectionResult:
     _require_labeled(dataset, "training")
     grid = dataio.load_hypergrid(grid_path)
-    order = BasisOrder(dataset.grid.d)
-    result = select(dataset, order, grid, cfg)
+    result = select(dataset, cfg, grid)
     dataio.save_model(result.classifier, out, metadata=dataio.metadata_for(result.chosen, cfg))
     c = result.chosen
     print(

@@ -30,7 +30,7 @@ import struct
 
 import numpy as np
 
-from .basis import midpoint_grid
+from .basis import Grid
 from .errors import DomainError, FormatError
 from .network import Architecture, NetworkParams
 from .projection import Dataset
@@ -143,7 +143,7 @@ def load_dataset(path) -> Dataset:
         raise FormatError("non-finite sample values", offset + bad * (1 + 8 * m) + 1)
     return Dataset(
         values=values,
-        grid=midpoint_grid(shape),
+        grid=Grid(shape),
         labels=labels,
         n_classes=n_classes,
     )

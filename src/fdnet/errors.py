@@ -1,9 +1,14 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the checks that
+turn an argument of the wrong kind into a DomainError.
 
 Domain errors cover invalid arguments and malformed inputs (CLI exit
 code 1); numeric errors cover runtime failures of the numerical routines
 such as diverging losses or non-finite network outputs (CLI exit code 2).
+`as_count`, `as_seed` and `as_real` refuse a value of the wrong type
+instead of converting it; a bool is never a number here.
 """
+
+import numbers
 
 
 class FdnetError(Exception):
@@ -33,3 +38,27 @@ class NumericError(FdnetError, ArithmeticError):
 
 class AliasingWarning(UserWarning):
     """Requested projection order exceeds what the grid can resolve."""
+
+
+def as_count(value, what: str) -> int:
+    """`value` as an int, refused unless it is an integer: a Python or numpy
+    integer passes, while a bool, float or string raises DomainError
+    instead of being converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_seed(value) -> int:
+    """`value` as an int seed: a non-negative integer, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise DomainError(f"a seed must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def as_real(value, what: str) -> float:
+    """`value` as a float, refused unless it is a real number (a bool,
+    string or None raises DomainError); its range is the caller's check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{what} must be a number, got {value!r}")
+    return float(value)

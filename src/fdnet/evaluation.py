@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import BasisOrder
-from .errors import DomainError
+from .errors import DomainError, as_count, as_real, as_seed
 from .network import forward, predicted_class
 from .projection import Dataset, project_batch
 from .rng import as_seed_sequence, seed_to_int
@@ -91,6 +90,9 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "c0", as_real(self.c0, "c0"))
+        object.__setattr__(self, "replicates", as_count(self.replicates, "replicates"))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         _check_truncation(self.c0)
         if self.replicates < 1:
             raise DomainError(f"replicates must be >= 1, got {self.replicates}")
@@ -133,7 +135,7 @@ def predict(model: Classifier, dataset: Dataset):
     d, j = len(model.grid_shape), model.params.architecture.input_dim
     if dataset.grid.d != d:
         raise DomainError(f"the model was trained on {d}-D data, but the data is {dataset.grid.d}-D")
-    scores = project_batch(dataset.values, dataset.grid, BasisOrder(d), j)
+    scores = project_batch(dataset.values, dataset.grid, j)
     probs = forward(model.params, scores)
     return predicted_class(probs), probs
 
@@ -155,7 +157,7 @@ def _run_replicate(args):
     train_ds = generate_dataset(model, n_k, m=m, seed=data_ss, subset="train")
     test_ds = generate_dataset(model, test_nk, m=m, seed=data_ss, subset="test")
     cfg_rep = replace(cfg, seed=seed_to_int(select_ss))
-    result = select(train_ds, BasisOrder(model.d), grid, cfg_rep)
+    result = select(train_ds, cfg_rep, grid)
     err, conf, probs = evaluate(result.classifier, test_ds)
 
     kl = None

@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .basis import midpoint_grid
+from .basis import Grid
 from .errors import FormatError
 from .projection import Dataset
 
@@ -90,7 +90,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     n_classes = max(10, int(digits.max()) + 1) if digits.size else 10
     return Dataset(
         values=values,
-        grid=midpoint_grid((rows, cols)),
+        grid=Grid((rows, cols)),
         labels=digits + 1,
         n_classes=n_classes,
     )

@@ -30,23 +30,13 @@ argmax of each row of class probabilities.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, as_count
 
 PROB_FLOOR = 1e-12  # floor inside log() when training; keeps CE finite
-
-
-def as_count(value, what: str) -> int:
-    """`value` as an int, refused unless it is an integer: a Python or numpy
-    integer passes, while a bool, float or string raises DomainError
-    instead of being converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Each sample is integrated against the first J elements of the tensor
 Fourier basis with the grid's quadrature weights; the resulting score
-vectors are what the network consumes.
+vectors are what the network consumes.  The grid fixes everything else:
+its shape gives the nodes and weights, and its dimension the basis order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisOrder, Grid, design_matrix
+from .basis import Grid, design_matrix
 from .errors import AliasingWarning, DomainError
 
 
@@ -57,7 +58,7 @@ def _check_aliasing(J: int, grid: Grid) -> None:
         )
 
 
-def project_batch(values: np.ndarray, grid: Grid, order: BasisOrder, J: int) -> np.ndarray:
+def project_batch(values: np.ndarray, grid: Grid, J: int) -> np.ndarray:
     """Scores for an (n, m) batch of samples, returned as (n, J).
 
     score_j = sum over nodes of weight * value * phi_j(node).
@@ -66,5 +67,5 @@ def project_batch(values: np.ndarray, grid: Grid, order: BasisOrder, J: int) -> 
     if values.ndim != 2 or values.shape[1] != grid.m:
         raise DomainError("values must be (n, m) matching the grid")
     _check_aliasing(J, grid)
-    phi = design_matrix(order, J, grid)
+    phi = design_matrix(J, grid)
     return (values * grid.node_weights()[None, :]) @ phi

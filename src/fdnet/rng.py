@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import as_seed
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
     """Normalize a non-negative int or a SeedSequence to a SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    if int(seed) < 0:
-        raise DomainError(f"a seed must be a non-negative integer, got {seed}")
-    return np.random.SeedSequence(int(seed))
+    return np.random.SeedSequence(as_seed(seed))
 
 
 def seed_to_int(ss: np.random.SeedSequence) -> int:

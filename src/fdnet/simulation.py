@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Grid, midpoint_grid
+from .basis import Grid
 from .errors import DomainError
 from .network import predicted_class
 from .projection import Dataset
@@ -227,7 +227,7 @@ def resolve_grid(model: SimModel, m: int) -> Grid:
             f"unsupported sampling frequency m={m} for a {model.d}-dimensional model; "
             f"supported: {sorted(table)}"
         )
-    return midpoint_grid(table[m])
+    return Grid(table[m])
 
 
 def generate_dataset(

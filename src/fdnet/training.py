@@ -1,8 +1,10 @@
 """Minibatch training under cross-entropy and data-split model selection.
 
 `train` fits one network with the adaptive-moment (Adam) update and
-inverted dropout on hidden units.  `select` runs the full hyperparameter
-procedure: extract scores once at the largest candidate J, split 70/30
+inverted dropout on hidden units.  `select(dataset, cfg, grid)` runs the
+full hyperparameter procedure over the candidate `HyperGrid`: extract
+scores once at the largest candidate J, on the basis of the dataset's
+dimension (the basis order depends on nothing else), split 70/30
 stratified by class, train every candidate cell on the training fold,
 score it by 0-1 error on the validation fold (through `network.classify`,
 the same streaming inference loop and argmax rule every prediction uses),
@@ -43,12 +45,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import BasisOrder
-from .errors import DomainError, NumericError
+from .basis import Grid
+from .errors import DomainError, NumericError, as_count, as_real, as_seed
 from .network import (
     Architecture,
     NetworkParams,
-    as_count,
     classify,
     initial_params,
     loss_and_gradient,
@@ -86,6 +87,9 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
             object.__setattr__(self, name, as_count(getattr(self, name), name))
+        for name in ("learning_rate", "dropout"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         if self.epochs < 1:
             raise DomainError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -263,9 +267,13 @@ class HyperGrid:
     dropouts: tuple
 
     def __post_init__(self):
-        for name in ("n_scores", "depths", "widths"):
-            object.__setattr__(self, name, tuple(as_count(v, name) for v in getattr(self, name)))
-        object.__setattr__(self, "dropouts", tuple(self.dropouts))
+        for name, entry in (("n_scores", as_count), ("depths", as_count), ("widths", as_count),
+                            ("dropouts", as_real)):
+            try:
+                values = tuple(getattr(self, name))
+            except TypeError:  # not a sequence at all
+                raise DomainError(f"{name} must be a list, got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, tuple(entry(v, name) for v in values))
         if not all((self.n_scores, self.depths, self.widths, self.dropouts)):
             raise DomainError("every candidate list must be nonempty")
         if any(j < 1 for j in self.n_scores) or any(l < 1 for l in self.depths):
@@ -303,19 +311,16 @@ class Classifier:
     The network reads the first `params.architecture.input_dim` scores on
     the d-dimensional basis, d = len(grid_shape).  It accepts data on any
     grid over [0,1]^d and refuses data of another dimension.  `grid_shape`
-    holds 1 to 3 positive integers.
+    follows the rule of `basis.Grid`: 1 to 3 positive integers.
     """
 
     params: NetworkParams
     grid_shape: tuple
 
     def __post_init__(self):
-        shape = self.grid_shape
-        if isinstance(shape, (tuple, list)):
-            shape = tuple(as_count(s, "a grid_shape entry") for s in shape)
-        if not (isinstance(shape, tuple) and 1 <= len(shape) <= 3 and min(shape) >= 1):
-            raise DomainError(f"grid_shape must hold 1 to 3 positive integers, got {shape!r}")
-        object.__setattr__(self, "grid_shape", shape)
+        if not isinstance(self.params, NetworkParams):
+            raise DomainError(f"params must be NetworkParams, got {type(self.params).__name__}")
+        object.__setattr__(self, "grid_shape", Grid(self.grid_shape).shape)
 
 
 @dataclass
@@ -351,12 +356,7 @@ def _absorb_input_affine(params: NetworkParams, mu: np.ndarray, sd: np.ndarray) 
     return out
 
 
-def select(
-    dataset: Dataset,
-    order: BasisOrder,
-    grid: HyperGrid,
-    cfg: TrainConfig,
-) -> SelectionResult:
+def select(dataset: Dataset, cfg: TrainConfig, grid: HyperGrid) -> SelectionResult:
     """Full data-splitting selection over the candidate grid.
 
     Scores are extracted once at max(n_scores) and truncated per cell.
@@ -373,7 +373,7 @@ def select(
     k = dataset.n_classes
 
     j_max = max(grid.n_scores)
-    raw_scores = project_batch(dataset.values, dataset.grid, order, j_max)
+    raw_scores = project_batch(dataset.values, dataset.grid, j_max)
 
     streams = as_seed_sequence(cfg.seed).spawn(grid.n_cells + 2)
     train_idx, val_idx = split_70_30(labels, streams[0])

@@ -26,9 +26,9 @@ import fdnet
 from fdnet import (
     AliasingWarning,
     Architecture,
-    BasisOrder,
     EvalConfig,
     FormatError,
+    Grid,
     HyperGrid,
     TrainConfig,
     backward,
@@ -40,7 +40,6 @@ from fdnet import (
     get_model,
     gram_matrix,
     initial_params,
-    midpoint_grid,
     predict,
     select,
     truncated_kl_risk,
@@ -117,9 +116,8 @@ def test_c1_gradient_correctness():
 
 
 def test_c2_basis_orthonormality():
-    order = BasisOrder(2)
-    dev50 = np.abs(gram_matrix(order, 9, midpoint_grid((50, 50))) - np.eye(9)).max()
-    dev100 = np.abs(gram_matrix(order, 9, midpoint_grid((100, 100))) - np.eye(9)).max()
+    dev50 = np.abs(gram_matrix(9, Grid((50, 50))) - np.eye(9)).max()
+    dev100 = np.abs(gram_matrix(9, Grid((100, 100))) - np.eye(9)).max()
     # both grids resolve the first 9 elements exactly, so the deviations sit
     # at the accumulation roundoff floor; non-increase is judged above it
     ok = dev50 <= 1e-3 and (dev100 <= dev50 or dev100 <= 1e-12)
@@ -180,10 +178,9 @@ def test_c6_bayes_oracle_consistency():
     model = get_model("2d-gaussian")
     oracle = bayes_error_mc(model, 100_000, seed=202)
     assert abs(oracle - PINNED_BAYES_ERROR) < 0.005, "oracle drifted from the pinned reference"
-    order = BasisOrder(2)
     train_ds = generate_dataset(model, 700, m=400, seed=1234, subset="train")
     test_ds = generate_dataset(model, 300, m=400, seed=1234, subset="test")
-    result = select(train_ds, order, DENSE_GRID, BENCH_CFG)
+    result = select(train_ds, BENCH_CFG, DENSE_GRID)
     err = evaluate(result.classifier, test_ds)[0]
     ok = err <= PINNED_BAYES_ERROR + 0.05
     report(
@@ -255,9 +252,8 @@ MNIST_CELL = HyperGrid(n_scores=(500,), depths=(3,), widths=(1000,), dropouts=(0
 
 
 def _digits_accuracy(train_ds, test_ds, epochs):
-    order = BasisOrder(2)
     cfg = TrainConfig(epochs=epochs, batch_size=128, learning_rate=1e-3, seed=6)
-    result = select(train_ds, order, MNIST_CELL, cfg)
+    result = select(train_ds, cfg, MNIST_CELL)
     return float(np.mean(predict(result.classifier, test_ds)[0] == test_ds.labels)), result.chosen
 
 
@@ -447,6 +443,6 @@ def test_extended_selection_recovers_published_cell():
         dropouts=(0.01, 0.1, 0.5),
     )
     cfg = TrainConfig(epochs=30, batch_size=128, learning_rate=1e-3, seed=8)
-    result = select(train_ds, BasisOrder(2), grid, cfg)
+    result = select(train_ds, cfg, grid)
     print(f"\n[INFO] extended selection chose {result.chosen.as_tuple()}")
     assert result.chosen.as_tuple() == (500, 3, 1000, 0.01)

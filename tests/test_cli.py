@@ -130,12 +130,12 @@ class TestMalformedInputs:
     def test_empty_dataset_exits_1(self, tmp_path, capsys, command):
         import struct
 
-        from fdnet import Dataset, midpoint_grid
+        from fdnet import Dataset, Grid
         from fdnet.dataio import save_dataset
 
         empty = tmp_path / "empty.mfd"
         save_dataset(
-            Dataset(values=np.zeros((0, 9)), grid=midpoint_grid(9),
+            Dataset(values=np.zeros((0, 9)), grid=Grid((9,)),
                     labels=np.zeros(0, dtype=np.int64), n_classes=3),
             empty,
         )

@@ -11,10 +11,10 @@ from fdnet import (
     Dataset,
     DomainError,
     FormatError,
+    Grid,
     generate_dataset,
     get_model,
     initial_params,
-    midpoint_grid,
 )
 from fdnet import dataio
 from fdnet.dataio import (
@@ -37,15 +37,14 @@ def datasets_equal(a, b):
         np.array_equal(a.values, b.values)
         and np.array_equal(a.labels, b.labels)
         and a.n_classes == b.n_classes
-        and a.grid.shape == b.grid.shape
-        and all(map(np.array_equal, a.grid.axes + a.grid.axis_weights, b.grid.axes + b.grid.axis_weights))
+        and a.grid == b.grid
     )
 
 
 class TestDatasetRoundTrip:
     def test_empty_dataset(self, tmp_path):
         empty = Dataset(
-            values=np.empty((0, 9)), grid=midpoint_grid((3, 3)), labels=np.empty(0, int), n_classes=3
+            values=np.empty((0, 9)), grid=Grid((3, 3)), labels=np.empty(0, int), n_classes=3
         )
         path = tmp_path / "empty.mfd"
         save_dataset(empty, path)
@@ -354,7 +353,7 @@ class TestCsvWriters:
         rng = np.random.default_rng(12)
         values = rng.standard_normal((n, 27)) * 10.0 ** rng.integers(-300, 300, (n, 27))
         values[:, 0] = -0.0
-        ds = Dataset(values=values, grid=midpoint_grid((3, 3, 3)),
+        ds = Dataset(values=values, grid=Grid((3, 3, 3)),
                      labels=rng.integers(0, 4, n), n_classes=3)
         path = tmp_path / "dump.csv"
         dataset_to_csv(ds, path)

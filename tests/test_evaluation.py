@@ -98,12 +98,12 @@ class TestEvaluate:
 
     def test_other_dimension_refused(self):
         # the library path refuses it too, not only the command line
-        from fdnet import BasisOrder, evaluate, generate_dataset, predict, select
+        from fdnet import evaluate, generate_dataset, predict, select
 
         square = generate_dataset(get_model("2d-gaussian"), 12, m=9, seed=2, subset="train")
         grid = HyperGrid(n_scores=(4,), depths=(1,), widths=(8,), dropouts=(0.0,))
         cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=1e-2, seed=3)
-        model = select(square, BasisOrder(2), grid, cfg).classifier
+        model = select(square, cfg, grid).classifier
         cube = generate_dataset(get_model("3d-gaussian"), 4, m=8, seed=4, subset="test")
         for score in (predict, evaluate):
             with pytest.raises(DomainError, match="trained on 2-D data, but the data is 3-D"):
@@ -223,21 +223,20 @@ class TestBenchmark:
         # better; risk measured against the exact posteriors on 10^4 draws
         import warnings
 
-        from fdnet import AliasingWarning, BasisOrder, bayes_posterior, generate_dataset, select
+        from fdnet import AliasingWarning, bayes_posterior, generate_dataset, select
         from fdnet.network import _forward_pass, softmax
         from fdnet.projection import project_batch
 
         warnings.filterwarnings("ignore", category=AliasingWarning)
         model = get_model("2d-gaussian")
-        order = BasisOrder(2)
         grid = HyperGrid(n_scores=(10,), depths=(3,), widths=(64,), dropouts=(0.01,))
         cfg = TrainConfig(epochs=100, batch_size=32, learning_rate=1e-3, seed=0)
 
         def risk_at(n_per_class):
             train_ds = generate_dataset(model, n_per_class, m=400, seed=77, subset="train")
             test_ds = generate_dataset(model, 3334, m=400, seed=77, subset="test")
-            result = select(train_ds, order, grid, cfg)
-            scores = project_batch(test_ds.values, test_ds.grid, order, 10)
+            result = select(train_ds, cfg, grid)
+            scores = project_batch(test_ds.values, test_ds.grid, 10)
             _, _, logits = _forward_pass(result.classifier.params, scores)
             return truncated_kl_risk(bayes_posterior(model, test_ds.latent), softmax(logits), 2.0)
 

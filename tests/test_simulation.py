@@ -3,13 +3,13 @@ import pytest
 
 from fdnet import (
     DomainError,
+    Grid,
     SimModel,
     bayes_error_mc,
     bayes_posterior,
     default_test_size,
     generate_dataset,
     get_model,
-    midpoint_grid,
 )
 from fdnet.simulation import ExponentialLaw, GaussianLaw, StudentTLaw
 
@@ -113,19 +113,19 @@ class TestDrawScores:
 class TestSynthesize:
     def test_zero_scores(self):
         model = get_model("2d-gaussian")
-        values = model.psi_matrix(midpoint_grid((4, 4))) @ np.zeros(5)
+        values = model.psi_matrix(Grid((4, 4))) @ np.zeros(5)
         np.testing.assert_array_equal(values, np.zeros(16))
 
     def test_first_function_is_first_coordinate(self):
         model = get_model("2d-gaussian")
-        grid = midpoint_grid((5, 5))
+        grid = Grid((5, 5))
         values = model.psi_matrix(grid) @ np.array([1.0, 0, 0, 0, 0])
         np.testing.assert_allclose(values, grid.node_matrix()[:, 0])
 
     def test_point_value(self):
         # scores (1,1,0,0,0) at node (0.25, 0.75): 0.25 + 0.75 = 1
         model = get_model("2d-gaussian")
-        grid = midpoint_grid((2, 2))
+        grid = Grid((2, 2))
         values = model.psi_matrix(grid) @ np.array([1.0, 1, 0, 0, 0])
         nodes = grid.node_matrix()
         idx = np.flatnonzero((nodes[:, 0] == 0.25) & (nodes[:, 1] == 0.75))[0]
@@ -133,7 +133,7 @@ class TestSynthesize:
 
     def test_linear_in_scores(self):
         model = get_model("3d-gaussian")
-        psi = model.psi_matrix(midpoint_grid((3, 3, 3)))
+        psi = model.psi_matrix(Grid((3, 3, 3)))
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((2, 9))
         np.testing.assert_allclose(
@@ -142,9 +142,9 @@ class TestSynthesize:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            get_model("2d-gaussian").psi_matrix(midpoint_grid((3, 3, 3)))
+            get_model("2d-gaussian").psi_matrix(Grid((3, 3, 3)))
         with pytest.raises(DomainError):
-            get_model("3d-gaussian").psi_matrix(midpoint_grid((3, 3)))
+            get_model("3d-gaussian").psi_matrix(Grid((3, 3)))
 
 
 class TestGenerateDataset:

@@ -3,15 +3,14 @@ import pytest
 
 from fdnet import (
     Architecture,
-    BasisOrder,
     Dataset,
     DomainError,
+    Grid,
     HyperGrid,
     NumericError,
     TrainConfig,
     classify,
     initial_params,
-    midpoint_grid,
     select,
     split_70_30,
     train,
@@ -267,9 +266,8 @@ class TestSplit:
 def toy_functional_dataset(rng, n_per, centers, grid_points=12):
     """1-D functional samples whose first Fourier scores form blobs at
     `centers` (coefficients on the constant and first cosine element)."""
-    grid = midpoint_grid(grid_points)
-    order = BasisOrder(1)
-    phi = design_matrix(order, 2, grid)
+    grid = Grid((grid_points,))
+    phi = design_matrix(2, grid)
     values, labels = [], []
     for k, c in enumerate(centers, start=1):
         coef = np.asarray(c) + rng.standard_normal((n_per, 2))
@@ -289,7 +287,7 @@ class TestSelect:
         ds = toy_functional_dataset(rng, 20, [(0, 0), (8, 8)])
         grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(8,), dropouts=(0.0,))
         cfg = TrainConfig(epochs=20, batch_size=8, learning_rate=1e-2, seed=13)
-        result = select(ds, BasisOrder(1), grid, cfg)
+        result = select(ds, cfg, grid)
         assert result.chosen.as_tuple() == (2, 1, 8, 0.0)
         assert result.validation_errors.shape == (1, 1, 1, 1)
         assert result.classifier.grid_shape == ds.grid.shape
@@ -300,9 +298,8 @@ class TestSelect:
         rng = np.random.default_rng(14)
         centers1 = [(-8, -8), (8, 8)]
         centers2 = [(-8, 8), (8, -8)]
-        grid1d = midpoint_grid(12)
-        order = BasisOrder(1)
-        phi = design_matrix(order, 2, grid1d)
+        grid1d = Grid((12,))
+        phi = design_matrix(2, grid1d)
         values, labels = [], []
         for c in centers1:
             coef = np.asarray(c) + rng.standard_normal((30, 2))
@@ -320,7 +317,7 @@ class TestSelect:
         )
         grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(1, 64), dropouts=(0.0,))
         cfg = TrainConfig(epochs=60, batch_size=16, learning_rate=1e-2, seed=15)
-        result = select(ds, order, grid, cfg)
+        result = select(ds, cfg, grid)
         assert result.chosen.width == 64
         errs = {
             cell: result.validation_errors[idx]
@@ -333,7 +330,7 @@ class TestSelect:
         ds = toy_functional_dataset(rng, 25, [(0, 0), (9, 9)])
         grid = HyperGrid(n_scores=(1, 2), depths=(1,), widths=(4, 8), dropouts=(0.0, 0.1))
         cfg = TrainConfig(epochs=25, batch_size=8, learning_rate=1e-2, seed=17)
-        result = select(ds, BasisOrder(1), grid, cfg)
+        result = select(ds, cfg, grid)
         shape = result.validation_errors.shape
         best = min(
             (result.validation_errors[idx], cell)
@@ -347,8 +344,8 @@ class TestSelect:
         ds = toy_functional_dataset(rng, 15, [(0, 0), (7, 7)])
         grid = HyperGrid(n_scores=(2,), depths=(1, 2), widths=(4,), dropouts=(0.0, 0.2))
         cfg = TrainConfig(epochs=10, batch_size=8, learning_rate=1e-2, seed=19)
-        a = select(ds, BasisOrder(1), grid, cfg)
-        b = select(ds, BasisOrder(1), grid, cfg)
+        a = select(ds, cfg, grid)
+        b = select(ds, cfg, grid)
         assert a.chosen == b.chosen
         np.testing.assert_array_equal(a.validation_errors, b.validation_errors)
         assert params_equal(a.classifier.params, b.classifier.params)
@@ -360,10 +357,10 @@ class TestSelect:
         ds = toy_functional_dataset(rng, 30, [(0, 0), (500, 500)])
         grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(8,), dropouts=(0.0,))
         cfg = TrainConfig(epochs=30, batch_size=8, learning_rate=1e-2, seed=21)
-        result = select(ds, BasisOrder(1), grid, cfg)
+        result = select(ds, cfg, grid)
         from fdnet import project_batch
 
-        scores = project_batch(ds.values, ds.grid, BasisOrder(1), 2)
+        scores = project_batch(ds.values, ds.grid, 2)
         pred = classify(result.classifier.params, scores)
         assert np.mean(pred != ds.labels) <= 0.05
 
@@ -373,7 +370,7 @@ class TestSelect:
         ds.labels[0] = 0
         grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(4,), dropouts=(0.0,))
         with pytest.raises(DomainError):
-            select(ds, BasisOrder(1), grid, TrainConfig(epochs=1, batch_size=4, seed=0))
+            select(ds, TrainConfig(epochs=1, batch_size=4, seed=0), grid)
 
 
 class TestHyperGrid:
