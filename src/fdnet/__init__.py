@@ -13,7 +13,7 @@ command-line surface.
 
 from .basis import Grid, gram_matrix
 from .errors import AliasingWarning, DomainError, FdnetError, FormatError, NumericError
-from .evaluation import EvalConfig, benchmark, evaluate, predict, truncated_kl_risk
+from .evaluation import benchmark, evaluate, predict, truncated_kl_risk
 from .network import Architecture, NetworkParams, backward, classify, forward, initial_params
 from .projection import Dataset, project_batch
 from .simulation import SimModel, bayes_error_mc, bayes_posterior, default_test_size

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from . import dataio, idx
 from .errors import DomainError, FdnetError, NumericError
-from .evaluation import EvalConfig, benchmark, evaluate, predict, truncated_kl_risk
+from .evaluation import benchmark, evaluate, predict, truncated_kl_risk
 from .network import one_hot
 from .projection import Dataset
 from .simulation import generate_dataset, get_model
@@ -41,7 +41,6 @@ def _train_config(args) -> TrainConfig:
         epochs=args.epochs,
         batch_size=args.batch,
         learning_rate=args.lr,
-        seed=args.seed,
     )
 
 
@@ -50,13 +49,6 @@ def _head(dataset: Dataset, limit: int) -> Dataset:
     if not limit:
         return dataset
     return replace(dataset, values=dataset.values[:limit], labels=dataset.labels[:limit])
-
-
-def _require_labeled(dataset: Dataset, what: str) -> None:
-    if len(dataset) == 0:
-        raise DomainError(f"{what} data has no samples")
-    if dataset.labels.min() < 1:
-        raise DomainError(f"{what} data contains unlabeled samples")
 
 
 def _cmd_simulate(args) -> int:
@@ -76,11 +68,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _run_selection(dataset: Dataset, grid_path: str, cfg: TrainConfig, out: str) -> SelectionResult:
-    _require_labeled(dataset, "training")
+def _run_selection(
+    dataset: Dataset, grid_path: str, cfg: TrainConfig, seed: int, out: str
+) -> SelectionResult:
     grid = dataio.load_hypergrid(grid_path)
-    result = select(dataset, cfg, grid)
-    dataio.save_model(result.classifier, out, metadata=dataio.metadata_for(result.chosen, cfg))
+    result = select(dataset, cfg, grid, seed)
+    metadata = dataio.metadata_for(result.chosen, cfg, seed)
+    dataio.save_model(result.classifier, out, metadata=metadata)
     c = result.chosen
     print(
         f"chosen J={c.n_scores} L={c.depth} width={c.width} dropout={c.dropout}; "
@@ -91,7 +85,7 @@ def _run_selection(dataset: Dataset, grid_path: str, cfg: TrainConfig, out: str)
 
 def _cmd_train(args) -> int:
     dataset = dataio.load_dataset(args.data)
-    _run_selection(dataset, args.grid, _train_config(args), args.out)
+    _run_selection(dataset, args.grid, _train_config(args), args.seed, args.out)
     return 0
 
 
@@ -106,7 +100,6 @@ def _cmd_predict(args) -> int:
 
 def _cmd_eval(args) -> int:
     dataset = dataio.load_dataset(args.data)
-    _require_labeled(dataset, "evaluation")
     model, _ = dataio.load_model(args.model)
     err, conf, probs = evaluate(model, dataset)
     # computed first, so that a refused C0 leaves no partial report
@@ -125,15 +118,14 @@ def _cmd_eval(args) -> int:
 def _cmd_benchmark(args) -> int:
     model = get_model(args.model_id)
     grid = dataio.load_hypergrid(args.grid)
-    cfg = _train_config(args)
-    eval_cfg = EvalConfig(replicates=args.reps, seed=args.seed)
     report = benchmark(
         model,
         args.nk,
         args.m,
         grid,
-        cfg,
-        eval_cfg,
+        _train_config(args),
+        replicates=args.reps,
+        seed=args.seed,
         test_per_class=args.test_nk,
         workers=args.workers,
     )
@@ -155,7 +147,7 @@ def _cmd_mnist(args) -> int:
         if limit < 0:
             raise DomainError(f"a sample limit must be >= 0, got {limit}")
     dataset = _head(idx.load_idx(args.images, args.labels), args.limit)
-    result = _run_selection(dataset, args.grid, _train_config(args), args.out)
+    result = _run_selection(dataset, args.grid, _train_config(args), args.seed, args.out)
     if args.test_images and args.test_labels:
         # the model just written, still in memory; IDX data is always 2-D
         test = _head(idx.load_idx(args.test_images, args.test_labels), args.test_limit)

@@ -359,10 +359,11 @@ def dataset_to_csv(dataset: Dataset, path) -> None:
             )
 
 
-def metadata_for(chosen: Chosen, cfg) -> dict:
-    """Standard training metadata recorded into model files."""
+def metadata_for(chosen: Chosen, cfg, seed: int) -> dict:
+    """Standard training metadata recorded into model files: the selection
+    seed, the chosen tuple and the optimizer schedule."""
     return {
-        "seed": cfg.seed,
+        "seed": seed,
         "chosen": {
             "J": chosen.n_scores,
             "L": chosen.depth,

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_count, as_real, as_seed
+from .errors import DomainError, as_count, as_real
 from .network import forward, predicted_class
 from .projection import Dataset, project_batch
 from .rng import as_seed_sequence, seed_to_int
@@ -63,7 +63,10 @@ def truncated_kl_risk(true_posteriors, estimated_posteriors, c0: float = 2.0) ->
     must be finite and at least 2.  Both arguments are (n, K) arrays, one
     row per sample.
     """
-    _check_truncation(c0)
+    c0 = as_real(c0, "c0")
+    # written so that NaN fails too
+    if not (math.isfinite(c0) and c0 >= 2.0):
+        raise DomainError(f"truncation constant must be a finite number >= 2, got {c0}")
     p = np.asarray(true_posteriors, dtype=float)
     q = np.asarray(estimated_posteriors, dtype=float)
     if p.ndim != 2 or p.shape != q.shape:
@@ -73,29 +76,6 @@ def truncated_kl_risk(true_posteriors, estimated_posteriors, c0: float = 2.0) ->
         capped = np.minimum(ratio, c0)
         terms = np.where(p > 0.0, p * capped, 0.0)
     return float(terms.sum(axis=1).mean())
-
-
-def _check_truncation(c0: float) -> None:
-    # written so that NaN fails too
-    if not (math.isfinite(c0) and c0 >= 2.0):
-        raise DomainError(f"truncation constant must be a finite number >= 2, got {c0}")
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Risk-reporting settings: truncation constant, replicates, master seed."""
-
-    c0: float = 2.0
-    replicates: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "c0", as_real(self.c0, "c0"))
-        object.__setattr__(self, "replicates", as_count(self.replicates, "replicates"))
-        object.__setattr__(self, "seed", as_seed(self.seed))
-        _check_truncation(self.c0)
-        if self.replicates < 1:
-            raise DomainError(f"replicates must be >= 1, got {self.replicates}")
 
 
 @dataclass
@@ -141,8 +121,13 @@ def predict(model: Classifier, dataset: Dataset):
 
 
 def evaluate(model: Classifier, dataset: Dataset):
-    """(error_rate, confusion, probs) of a fitted classifier on a labeled
-    dataset of its dimension, with the network's number of classes."""
+    """(error_rate, confusion, probs) of a fitted classifier on a nonempty,
+    fully labeled dataset of its dimension, with the network's number of
+    classes."""
+    if len(dataset) == 0:
+        raise DomainError("evaluation data has no samples")
+    if dataset.labels.min() < 1:
+        raise DomainError("evaluation data contains unlabeled samples")
     k = model.params.architecture.n_classes
     if dataset.n_classes != k:
         raise DomainError(f"the model has {k} classes, but the data has {dataset.n_classes}")
@@ -152,17 +137,16 @@ def evaluate(model: Classifier, dataset: Dataset):
 
 
 def _run_replicate(args):
-    (model, n_k, m, grid, cfg, rep_ss, test_nk, c0) = args
+    (model, n_k, m, grid, cfg, rep_ss, test_nk) = args
     data_ss, select_ss = rep_ss.spawn(2)
     train_ds = generate_dataset(model, n_k, m=m, seed=data_ss, subset="train")
     test_ds = generate_dataset(model, test_nk, m=m, seed=data_ss, subset="test")
-    cfg_rep = replace(cfg, seed=seed_to_int(select_ss))
-    result = select(train_ds, cfg_rep, grid)
+    result = select(train_ds, cfg, grid, seed_to_int(select_ss))
     err, conf, probs = evaluate(result.classifier, test_ds)
 
     kl = None
     if model.is_gaussian:
-        kl = truncated_kl_risk(bayes_posterior(model, test_ds.latent), probs, c0)
+        kl = truncated_kl_risk(bayes_posterior(model, test_ds.latent), probs)
     return err, result.chosen, conf, kl
 
 
@@ -171,28 +155,36 @@ def benchmark(
     n_per_class: int,
     m: int,
     grid: HyperGrid,
-    train_cfg: TrainConfig,
-    eval_cfg: EvalConfig,
+    cfg: TrainConfig,
     *,
+    replicates: int,
+    seed,
     test_per_class: int | None = None,
     workers: int = 1,
 ) -> EvalReport:
     """Replicated end-to-end benchmark of one model configuration.
 
-    Each replicate generates independent train and test data, runs the
-    selection procedure, and scores the chosen model on the test set.
-    `workers` > 1 distributes replicates over processes without changing
-    any result.
+    Each of the `replicates` replicates generates independent train and
+    test data, runs the selection procedure, and scores the chosen model on
+    the test set; `seed` is the master seed of every replicate's streams.
+    The KL risk uses `truncated_kl_risk`'s default truncation constant.
+    `workers` > 1 distributes replicates over at most `replicates`
+    processes without changing any result.
     """
+    reps = as_count(replicates, "replicates")
+    if reps < 1:
+        raise DomainError(f"replicates must be >= 1, got {reps}")
+    n_per_class, m = as_count(n_per_class, "n_per_class"), as_count(m, "m")
+    workers = as_count(workers, "workers")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    reps = eval_cfg.replicates
-    test_nk = test_per_class if test_per_class is not None else default_test_size(n_per_class)
-    rep_streams = as_seed_sequence(eval_cfg.seed).spawn(reps)
-    arglist = [
-        (model, n_per_class, m, grid, train_cfg, rep_streams[r], test_nk, eval_cfg.c0)
-        for r in range(reps)
-    ]
+    workers = min(workers, reps)
+    if test_per_class is None:
+        test_nk = default_test_size(n_per_class)
+    else:
+        test_nk = as_count(test_per_class, "test_per_class")
+    rep_streams = as_seed_sequence(seed).spawn(reps)
+    arglist = [(model, n_per_class, m, grid, cfg, rep_streams[r], test_nk) for r in range(reps)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_replicate, arglist))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Grid
-from .errors import DomainError
+from .errors import DomainError, as_count
 from .network import predicted_class
 from .projection import Dataset
 from .rng import as_seed_sequence
@@ -244,6 +244,7 @@ def generate_dataset(
     streams, so requesting both yields independent data.  The returned
     dataset carries the latent score vectors in `latent`.
     """
+    n_per_class = as_count(n_per_class, "n_per_class")
     if n_per_class < 1:
         raise DomainError(f"n_per_class must be >= 1, got {n_per_class}")
     if subset not in ("train", "test"):

@@ -1,8 +1,8 @@
 """Minibatch training under cross-entropy and data-split model selection.
 
 `train` fits one network with the adaptive-moment (Adam) update and
-inverted dropout on hidden units.  `select(dataset, cfg, grid)` runs the
-full hyperparameter procedure over the candidate `HyperGrid`: extract
+inverted dropout on hidden units.  `select(dataset, cfg, grid, seed)` runs
+the full hyperparameter procedure over the candidate `HyperGrid`: extract
 scores once at the largest candidate J, on the basis of the dataset's
 dimension (the basis order depends on nothing else), split 70/30
 stratified by class, train every candidate cell on the training fold,
@@ -20,10 +20,11 @@ the first weight matrix and shift vector of the final model, so the
 returned parameters consume raw scores and the hypothesis class is
 unchanged.
 
-All randomness derives from the integer seed in TrainConfig through
+All randomness of `select` derives from its integer seed through
 deterministically ordered SeedSequence spawns: one stream for the split,
-one per grid cell, one for the final retrain.  Results are therefore
-bit-reproducible and independent of any execution schedule.
+one per grid cell, one for the final retrain.  `train` draws from the
+Generator its caller passes.  Results are therefore bit-reproducible and
+independent of any execution schedule.
 
 One training step works on flat vectors.  The parameters are one
 `NetworkParams`, whose weights and shifts are views into one contiguous
@@ -41,12 +42,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import Grid
-from .errors import DomainError, NumericError, as_count, as_real, as_seed
+from .errors import DomainError, NumericError, as_count, as_real
 from .network import (
     Architecture,
     NetworkParams,
@@ -71,7 +72,7 @@ ADAM_SLICE = 16384
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer schedule; `seed` drives initialization, shuffling and dropout.
+    """Optimizer schedule: epochs, minibatch size and learning rate.
 
     Gradients come from the cross-entropy with probabilities floored at
     1e-12 inside the log.  The adaptive-moment update uses the fixed
@@ -81,15 +82,11 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     learning_rate: float = 1e-3
-    dropout: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
             object.__setattr__(self, name, as_count(getattr(self, name), name))
-        for name in ("learning_rate", "dropout"):
-            object.__setattr__(self, name, as_real(getattr(self, name), name))
-        object.__setattr__(self, "seed", as_seed(self.seed))
+        object.__setattr__(self, "learning_rate", as_real(self.learning_rate, "learning_rate"))
         if self.epochs < 1:
             raise DomainError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -97,8 +94,6 @@ class TrainConfig:
         # learning_rate 0 is allowed as an explicit no-op schedule; NaN fails too
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise DomainError(f"learning_rate must be a finite number >= 0, got {self.learning_rate}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise DomainError(f"dropout must lie in [0, 1), got {self.dropout}")
 
 
 def train(
@@ -107,17 +102,20 @@ def train(
     arch: Architecture,
     cfg: TrainConfig,
     *,
-    rng: np.random.Generator | None = None,
-    on_epoch_end=None,
+    dropout: float = 0.0,
+    rng: np.random.Generator,
 ) -> NetworkParams:
     """Fit a network on (scores, labels); labels are class indices in {1..K}.
 
     Score vectors longer than the architecture's input width are truncated.
-    Every class 1..K must occur at least once.  `on_epoch_end(epoch, loss)`
-    receives the full-training-set floored CE after each epoch.  Raises
-    NumericError with the epoch and batch index if the loss becomes
-    non-finite.
+    Every class 1..K must occur at least once.  `dropout` in [0, 1) is the
+    drop rate of every hidden unit; `rng` draws the initialization, the
+    minibatch order and the dropout masks.  Raises NumericError with the
+    epoch and batch index if the loss becomes non-finite.
     """
+    dropout = as_real(dropout, "dropout")
+    if not 0.0 <= dropout < 1.0:
+        raise DomainError(f"dropout must lie in [0, 1), got {dropout}")
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.ndim != 2 or scores.shape[0] != labels.shape[0]:
@@ -130,17 +128,15 @@ def train(
     y = one_hot(labels, arch.n_classes)
     present = y.sum(axis=0)
     if np.any(present == 0):
-        missing = [i + 1 for i in np.flatnonzero(present == 0)]
+        missing = [int(i) + 1 for i in np.flatnonzero(present == 0)]
         raise DomainError(f"training data has no samples for class(es) {missing}")
 
     x = np.ascontiguousarray(scores[:, : arch.input_dim])
 
-    if rng is None:
-        rng = np.random.default_rng(as_seed_sequence(cfg.seed))
     params = initial_params(arch, rng)
     grad = NetworkParams(arch, np.zeros(arch.param_count))
     state = _OptState(arch.param_count, cfg.learning_rate)
-    keep = 1.0 - cfg.dropout
+    keep = 1.0 - dropout
     mask_cols = list(itertools.accumulate(arch.hidden_widths, initial=0))
 
     for epoch in range(cfg.epochs):
@@ -149,7 +145,7 @@ def train(
             idx = perm[start : start + cfg.batch_size]
             xb, yb = x[idx], y[idx]
             masks = None
-            if cfg.dropout > 0.0:
+            if dropout > 0.0:
                 b = xb.shape[0]
                 # one draw per step; layer l takes the next b * p_l values,
                 # exactly the numbers a per-layer draw would give it
@@ -165,8 +161,6 @@ def train(
                     f"batch {start // cfg.batch_size + 1}"
                 )
             state.step(params.flat, grad.flat)
-        if on_epoch_end is not None:
-            on_epoch_end(epoch, loss_and_gradient(params, x, y))
     return params
 
 
@@ -356,14 +350,18 @@ def _absorb_input_affine(params: NetworkParams, mu: np.ndarray, sd: np.ndarray) 
     return out
 
 
-def select(dataset: Dataset, cfg: TrainConfig, grid: HyperGrid) -> SelectionResult:
+def select(dataset: Dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     """Full data-splitting selection over the candidate grid.
 
     Scores are extracted once at max(n_scores) and truncated per cell.
-    Every cell trains on the 70% fold and is scored by 0-1 error on the
-    30% fold; the final model retrains on all samples with the winning
-    tuple and keeps the dataset's grid shape.
+    Every cell trains on the 70% fold under its own dropout rate and is
+    scored by 0-1 error on the 30% fold; the final model retrains on all
+    samples with the winning tuple and keeps the dataset's grid shape.
+    `seed` (a non-negative int or a SeedSequence) drives every stream.
     """
+    if len(dataset) == 0:
+        raise DomainError("selection data has no samples")
+    streams = as_seed_sequence(seed).spawn(grid.n_cells + 2)
     labels = dataset.labels
     if labels.min() < 1:
         raise DomainError("selection needs fully labeled data")
@@ -375,7 +373,6 @@ def select(dataset: Dataset, cfg: TrainConfig, grid: HyperGrid) -> SelectionResu
     j_max = max(grid.n_scores)
     raw_scores = project_batch(dataset.values, dataset.grid, j_max)
 
-    streams = as_seed_sequence(cfg.seed).spawn(grid.n_cells + 2)
     train_idx, val_idx = split_70_30(labels, streams[0])
 
     mu, sd = _standardization(raw_scores[train_idx])
@@ -387,9 +384,8 @@ def select(dataset: Dataset, cfg: TrainConfig, grid: HyperGrid) -> SelectionResu
     for ci, (flat, cell) in enumerate(zip(np.ndindex(shape), grid.cells())):
         j_c, l_c, w_c, s_c = cell
         arch = Architecture(input_dim=j_c, hidden_widths=(w_c,) * l_c, n_classes=k)
-        cfg_cell = replace(cfg, dropout=s_c)
         rng = np.random.default_rng(streams[1 + ci])
-        params = train(scores[train_idx], labels[train_idx], arch, cfg_cell, rng=rng)
+        params = train(scores[train_idx], labels[train_idx], arch, cfg, dropout=s_c, rng=rng)
         err = float(np.mean(classify(params, scores[val_idx, :j_c]) != labels[val_idx]))
         errors[flat] = err
         key = (err, cell)
@@ -401,7 +397,7 @@ def select(dataset: Dataset, cfg: TrainConfig, grid: HyperGrid) -> SelectionResu
     arch = Architecture(input_dim=j_c, hidden_widths=(w_c,) * l_c, n_classes=k)
     rng = np.random.default_rng(streams[-1])
     mu_all, sd_all = _standardization(raw_scores)
-    final = train((raw_scores - mu_all) / sd_all, labels, arch, replace(cfg, dropout=s_c), rng=rng)
+    final = train((raw_scores - mu_all) / sd_all, labels, arch, cfg, dropout=s_c, rng=rng)
     final = _absorb_input_affine(final, mu_all[:j_c], sd_all[:j_c])
     return SelectionResult(
         chosen=Chosen(j_c, l_c, w_c, s_c),

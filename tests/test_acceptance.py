@@ -26,7 +26,6 @@ import fdnet
 from fdnet import (
     AliasingWarning,
     Architecture,
-    EvalConfig,
     FormatError,
     Grid,
     HyperGrid,
@@ -60,7 +59,7 @@ PINNED_BAYES_ERROR = 0.09333
 
 DENSE_GRID = HyperGrid(n_scores=(5, 10), depths=(2, 3), widths=(32, 64), dropouts=(0.01, 0.1, 0.5))
 SPARSE_GRID_M9 = HyperGrid(n_scores=(1, 2), depths=(2,), widths=(3, 6), dropouts=(0.01, 0.1, 0.5))
-BENCH_CFG = TrainConfig(epochs=100, batch_size=32, learning_rate=1e-3, seed=0)
+BENCH_CFG = TrainConfig(epochs=100, batch_size=32, learning_rate=1e-3)
 
 
 def report(criterion, ok, detail):
@@ -128,7 +127,7 @@ def test_c3_benchmark_2d_gaussian():
     grid = HyperGrid(n_scores=(5, 10), depths=(2, 3), widths=(32, 64), dropouts=(0.01, 0.1))
     rep = benchmark(
         get_model("2d-gaussian"), 200, 100, grid, BENCH_CFG,
-        EvalConfig(replicates=10, seed=42), workers=WORKERS,
+        replicates=10, seed=42, workers=WORKERS,
     )
     ok = 0.10 <= rep.mean_error <= 0.21
     report(
@@ -144,7 +143,7 @@ def test_c4_phase_transition():
     arms = {}
     for m, grid in ((9, SPARSE_GRID_M9), (100, DENSE_GRID), (400, DENSE_GRID)):
         rep = benchmark(
-            model, 350, m, grid, BENCH_CFG, EvalConfig(replicates=10, seed=43), workers=WORKERS
+            model, 350, m, grid, BENCH_CFG, replicates=10, seed=43, workers=WORKERS
         )
         arms[m] = rep.mean_error
     gap = arms[9] - arms[100]
@@ -163,7 +162,7 @@ def test_c5_benchmark_3d_gaussian():
     grid = HyperGrid(n_scores=(9, 18), depths=(2, 3), widths=(32, 64), dropouts=(0.01, 0.1))
     rep = benchmark(
         get_model("3d-gaussian"), 200, 125, grid, BENCH_CFG,
-        EvalConfig(replicates=10, seed=44), workers=WORKERS,
+        replicates=10, seed=44, workers=WORKERS,
     )
     ok = 0.09 <= rep.mean_error <= 0.20
     report(
@@ -180,7 +179,7 @@ def test_c6_bayes_oracle_consistency():
     assert abs(oracle - PINNED_BAYES_ERROR) < 0.005, "oracle drifted from the pinned reference"
     train_ds = generate_dataset(model, 700, m=400, seed=1234, subset="train")
     test_ds = generate_dataset(model, 300, m=400, seed=1234, subset="test")
-    result = select(train_ds, BENCH_CFG, DENSE_GRID)
+    result = select(train_ds, BENCH_CFG, DENSE_GRID, 0)
     err = evaluate(result.classifier, test_ds)[0]
     ok = err <= PINNED_BAYES_ERROR + 0.05
     report(
@@ -252,8 +251,8 @@ MNIST_CELL = HyperGrid(n_scores=(500,), depths=(3,), widths=(1000,), dropouts=(0
 
 
 def _digits_accuracy(train_ds, test_ds, epochs):
-    cfg = TrainConfig(epochs=epochs, batch_size=128, learning_rate=1e-3, seed=6)
-    result = select(train_ds, cfg, MNIST_CELL)
+    cfg = TrainConfig(epochs=epochs, batch_size=128, learning_rate=1e-3)
+    result = select(train_ds, cfg, MNIST_CELL, 6)
     return float(np.mean(predict(result.classifier, test_ds)[0] == test_ds.labels)), result.chosen
 
 
@@ -442,7 +441,7 @@ def test_extended_selection_recovers_published_cell():
         widths=(500, 1000, 2000),
         dropouts=(0.01, 0.1, 0.5),
     )
-    cfg = TrainConfig(epochs=30, batch_size=128, learning_rate=1e-3, seed=8)
-    result = select(train_ds, cfg, grid)
+    cfg = TrainConfig(epochs=30, batch_size=128, learning_rate=1e-3)
+    result = select(train_ds, cfg, grid, 8)
     print(f"\n[INFO] extended selection chose {result.chosen.as_tuple()}")
     assert result.chosen.as_tuple() == (500, 3, 1000, 0.01)

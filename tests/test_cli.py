@@ -447,3 +447,80 @@ class TestUsage:
         out = tmp_path / "dump.csv"
         assert main(["export-csv", "--data", str(data), "--out", str(out)]) == 0
         assert out.read_text().startswith("index,label,v0")
+
+
+FUZZ_VALUES = ("0", "-1", "2.5", "nan", "inf", "-inf", "1e400", "", "x", "99999999999999999999999")
+# each command's numeric options; a huge value is left out where it would
+# start that many processes or allocate, simulate or train that much
+NUMERIC_OPTIONS = {
+    "simulate": ("--nk", "--m", "--test-nk", "--seed"),
+    "train": ("--epochs", "--batch", "--lr", "--seed"),
+    "eval": ("--c0",),
+    "benchmark": ("--nk", "--m", "--reps", "--seed", "--test-nk", "--epochs", "--batch", "--lr",
+                  "--workers"),
+    "mnist": ("--seed", "--limit", "--test-limit", "--epochs", "--batch", "--lr"),
+}
+NO_HUGE = {"--nk", "--m", "--test-nk", "--reps", "--epochs", "--workers"}
+FUZZ_CASES = [
+    (command, option, value)
+    for command, options in NUMERIC_OPTIONS.items()
+    for option in options
+    for value in FUZZ_VALUES
+    if not (option in NO_HUGE and value == FUZZ_VALUES[-1])
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Small input files shared by every fuzz case; cases write elsewhere."""
+    root = tmp_path_factory.mktemp("fuzz_inputs")
+    data = simulate(root, nk=6)
+    grid = grid_file(root)
+    model = root / "model.json"
+    assert main(["train", "--data", str(data), "--grid", grid, "--epochs", "1", "--batch", "8",
+                 "--seed", "1", "--out", str(model)]) == 0
+    img, lab = write_idx_pair(root, 100, seed=1)
+    return {"data": str(data), "grid": grid, "model": str(model), "images": str(img),
+            "labels": str(lab)}
+
+
+def _fuzz_argv(command, inputs, out_dir, override=None):
+    """argv of a small `command` that succeeds, with `override` options."""
+    options = {**_base_options(command, inputs, str(out_dir / "out")), **(override or {})}
+    return [command, *(token for pair in options.items() for token in pair)]
+
+
+def _base_options(command, inputs, out):
+    if command == "simulate":
+        return {"--model": "2d-gaussian", "--nk": "5", "--m": "9", "--seed": "1", "--out": out}
+    if command == "train":
+        return {"--data": inputs["data"], "--grid": inputs["grid"], "--epochs": "1", "--batch": "8",
+                "--seed": "1", "--out": out}
+    if command == "eval":
+        return {"--model": inputs["model"], "--data": inputs["data"]}
+    if command == "benchmark":
+        return {"--model-id": "2d-gaussian", "--nk": "6", "--m": "9", "--reps": "1",
+                "--grid": inputs["grid"], "--seed": "1", "--test-nk": "3", "--epochs": "1",
+                "--batch": "8", "--out": out}
+    return {"--images": inputs["images"], "--labels": inputs["labels"],
+            "--test-images": inputs["images"], "--test-labels": inputs["labels"],
+            "--grid": inputs["grid"], "--seed": "1", "--epochs": "1", "--batch": "8", "--out": out}
+
+
+@pytest.mark.parametrize("command, option, value", FUZZ_CASES)
+def test_numeric_option_fuzz(tmp_path, capsys, fuzz_inputs, command, option, value):
+    """Any value of a numeric option exits 0, 1 or 2 without a traceback,
+    and a refusal or failure writes no file and prints no result."""
+    code = main(_fuzz_argv(command, fuzz_inputs, tmp_path, {option: value}))
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    if code:
+        assert list(tmp_path.iterdir()) == []
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", NUMERIC_OPTIONS)
+def test_fuzz_base_argv_succeeds(tmp_path, fuzz_inputs, command):
+    # each fuzz case changes one option of an invocation that succeeds
+    assert main(_fuzz_argv(command, fuzz_inputs, tmp_path)) == 0

@@ -1,5 +1,5 @@
 """Constructor fuzzing of the library's public value types: every field of
-TrainConfig, HyperGrid, EvalConfig, Grid and Classifier gets each junk
+TrainConfig, HyperGrid, Grid and Classifier gets each junk
 value.  A constructor raises DomainError or builds an object whose field
 holds a value of the field's kind, equal to what was given; any other
 exception, or a value converted into another, is the failure."""
@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from fdnet import Architecture, Classifier, DomainError, EvalConfig, Grid, HyperGrid, TrainConfig
+from fdnet import Architecture, Classifier, DomainError, Grid, HyperGrid, TrainConfig
 from fdnet import initial_params
 
 JUNK = (math.inf, math.nan, -1, 2.5, True, "x", None, np.int64(3), np.float64(0.5))
@@ -18,8 +18,6 @@ def _holds(kind: str, value, given) -> bool:
     """Whether an accepted scalar `value` is of `kind` and equals `given`."""
     if kind == "count":
         ok = type(value) is int and value >= 1
-    elif kind == "seed":
-        ok = type(value) is int and value >= 0
     elif kind == "real":
         ok = type(value) is float and math.isfinite(value)
     else:  # a rate
@@ -56,8 +54,7 @@ def _crashes(build, fields: dict) -> list:
 
 
 def test_train_config():
-    fields = {"epochs": "count", "batch_size": "count", "learning_rate": "real",
-              "dropout": "rate", "seed": "seed"}
+    fields = {"epochs": "count", "batch_size": "count", "learning_rate": "real"}
     assert _crashes(lambda f, v: TrainConfig(**{f: v}), fields) == []
 
 
@@ -65,11 +62,6 @@ def test_hyper_grid():
     valid = {"n_scores": (2,), "depths": (1,), "widths": (4,), "dropouts": (0.0,)}
     fields = {"n_scores": "counts", "depths": "counts", "widths": "counts", "dropouts": "rates"}
     assert _crashes(lambda f, v: HyperGrid(**{**valid, f: v}), fields) == []
-
-
-def test_eval_config():
-    fields = {"c0": "real", "replicates": "count", "seed": "seed"}
-    assert _crashes(lambda f, v: EvalConfig(**{f: v}), fields) == []
 
 
 def test_grid():

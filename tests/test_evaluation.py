@@ -4,7 +4,6 @@ import pytest
 from fdnet import (
     Architecture,
     DomainError,
-    EvalConfig,
     HyperGrid,
     NetworkParams,
     TrainConfig,
@@ -14,6 +13,7 @@ from fdnet import (
     initial_params,
     truncated_kl_risk,
 )
+from fdnet import evaluation
 from fdnet.evaluation import confusion_matrix, misclassification_rate
 from fdnet.network import _forward_pass
 from fdnet.training import Classifier
@@ -102,8 +102,8 @@ class TestEvaluate:
 
         square = generate_dataset(get_model("2d-gaussian"), 12, m=9, seed=2, subset="train")
         grid = HyperGrid(n_scores=(4,), depths=(1,), widths=(8,), dropouts=(0.0,))
-        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=1e-2, seed=3)
-        model = select(square, cfg, grid).classifier
+        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=1e-2)
+        model = select(square, cfg, grid, 3).classifier
         cube = generate_dataset(get_model("3d-gaussian"), 4, m=8, seed=4, subset="test")
         for score in (predict, evaluate):
             with pytest.raises(DomainError, match="trained on 2-D data, but the data is 3-D"):
@@ -111,6 +111,22 @@ class TestEvaluate:
         # another grid over the unit square still scores
         finer = generate_dataset(get_model("2d-gaussian"), 4, m=25, seed=4, subset="test")
         assert evaluate(model, finer)[1].shape == (3, 3)
+
+    def test_empty_or_unlabeled_data_refused(self):
+        from dataclasses import replace
+
+        from fdnet import evaluate, generate_dataset
+
+        data = generate_dataset(get_model("2d-gaussian"), 4, m=9, seed=1, subset="test")
+        model = Classifier(initial_params(Architecture(3, (4,), 3), np.random.default_rng(5)), (3, 3))
+        empty = replace(data, values=data.values[:0], labels=data.labels[:0])
+        with pytest.raises(DomainError, match="no samples"):
+            evaluate(model, empty)
+        one_unlabeled = data.labels.copy()
+        one_unlabeled[0] = 0
+        for labels in (np.zeros_like(data.labels), one_unlabeled):
+            with pytest.raises(DomainError, match="unlabeled"):
+                evaluate(model, replace(data, labels=labels))
 
 
 class TestTruncatedKl:
@@ -139,7 +155,7 @@ class TestTruncatedKl:
 
     def test_validation(self):
         p = np.array([[0.5, 0.5]])
-        for c0 in (1.0, float("nan"), float("inf")):
+        for c0 in (1.0, 1.9, float("nan"), float("inf"), True, "3"):
             with pytest.raises(DomainError):
                 truncated_kl_risk(p, p, c0)
         with pytest.raises(DomainError):
@@ -152,12 +168,6 @@ class TestTruncatedKl:
             with pytest.raises(DomainError, match=r"\(n, K\) arrays"):
                 truncated_kl_risk(true, est, 2.0)
 
-    def test_eval_config_validation(self):
-        for c0 in (1.9, float("nan"), float("inf")):
-            with pytest.raises(DomainError):
-                EvalConfig(c0=c0)
-        with pytest.raises(DomainError):
-            EvalConfig(replicates=0)
 
 
 def tiny_grid():
@@ -165,15 +175,14 @@ def tiny_grid():
 
 
 def tiny_cfg():
-    return TrainConfig(epochs=5, batch_size=8, learning_rate=1e-2, seed=0)
+    return TrainConfig(epochs=5, batch_size=8, learning_rate=1e-2)
 
 
 class TestBenchmark:
     def test_single_replicate_has_no_sd(self):
         model = get_model("2d-gaussian")
-        report = benchmark(
-            model, 12, 9, tiny_grid(), tiny_cfg(), EvalConfig(replicates=1, seed=9), test_per_class=10
-        )
+        report = benchmark(model, 12, 9, tiny_grid(), tiny_cfg(), replicates=1, seed=9,
+                           test_per_class=10)
         assert report.replicates == 1
         assert report.sd is None and report.se is None
         assert report.errors.shape == (1,)
@@ -181,41 +190,23 @@ class TestBenchmark:
 
     def test_confusion_row_sums_accumulate(self):
         model = get_model("2d-gaussian")
-        report = benchmark(
-            model, 12, 9, tiny_grid(), tiny_cfg(), EvalConfig(replicates=2, seed=10), test_per_class=7
-        )
+        report = benchmark(model, 12, 9, tiny_grid(), tiny_cfg(), replicates=2, seed=10,
+                           test_per_class=7)
         np.testing.assert_array_equal(report.confusion.sum(axis=1), [14, 14, 14])
 
     def test_parallel_matches_serial_bitwise(self):
         model = get_model("2d-mixed1")
-        serial = benchmark(
-            model, 12, 9, tiny_grid(), tiny_cfg(), EvalConfig(replicates=3, seed=11), test_per_class=6
-        )
-        parallel = benchmark(
-            model,
-            12,
-            9,
-            tiny_grid(),
-            tiny_cfg(),
-            EvalConfig(replicates=3, seed=11),
-            test_per_class=6,
-            workers=2,
-        )
+        args = (model, 12, 9, tiny_grid(), tiny_cfg())
+        serial = benchmark(*args, replicates=3, seed=11, test_per_class=6)
+        parallel = benchmark(*args, replicates=3, seed=11, test_per_class=6, workers=2)
         np.testing.assert_array_equal(serial.errors, parallel.errors)
         np.testing.assert_array_equal(serial.confusion, parallel.confusion)
         assert [c.as_tuple() for c in serial.chosen] == [c.as_tuple() for c in parallel.chosen]
         assert serial.kl_risks is None and parallel.kl_risks is None  # mixed model
 
     def test_kl_risk_reported_only_for_gaussian_models(self):
-        gaussian = benchmark(
-            get_model("2d-gaussian"),
-            12,
-            9,
-            tiny_grid(),
-            tiny_cfg(),
-            EvalConfig(replicates=1, seed=12),
-            test_per_class=5,
-        )
+        gaussian = benchmark(get_model("2d-gaussian"), 12, 9, tiny_grid(), tiny_cfg(), replicates=1,
+                             seed=12, test_per_class=5)
         assert gaussian.kl_mean is not None and np.isfinite(gaussian.kl_mean)
 
     def test_kl_risk_decreases_with_training_size(self):
@@ -230,14 +221,56 @@ class TestBenchmark:
         warnings.filterwarnings("ignore", category=AliasingWarning)
         model = get_model("2d-gaussian")
         grid = HyperGrid(n_scores=(10,), depths=(3,), widths=(64,), dropouts=(0.01,))
-        cfg = TrainConfig(epochs=100, batch_size=32, learning_rate=1e-3, seed=0)
+        cfg = TrainConfig(epochs=100, batch_size=32, learning_rate=1e-3)
 
         def risk_at(n_per_class):
             train_ds = generate_dataset(model, n_per_class, m=400, seed=77, subset="train")
             test_ds = generate_dataset(model, 3334, m=400, seed=77, subset="test")
-            result = select(train_ds, cfg, grid)
+            result = select(train_ds, cfg, grid, 0)
             scores = project_batch(test_ds.values, test_ds.grid, 10)
             _, _, logits = _forward_pass(result.classifier.params, scores)
             return truncated_kl_risk(bayes_posterior(model, test_ds.latent), softmax(logits), 2.0)
 
         assert risk_at(700) < risk_at(200)
+
+
+
+class TestBenchmarkArguments:
+    def test_pool_capped_at_replicates(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records its size and runs `map` in this process, starting none."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
+        args = (get_model("2d-gaussian"), 12, 9, tiny_grid(), tiny_cfg())
+        serial = benchmark(*args, replicates=2, seed=13, test_per_class=5)
+        pooled = benchmark(*args, replicates=2, seed=13, test_per_class=5, workers=64)
+        benchmark(*args, replicates=1, seed=13, test_per_class=5, workers=64)
+        assert sizes == [2]  # a single replicate runs in this process
+        np.testing.assert_array_equal(serial.errors, pooled.errors)
+
+    @pytest.mark.parametrize("field", ["n_per_class", "m", "test_per_class", "workers", "replicates"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_counts_must_be_integers(self, monkeypatch, field, value):
+        monkeypatch.setattr(evaluation, "_run_replicate", pytest.fail)  # refused before any runs
+        args = {"model": get_model("2d-gaussian"), "n_per_class": 12, "m": 9, "grid": tiny_grid(),
+                "cfg": tiny_cfg(), "replicates": 1, "seed": 0, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            benchmark(**args)
+
+    def test_replicates_at_least_one(self):
+        with pytest.raises(DomainError, match="replicates must be >= 1"):
+            benchmark(get_model("2d-gaussian"), 12, 9, tiny_grid(), tiny_cfg(), replicates=0, seed=0)

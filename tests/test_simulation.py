@@ -108,6 +108,9 @@ class TestDrawScores:
             generate_dataset(model, 0, m=9, seed=0)
         with pytest.raises(DomainError):
             generate_dataset(model, 5, m=9, seed=0, subset="validation")
+        for n_per_class in (2.5, True, "5"):
+            with pytest.raises(DomainError, match="n_per_class must be an integer"):
+                generate_dataset(model, n_per_class, m=9, seed=0)
 
 
 class TestSynthesize:

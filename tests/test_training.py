@@ -16,6 +16,7 @@ from fdnet import (
     train,
 )
 from fdnet.basis import design_matrix
+from fdnet.network import loss_and_gradient, one_hot
 from fdnet.training import ADAM_SLICE, Classifier
 
 
@@ -35,65 +36,64 @@ class TestTrain:
     def test_separable_blobs_reach_zero_error(self):
         rng = np.random.default_rng(0)
         scores, labels = blob_scores(rng, 60, [(0.0, 0.0), (10.0, 10.0)])
-        cfg = TrainConfig(epochs=50, batch_size=16, learning_rate=1e-2, seed=1)
-        params = train(scores, labels, Architecture(2, (8,), 2), cfg)
+        cfg = TrainConfig(epochs=50, batch_size=16, learning_rate=1e-2)
+        params = train(scores, labels, Architecture(2, (8,), 2), cfg, rng=np.random.default_rng(1))
         assert np.mean(classify(params, scores) != labels) == 0.0
 
     def test_bit_identical_reruns(self):
         rng = np.random.default_rng(2)
         scores, labels = blob_scores(rng, 30, [(0, 0), (3, 3), (-3, 3)])
-        cfg = TrainConfig(epochs=10, batch_size=8, learning_rate=1e-3, dropout=0.2, seed=9)
+        cfg = TrainConfig(epochs=10, batch_size=8, learning_rate=1e-3)
         arch = Architecture(2, (6, 6), 3)
-        assert params_equal(train(scores, labels, arch, cfg), train(scores, labels, arch, cfg))
+        rerun = lambda: train(scores, labels, arch, cfg, dropout=0.2, rng=np.random.default_rng(9))
+        assert params_equal(rerun(), rerun())
 
     def test_zero_learning_rate_keeps_initialization(self):
         rng = np.random.default_rng(3)
         scores, labels = blob_scores(rng, 20, [(0, 0), (5, 5)])
-        cfg = TrainConfig(epochs=3, batch_size=10, learning_rate=0.0, seed=11)
+        cfg = TrainConfig(epochs=3, batch_size=10, learning_rate=0.0)
         arch = Architecture(2, (4,), 2)
-        got = train(scores, labels, arch, cfg)
+        got = train(scores, labels, arch, cfg, rng=np.random.default_rng(11))
         expected = initial_params(arch, np.random.default_rng(np.random.SeedSequence(11)))
         assert params_equal(got, expected)
 
-    def test_loss_finite_at_every_epoch_end(self):
+    def test_loss_finite_and_lower_after_training(self):
         rng = np.random.default_rng(4)
         scores, labels = blob_scores(rng, 40, [(0, 0), (2, 2), (4, 0)], spread=2.0)
-        losses = []
-        cfg = TrainConfig(epochs=20, batch_size=16, learning_rate=1e-2, dropout=0.1, seed=5)
-        train(
-            scores,
-            labels,
-            Architecture(2, (8,), 3),
-            cfg,
-            on_epoch_end=lambda e, loss: losses.append(loss),
-        )
-        assert len(losses) == 20
-        assert np.all(np.isfinite(losses))
+        cfg = TrainConfig(epochs=20, batch_size=16, learning_rate=1e-2)
+        arch = Architecture(2, (8,), 3)
+        params = train(scores, labels, arch, cfg, dropout=0.1, rng=np.random.default_rng(5))
+        y = one_hot(labels, 3)
+        before = loss_and_gradient(initial_params(arch, np.random.default_rng(5)), scores, y)
+        after = loss_and_gradient(params, scores, y)
+        assert np.isfinite(after) and after < before
 
     def test_nan_loss_aborts_with_position(self):
         rng = np.random.default_rng(6)
         scores, labels = blob_scores(rng, 30, [(0, 0), (1, 1)])
-        cfg = TrainConfig(epochs=5, batch_size=10, learning_rate=1e200, seed=7)
+        cfg = TrainConfig(epochs=5, batch_size=10, learning_rate=1e200)
         with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
-            train(scores, labels, Architecture(2, (8, 8), 2), cfg)
+            train(scores, labels, Architecture(2, (8, 8), 2), cfg, rng=np.random.default_rng(7))
 
     def test_missing_class_rejected(self):
         rng = np.random.default_rng(8)
         scores, labels = blob_scores(rng, 20, [(0, 0), (5, 5)])
+        cfg = TrainConfig(epochs=1, batch_size=8)
         with pytest.raises(DomainError, match="class"):
-            train(scores, labels, Architecture(2, (4,), 3), TrainConfig(epochs=1, seed=0, batch_size=8))
+            train(scores, labels, Architecture(2, (4,), 3), cfg, rng=np.random.default_rng(0))
 
     def test_batch_size_bounded_by_n(self):
         rng = np.random.default_rng(9)
         scores, labels = blob_scores(rng, 5, [(0, 0), (5, 5)])
+        cfg = TrainConfig(epochs=1, batch_size=64)
         with pytest.raises(DomainError, match="batch_size"):
-            train(scores, labels, Architecture(2, (4,), 2), TrainConfig(epochs=1, batch_size=64, seed=0))
+            train(scores, labels, Architecture(2, (4,), 2), cfg, rng=np.random.default_rng(0))
 
     def test_truncates_wide_scores(self):
         rng = np.random.default_rng(10)
         scores, labels = blob_scores(rng, 20, [(0, 0, 9, 9), (5, 5, 9, 9)])
-        cfg = TrainConfig(epochs=5, batch_size=8, learning_rate=1e-2, seed=3)
-        params = train(scores, labels, Architecture(2, (4,), 2), cfg)
+        cfg = TrainConfig(epochs=5, batch_size=8, learning_rate=1e-2)
+        params = train(scores, labels, Architecture(2, (4,), 2), cfg, rng=np.random.default_rng(3))
         assert params.architecture.input_dim == 2
 
     def test_config_validation(self):
@@ -104,8 +104,14 @@ class TestTrain:
         for lr in (float("nan"), float("inf")):
             with pytest.raises(DomainError):
                 TrainConfig(learning_rate=lr)
-        with pytest.raises(DomainError):
-            TrainConfig(dropout=1.0)
+
+    @pytest.mark.parametrize("dropout", [1.0, -0.1, float("nan"), float("inf"), True, "0.1", None])
+    def test_dropout_outside_unit_interval_refused(self, dropout):
+        rng = np.random.default_rng(8)
+        scores, labels = blob_scores(rng, 10, [(0, 0), (5, 5)])
+        cfg = TrainConfig(epochs=1, batch_size=4)
+        with pytest.raises(DomainError, match="dropout"):
+            train(scores, labels, Architecture(2, (4,), 2), cfg, dropout=dropout, rng=rng)
 
     @pytest.mark.parametrize("field", ["epochs", "batch_size"])
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
@@ -119,7 +125,7 @@ class TestTrain:
         assert type(cfg.epochs) is int and type(cfg.batch_size) is int
 
 
-def reference_train(scores, labels, arch, cfg):
+def reference_train(scores, labels, arch, cfg, dropout, seed):
     """Minibatch training one array at a time: a separate array per weight
     and shift, a fresh gradient per step, one dropout draw per layer and
     the Adam formulas written out per array."""
@@ -127,13 +133,13 @@ def reference_train(scores, labels, arch, cfg):
     x = np.ascontiguousarray(scores[:, : arch.input_dim])
     y = np.zeros((n, k))
     y[np.arange(n), labels - 1] = 1.0
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     init = initial_params(arch, rng)
     weights, shifts = init.weights, init.shifts
     arrays = [*weights, *shifts]
     m = [np.zeros_like(a) for a in arrays]
     v = [np.zeros_like(a) for a in arrays]
-    keep = 1.0 - cfg.dropout
+    keep = 1.0 - dropout
     t = 0
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
@@ -141,7 +147,7 @@ def reference_train(scores, labels, arch, cfg):
             idx = perm[start : start + cfg.batch_size]
             xb, yb = x[idx], y[idx]
             masks = None
-            if cfg.dropout > 0.0:
+            if dropout > 0.0:
                 masks = [(rng.random((len(idx), p)) < keep) / keep for p in arch.hidden_widths]
             acts, pre = [xb], []
             a = xb
@@ -195,10 +201,10 @@ class TestFlatBufferExactness:
     def test_matches_per_array_reference(self, dropout, batch_size, depth):
         rng = np.random.default_rng(24)
         scores, labels = blob_scores(rng, 17, [(0, 0, 1), (3, 3, 0), (-3, 3, 2)], spread=1.5)
-        cfg = TrainConfig(epochs=6, batch_size=batch_size, learning_rate=1e-2, dropout=dropout, seed=25)
+        cfg = TrainConfig(epochs=6, batch_size=batch_size, learning_rate=1e-2)
         arch = Architecture(3, (7,) * depth, 3)
-        got = train(scores, labels, arch, cfg)
-        weights, shifts = reference_train(scores, labels, arch, cfg)
+        got = train(scores, labels, arch, cfg, dropout=dropout, rng=np.random.default_rng(25))
+        weights, shifts = reference_train(scores, labels, arch, cfg, dropout, 25)
         assert all(np.array_equal(a, b) for a, b in zip(got.weights, weights))
         assert all(np.array_equal(a, b) for a, b in zip(got.shifts, shifts))
 
@@ -210,14 +216,14 @@ class TestFlatBufferExactness:
         assert arch.param_count % ADAM_SLICE
         rng = np.random.default_rng(26)
         scores, labels = blob_scores(rng, 10, rng.standard_normal((3, 40)), spread=3.0)
-        cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-2, dropout=0.2, seed=27)
-        got = train(scores, labels, arch, cfg)
-        weights, shifts = reference_train(scores, labels, arch, cfg)
+        cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-2)
+        got = train(scores, labels, arch, cfg, dropout=0.2, rng=np.random.default_rng(27))
+        weights, shifts = reference_train(scores, labels, arch, cfg, 0.2, 27)
         assert all(np.array_equal(a, b) for a, b in zip(got.weights, weights))
         assert all(np.array_equal(a, b) for a, b in zip(got.shifts, shifts))
         # the values on both sides of the slice boundary and the last one
         # must have moved, or this case checks nothing there
-        init = initial_params(arch, np.random.default_rng(np.random.SeedSequence(cfg.seed)))
+        init = initial_params(arch, np.random.default_rng(np.random.SeedSequence(27)))
         moved = np.concatenate([a.ravel() for a in (*weights, *shifts)]) != init.flat
         assert moved[[ADAM_SLICE - 1, ADAM_SLICE, -1]].all()
 
@@ -286,8 +292,8 @@ class TestSelect:
         rng = np.random.default_rng(12)
         ds = toy_functional_dataset(rng, 20, [(0, 0), (8, 8)])
         grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(8,), dropouts=(0.0,))
-        cfg = TrainConfig(epochs=20, batch_size=8, learning_rate=1e-2, seed=13)
-        result = select(ds, cfg, grid)
+        cfg = TrainConfig(epochs=20, batch_size=8, learning_rate=1e-2)
+        result = select(ds, cfg, grid, 13)
         assert result.chosen.as_tuple() == (2, 1, 8, 0.0)
         assert result.validation_errors.shape == (1, 1, 1, 1)
         assert result.classifier.grid_shape == ds.grid.shape
@@ -316,8 +322,8 @@ class TestSelect:
             n_classes=2,
         )
         grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(1, 64), dropouts=(0.0,))
-        cfg = TrainConfig(epochs=60, batch_size=16, learning_rate=1e-2, seed=15)
-        result = select(ds, cfg, grid)
+        cfg = TrainConfig(epochs=60, batch_size=16, learning_rate=1e-2)
+        result = select(ds, cfg, grid, 15)
         assert result.chosen.width == 64
         errs = {
             cell: result.validation_errors[idx]
@@ -329,8 +335,8 @@ class TestSelect:
         rng = np.random.default_rng(16)
         ds = toy_functional_dataset(rng, 25, [(0, 0), (9, 9)])
         grid = HyperGrid(n_scores=(1, 2), depths=(1,), widths=(4, 8), dropouts=(0.0, 0.1))
-        cfg = TrainConfig(epochs=25, batch_size=8, learning_rate=1e-2, seed=17)
-        result = select(ds, cfg, grid)
+        cfg = TrainConfig(epochs=25, batch_size=8, learning_rate=1e-2)
+        result = select(ds, cfg, grid, 17)
         shape = result.validation_errors.shape
         best = min(
             (result.validation_errors[idx], cell)
@@ -343,9 +349,9 @@ class TestSelect:
         rng = np.random.default_rng(18)
         ds = toy_functional_dataset(rng, 15, [(0, 0), (7, 7)])
         grid = HyperGrid(n_scores=(2,), depths=(1, 2), widths=(4,), dropouts=(0.0, 0.2))
-        cfg = TrainConfig(epochs=10, batch_size=8, learning_rate=1e-2, seed=19)
-        a = select(ds, cfg, grid)
-        b = select(ds, cfg, grid)
+        cfg = TrainConfig(epochs=10, batch_size=8, learning_rate=1e-2)
+        a = select(ds, cfg, grid, 19)
+        b = select(ds, cfg, grid, 19)
         assert a.chosen == b.chosen
         np.testing.assert_array_equal(a.validation_errors, b.validation_errors)
         assert params_equal(a.classifier.params, b.classifier.params)
@@ -356,8 +362,8 @@ class TestSelect:
         rng = np.random.default_rng(20)
         ds = toy_functional_dataset(rng, 30, [(0, 0), (500, 500)])
         grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(8,), dropouts=(0.0,))
-        cfg = TrainConfig(epochs=30, batch_size=8, learning_rate=1e-2, seed=21)
-        result = select(ds, cfg, grid)
+        cfg = TrainConfig(epochs=30, batch_size=8, learning_rate=1e-2)
+        result = select(ds, cfg, grid, 21)
         from fdnet import project_batch
 
         scores = project_batch(ds.values, ds.grid, 2)
@@ -370,7 +376,21 @@ class TestSelect:
         ds.labels[0] = 0
         grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(4,), dropouts=(0.0,))
         with pytest.raises(DomainError):
-            select(ds, TrainConfig(epochs=1, batch_size=4, seed=0), grid)
+            select(ds, TrainConfig(epochs=1, batch_size=4), grid, 0)
+
+    def test_empty_dataset_refused(self):
+        ds = Dataset(values=np.zeros((0, 12)), grid=Grid((12,)), labels=np.zeros(0), n_classes=2)
+        grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(4,), dropouts=(0.0,))
+        with pytest.raises(DomainError, match="no samples"):
+            select(ds, TrainConfig(epochs=1, batch_size=4), grid, 0)
+
+    def test_seed_is_read(self):
+        rng = np.random.default_rng(18)
+        ds = toy_functional_dataset(rng, 15, [(0, 0), (7, 7)])
+        grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(4,), dropouts=(0.0,))
+        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=1e-2)
+        a, b = (select(ds, cfg, grid, seed).classifier.params for seed in (0, 1))
+        assert not params_equal(a, b)
 
 
 class TestHyperGrid:
