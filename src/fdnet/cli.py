@@ -91,7 +91,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     dataset = dataio.load_dataset(args.data)
-    model, _ = dataio.load_model(args.model)
+    model = dataio.load_model(args.model)
     preds, probs = predict(model, dataset)
     dataio.write_predictions_csv(range(len(dataset)), preds, probs, args.out)
     print(f"wrote {len(dataset)} predictions to {args.out}")
@@ -100,7 +100,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_eval(args) -> int:
     dataset = dataio.load_dataset(args.data)
-    model, _ = dataio.load_model(args.model)
+    model = dataio.load_model(args.model)
     err, conf, probs = evaluate(model, dataset)
     # computed first, so that a refused C0 leaves no partial report
     tce = None

@@ -1,10 +1,10 @@
 """Serialization: binary dataset files, JSON model files, CSV reports.
 
-A model file holds one `training.Classifier`: the network's architecture
-and arrays, and metadata whose `grid_shape` entry is the classifier's grid
-shape.  `save_model` writes that entry from the model, and `load_model`
-rebuilds the classifier from it, so a file without a `grid_shape` list is
-refused.
+A model file (version 2) holds one `training.Classifier` as it is in
+memory, each fact once: the network's architecture, the grid shape and
+the parameter vector `NetworkParams.flat`, beside the caller's metadata,
+which `load_model` does not read.  A version 1 file, which stored
+per-layer arrays, is refused.
 
 Dataset files are binary (3-D datasets reach 10^5+ values per file and CSV
 parsing would dominate runtime); `dataset_to_csv` provides a readable dump
@@ -39,8 +39,8 @@ from .training import Chosen, Classifier, HyperGrid
 DATASET_MAGIC = b"MFDN1"
 DATASET_VERSION = 1
 MODEL_FORMAT = "fdnet-model"
-MODEL_VERSION = 1
-# float values per write when streaming a model's arrays
+MODEL_VERSION = 2
+# float values per write when streaming a model's parameters
 _MODEL_CHUNK = 65536
 # rows per conversion when dumping a dataset to CSV
 _CSV_BLOCK = 1024
@@ -150,64 +150,41 @@ def load_dataset(path) -> Dataset:
 
 
 def save_model(model: Classifier, path, metadata: dict | None = None) -> None:
-    """Write a classifier as JSON; round-trips bit-exactly for finite values.
+    """Write a classifier as JSON; round-trips bit-exactly.
 
-    The metadata written is the caller's `metadata` plus the model's
-    `grid_shape`; a caller's metadata that holds a `grid_shape` key raises
-    DomainError and writes nothing.
-
-    The file holds one object with sorted keys and no whitespace, then a
-    newline: the bytes of `json.dump(doc, fh, sort_keys=True,
-    separators=(",", ":"))` for the document of the architecture, format,
-    metadata, shifts, version and weights.  It is streamed piece by piece
-    in that key order, so no encoded copy of millions of floats is built
-    in memory.  The small parts go through `json.dumps` with the same
-    settings.  Each float array is written in chunks of `repr` of its
-    values, which is exactly how `json` writes a finite float, and
-    `NetworkParams` holds only finite values; so the bytes are those of
-    the one-shot `json.dump`.
+    The bytes are those of `json.dump(doc, fh, sort_keys=True,
+    separators=(",", ":"))` plus a newline, for the document of the
+    architecture, format, grid_shape, caller's metadata, params and
+    version.  It is streamed in that key order, `params` in chunks of
+    `repr` of `NetworkParams.flat` (how `json` writes a finite float), so
+    no encoded copy of millions of floats is built in memory.
     """
-    metadata = metadata or {}
-    if "grid_shape" in metadata:
-        raise DomainError("the model records its own grid_shape; the metadata must not hold one")
-    metadata = {**metadata, "grid_shape": list(model.grid_shape)}
-    params = model.params
-    arch = params.architecture
+    arch = model.params.architecture
     architecture = {
         "input_dim": arch.input_dim,
         "hidden_widths": list(arch.hidden_widths),
         "n_classes": arch.n_classes,
     }
+    flat = model.params.flat
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{"architecture":{_compact(architecture)},"format":{_compact(MODEL_FORMAT)},')
-        fh.write(f'"metadata":{_compact(metadata)},"shifts":')
-        _write_arrays(fh, params.shifts)
-        fh.write(f',"version":{_compact(MODEL_VERSION)},"weights":')
-        _write_arrays(fh, params.weights)
-        fh.write("}\n")
+        fh.write(f'"grid_shape":{_compact(list(model.grid_shape))},')
+        fh.write(f'"metadata":{_compact(metadata or {})},"params":[')
+        for lo in range(0, flat.size, _MODEL_CHUNK):
+            if lo:
+                fh.write(",")
+            fh.write(",".join(map(repr, flat[lo : lo + _MODEL_CHUNK].tolist())))
+        fh.write(f'],"version":{_compact(MODEL_VERSION)}}}\n')
 
 
 def _compact(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _write_arrays(fh, arrays) -> None:
-    """A JSON list of {"data": [...], "shape": [...]} entries, the data
-    written _MODEL_CHUNK values at a time."""
-    fh.write("[")
-    for i, arr in enumerate(arrays):
-        flat = arr.ravel()
-        fh.write(',{"data":[' if i else '{"data":[')
-        for lo in range(0, flat.size, _MODEL_CHUNK):
-            if lo:
-                fh.write(",")
-            fh.write(",".join(map(repr, flat[lo : lo + _MODEL_CHUNK].tolist())))
-        fh.write(f'],"shape":{_compact(list(arr.shape))}}}')
-    fh.write("]")
-
-
-def load_model(path):
-    """Read a model file; returns (Classifier, metadata dict)."""
+def load_model(path) -> Classifier:
+    """The classifier a model file was written from.  Beyond the format and
+    version, only `params` is checked here, for JSON numbers; the
+    constructors check the rest, and any refusal is a FormatError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -221,38 +198,15 @@ def load_model(path):
         raise FormatError(f"unsupported model version {doc.get('version')!r}")
     try:
         spec = doc["architecture"]
-        widths = _json_ints([spec["input_dim"], *spec["hidden_widths"], spec["n_classes"]], "architecture")
-        arch = Architecture(widths[0], tuple(widths[1:-1]), widths[-1])
-        weights = [_decode_array(entry) for entry in doc["weights"]]
-        shifts = [_decode_array(entry) for entry in doc["shifts"]]
+        arch = Architecture(spec["input_dim"], tuple(spec["hidden_widths"]), spec["n_classes"])
+        values = doc["params"]
+        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+            raise ValueError("params must be a list of JSON numbers")
+        return Classifier(NetworkParams(arch, np.asarray(values, dtype=float)), doc["grid_shape"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: an integer beyond the float range in the data
+        # ValueError includes every constructor's DomainError; OverflowError
+        # is an integer beyond the float range in the params
         raise FormatError(f"malformed model document: {exc}") from exc
-    params = NetworkParams.from_arrays(weights, shifts)
-    if params.architecture != arch:
-        raise FormatError("declared architecture does not match the stored arrays")
-    meta = doc.get("metadata")
-    if not (isinstance(meta, dict) and isinstance(meta.get("grid_shape"), list)):
-        raise FormatError("model metadata must be an object that records a grid_shape list")
-    return Classifier(params, meta["grid_shape"]), meta
-
-
-def _json_ints(values, what: str) -> list:
-    # bool is an int subclass; strings and floats must not be coerced
-    if not isinstance(values, list) or any(type(v) is not int for v in values):
-        raise ValueError(f"{what} must hold JSON integers, got {values!r}")
-    return values
-
-
-def _decode_array(entry) -> np.ndarray:
-    shape = tuple(_json_ints(entry["shape"], "shape"))
-    data = entry["data"]
-    if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
-        raise ValueError("array data must be a list of JSON numbers")
-    data = np.asarray(data, dtype=float)
-    if data.size != int(np.prod(shape)):
-        raise ValueError(f"array data length {data.size} does not match shape {shape}")
-    return data.reshape(shape)
 
 
 def load_hypergrid(path) -> HyperGrid:
@@ -374,6 +328,5 @@ def metadata_for(chosen: Chosen, cfg, seed: int) -> dict:
             "epochs": cfg.epochs,
             "batch_size": cfg.batch_size,
             "learning_rate": cfg.learning_rate,
-            "optimizer": "adam",
         },
     }

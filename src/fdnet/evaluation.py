@@ -44,11 +44,14 @@ def misclassification_rate(predictions, labels) -> float:
 
 
 def confusion_matrix(predictions, labels, n_classes: int) -> np.ndarray:
-    """(K, K) counts; rows are true classes, columns predicted classes."""
+    """(K, K) counts; rows are true classes, columns predicted classes,
+    each a class in 1..K."""
     predictions = np.asarray(predictions, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if predictions.shape != labels.shape or predictions.size == 0:
         raise DomainError("predictions and labels must be nonempty and equal length")
+    if min(predictions.min(), labels.min()) < 1 or max(predictions.max(), labels.max()) > n_classes:
+        raise DomainError(f"predictions and labels must be classes in 1..{n_classes}")
     out = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(out, (labels - 1, predictions - 1), 1)
     return out

@@ -14,8 +14,8 @@ weight matrix maps to K class logits.
 architecture and one contiguous float64 vector theta of length
 `param_count`, laid out as W_0..W_L then v_1..v_L, each row-major.  Writes
 through the per-layer views land in theta, so one elementwise operation
-updates every weight and shift; gradients share the layout, and
-`NetworkParams.from_arrays` packs separate arrays.
+updates every weight and shift; gradients and model files share the
+layout.
 
 Every entry point takes a batch: inputs are (n, J) arrays, and a 1-D
 input raises DomainError.  Labels take one encoding, the one-hot (n, K)
@@ -106,18 +106,6 @@ class NetworkParams:
         # a pickled or copied network rebuilds its views over its own vector
         return NetworkParams, (self.architecture, self.flat)
 
-    @classmethod
-    def from_arrays(cls, weights, shifts) -> "NetworkParams":
-        """Pack per-layer arrays W_0..W_L and v_1..v_L into one vector."""
-        arrays = [np.asarray(a, dtype=float) for a in (*weights, *shifts)]
-        if len(weights) != len(shifts) + 1 or any(w.ndim != 2 for w in arrays[: len(weights)]):
-            raise DomainError("need weight matrices W_0..W_L and one shift vector fewer")
-        w = arrays[: len(weights)]
-        arch = Architecture(w[0].shape[1], tuple(a.shape[0] for a in w[:-1]), w[-1].shape[0])
-        if [a.shape for a in arrays] != arch.param_shapes():
-            raise DomainError(f"array shapes do not chain into a network of widths {arch.layer_widths()}")
-        return cls(arch, np.concatenate([a.ravel() for a in arrays]))
-
 
 def _check_finite(flat: np.ndarray) -> None:
     if not np.all(np.isfinite(flat)):
@@ -126,12 +114,11 @@ def _check_finite(flat: np.ndarray) -> None:
 
 def initial_params(arch: Architecture, rng: np.random.Generator) -> NetworkParams:
     """Symmetric uniform init scaled by 1/sqrt(fan-in); shifts start at zero."""
-    widths = arch.layer_widths()
-    weights = []
-    for i in range(len(widths) - 1):
-        bound = 1.0 / np.sqrt(widths[i])
-        weights.append(rng.uniform(-bound, bound, size=(widths[i + 1], widths[i])))
-    return NetworkParams.from_arrays(weights, [np.zeros(w) for w in arch.hidden_widths])
+    params = NetworkParams(arch, np.zeros(arch.param_count))
+    for w in params.weights:
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -300,7 +300,11 @@ def bayes_posterior(model: SimModel, scores: np.ndarray) -> np.ndarray:
 
 def bayes_error_mc(model: SimModel, n_draws: int, seed) -> float:
     """Monte-Carlo estimate of the Bayes misclassification error under
-    equal priors, using `n_draws` total latent draws split over classes."""
+    equal priors, using `n_draws` >= 1 total latent draws split over
+    classes."""
+    n_draws = as_count(n_draws, "n_draws")
+    if n_draws < 1:
+        raise DomainError(f"n_draws must be >= 1, got {n_draws}")
     rng = np.random.default_rng(as_seed_sequence(seed))
     n_per = -(-n_draws // model.n_classes)  # ceil
     wrong = 0

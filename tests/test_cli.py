@@ -115,6 +115,23 @@ class TestMalformedInputs:
         assert "not a model file" in err
         assert "Traceback" not in err
 
+    def test_version_1_model_exits_1(self, tmp_path, capsys):
+        # the per-layer layout of format version 1, which is not read
+        data = simulate(tmp_path)
+        model, out = tmp_path / "model.json", tmp_path / "p.csv"
+        model.write_text(
+            '{"architecture":{"hidden_widths":[1],"input_dim":1,"n_classes":2},'
+            '"format":"fdnet-model","metadata":{"grid_shape":[3,3]},'
+            '"shifts":[{"data":[0.0],"shape":[1]}],"version":1,'
+            '"weights":[{"data":[0.5],"shape":[1,1]},{"data":[1.0,-1.0],"shape":[2,1]}]}\n'
+        )
+        code = main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "version 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_grid_json_number_exits_1(self, tmp_path, capsys):
         data = simulate(tmp_path)
         grid = tmp_path / "grid.json"
@@ -163,8 +180,9 @@ class TestMalformedInputs:
         assert "Traceback" not in err
 
     def test_model_json_infinite_integer_exits_1(self, tmp_path, capsys):
-        # and every other value that is not a JSON integer (widths, shapes,
-        # grid_shape) or number (array data); none of them may be coerced
+        # and every other value that is not a JSON integer (widths,
+        # grid_shape) or number (params), and a params list of the wrong
+        # length; none of them may be coerced
         from fdnet import Architecture, initial_params
         from fdnet.dataio import save_model
         from fdnet.training import Classifier
@@ -181,11 +199,11 @@ class TestMalformedInputs:
             lambda d: d["architecture"].update(input_dim=4.5),
             lambda d: d["architecture"].update(hidden_widths=["8"]),
             lambda d: d["architecture"].update(n_classes=True),
-            lambda d: d["weights"][0].update(shape=["8", 4]),
-            lambda d: d["shifts"][0]["data"].__setitem__(0, "0.5"),
-            lambda d: d["shifts"][0]["data"].__setitem__(0, True),
-            lambda d: d["shifts"][0]["data"].__setitem__(0, None),
-            lambda d: d["metadata"].update(grid_shape=["3", 3]),
+            lambda d: d["params"].__setitem__(-1, "0.5"),
+            lambda d: d["params"].__setitem__(-1, True),
+            lambda d: d["params"].__setitem__(-1, None),
+            lambda d: d["params"].pop(),
+            lambda d: d.update(grid_shape=["3", 3]),
         ]
         for i, edit in enumerate(edits):
             doc = json.loads(json.dumps(good))
@@ -194,7 +212,7 @@ class TestMalformedInputs:
             code = main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)])
             assert code == 1, i
             err = capsys.readouterr().err
-            assert "malformed model document" in err or "grid_shape" in err, i
+            assert "malformed model document" in err, i
             assert "Traceback" not in err
             assert not out.exists(), i
 
@@ -336,11 +354,12 @@ class TestModelDimension:
     def test_library_saved_model_records_grid_shape(self, tmp_path, model_2d):
         from fdnet.dataio import load_model, save_model
 
-        model, meta = load_model(model_2d)
-        assert meta["grid_shape"] == [3, 3] and model.grid_shape == (3, 3)
+        model = load_model(model_2d)
+        assert json.loads(model_2d.read_text())["grid_shape"] == [3, 3] and model.grid_shape == (3, 3)
         bare = tmp_path / "bare.json"
         save_model(model, bare)  # library-saved: no caller metadata at all
-        assert json.loads(bare.read_text())["metadata"] == {"grid_shape": [3, 3]}
+        doc = json.loads(bare.read_text())
+        assert doc["metadata"] == {} and doc["grid_shape"] == [3, 3]
         data = simulate(tmp_path, "other.mfd", seed=9)
         out_bare, out_full = tmp_path / "bare.csv", tmp_path / "full.csv"
         assert main(["predict", "--model", str(bare), "--data", str(data), "--out", str(out_bare)]) == 0
@@ -349,7 +368,7 @@ class TestModelDimension:
 
     def test_model_without_grid_shape_exits_1(self, tmp_path, capsys, model_2d):
         doc = json.loads(model_2d.read_text())
-        del doc["metadata"]["grid_shape"]
+        del doc["grid_shape"]
         bare, out = tmp_path / "bare.json", tmp_path / "p.csv"
         bare.write_text(json.dumps(doc))
         data = simulate(tmp_path, "other.mfd", seed=9)
@@ -411,7 +430,7 @@ class TestMnistCommand:
         from fdnet.dataio import load_model
         from fdnet.idx import load_idx
 
-        err, _, _ = evaluate(load_model(model_path)[0], load_idx(timg, tlab))
+        err, _, _ = evaluate(load_model(model_path), load_idx(timg, tlab))
         assert f"test accuracy: {1.0 - err:.4f} on 80 samples" in out
 
     def test_classifies_first_sample_to_a_digit(self, tmp_path):
@@ -427,7 +446,7 @@ class TestMnistCommand:
         assert main(["mnist", "--images", str(img), "--labels", str(lab),
                      "--grid", grid, "--seed", "6", "--out", str(model_path),
                      "--epochs", "15", "--batch", "32"]) == 0
-        model, _ = load_model(model_path)
+        model = load_model(model_path)
         test = load_idx(img, lab)
         first = replace(test, values=test.values[:1], labels=test.labels[:1])
         digit = predict(model, first)[0][0] - 1

@@ -118,11 +118,12 @@ class TestModelRoundTrip:
         params.weights[1][0, 0] = 0.1
         path = tmp_path / "model.json"
         save_model(Classifier(params, (5, 6)), path, metadata={"seed": 1})
-        loaded, meta = load_model(path)
+        loaded = load_model(path)
         assert loaded.params.architecture == params.architecture
         np.testing.assert_array_equal(loaded.params.flat, params.flat)
         assert loaded.grid_shape == (5, 6)
-        assert meta == {"seed": 1, "grid_shape": [5, 6]}
+        doc = json.loads(path.read_text())
+        assert doc["metadata"] == {"seed": 1} and doc["grid_shape"] == [5, 6]
 
     def test_deterministic_bytes(self, tmp_path):
         params = initial_params(Architecture(3, (4,), 2), np.random.default_rng(9))
@@ -146,7 +147,8 @@ class TestModelRoundTrip:
         ],
     )
     def test_bytes_equal_one_shot_json(self, tmp_path, metadata):
-        # W_0 is exactly one write chunk, W_1 more than one with a short tail
+        # W_0 fills exactly one write chunk of params, the rest more than one
+        # with a short tail
         arch = Architecture(256, (256, 300), 3)
         assert arch.hidden_widths[0] * arch.input_dim == dataio._MODEL_CHUNK
         params = initial_params(arch, np.random.default_rng(10))
@@ -154,11 +156,11 @@ class TestModelRoundTrip:
         params.shifts[0][:] = np.random.default_rng(11).standard_normal(256)
         doc = {
             "format": "fdnet-model",
-            "version": 1,
+            "version": 2,
             "architecture": {"input_dim": 256, "hidden_widths": [256, 300], "n_classes": 3},
-            "weights": [{"shape": list(w.shape), "data": w.ravel().tolist()} for w in params.weights],
-            "shifts": [{"shape": list(v.shape), "data": v.ravel().tolist()} for v in params.shifts],
-            "metadata": {**(metadata or {}), "grid_shape": [28, 28]},
+            "grid_shape": [28, 28],
+            "params": np.concatenate([*params.weights, *params.shifts], axis=None).tolist(),
+            "metadata": metadata or {},
         }
         expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         path = tmp_path / "model.json"
@@ -178,25 +180,19 @@ class TestModelRoundTrip:
             load_model(path)
 
     def test_rejects_architecture_mismatch(self, tmp_path):
+        # the declared input width no longer fits the parameter count
         params = initial_params(Architecture(3, (4,), 2), np.random.default_rng(10))
         path = tmp_path / "m.json"
         save_model(Classifier(params, (3, 3)), path)
         doc = json.loads(path.read_text())
         doc["architecture"]["input_dim"] = 5
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="architecture"):
+        with pytest.raises(FormatError, match="malformed model document: .*length 32"):
             load_model(path)
-
-    def test_caller_grid_shape_refused(self, tmp_path):
-        params = initial_params(Architecture(3, (4,), 2), np.random.default_rng(12))
-        path = tmp_path / "m.json"
-        with pytest.raises(DomainError, match="grid_shape"):
-            save_model(Classifier(params, (3, 3)), path, metadata={"grid_shape": [3, 3]})
-        assert not path.exists()
 
     @pytest.mark.parametrize(
         "metadata",
-        # the entry rule itself is Classifier's; the loader only has to reach it
+        # where version 1 kept grid_shape; the loader never reads the metadata
         [None, [], {}, {"grid_shape": None}, {"grid_shape": 3}, {"grid_shape": [3, 3, 3, 3]}],
     )
     def test_rejects_missing_or_malformed_grid_shape(self, tmp_path, metadata):
@@ -204,10 +200,42 @@ class TestModelRoundTrip:
         path = tmp_path / "m.json"
         save_model(Classifier(params, (3, 3)), path)
         doc = json.loads(path.read_text())
+        del doc["grid_shape"]
         doc["metadata"] = metadata
         path.write_text(json.dumps(doc))
-        with pytest.raises(DomainError, match="grid_shape"):
+        with pytest.raises(FormatError, match="grid_shape"):
             load_model(path)
+
+    @pytest.mark.parametrize("grid_shape", [None, 3, [], [3, 3, 3, 3], ["3", 3], [3, True], {}])
+    def test_rejects_malformed_grid_shape(self, tmp_path, grid_shape):
+        # the entry rule itself is Classifier's; the loader only has to reach it
+        params = initial_params(Architecture(3, (4,), 2), np.random.default_rng(13))
+        path = tmp_path / "m.json"
+        save_model(Classifier(params, (3, 3)), path)
+        doc = json.loads(path.read_text())
+        doc["grid_shape"] = grid_shape
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="malformed model document: .*grid_shape"):
+            load_model(path)
+
+    def test_metadata_is_the_callers_alone(self, tmp_path):
+        params = initial_params(Architecture(3, (4,), 2), np.random.default_rng(12))
+        path = tmp_path / "m.json"
+        save_model(Classifier(params, (3, 3)), path, metadata={"grid_shape": [9]})
+        doc = json.loads(path.read_text())
+        assert doc["metadata"] == {"grid_shape": [9]} and doc["grid_shape"] == [3, 3]
+        assert load_model(path).grid_shape == (3, 3)
+
+    def test_training_metadata(self):
+        from fdnet import Chosen, TrainConfig
+        from fdnet.dataio import metadata_for
+
+        cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=0.5)
+        assert metadata_for(Chosen(2, 1, 3, 0.25), cfg, 7) == {
+            "seed": 7,
+            "chosen": {"J": 2, "L": 1, "width": 3, "dropout": 0.25},
+            "config": {"epochs": 3, "batch_size": 8, "learning_rate": 0.5},
+        }
 
 
 class TestHyperGridJson:
@@ -305,7 +333,7 @@ class TestJsonLoaderFuzz:
         save_model(Classifier(params, (3, 3)), path)
         doc = json.loads(path.read_text())
         for where in (("architecture", "input_dim"), ("architecture", "hidden_widths", 0),
-                      ("weights", 0, "shape", 1)):
+                      ("params", 0)):
             path.write_text(json.dumps(_replaced(doc, where, float("inf"))))
             with pytest.raises(FormatError, match="malformed"):
                 load_model(path)

@@ -22,12 +22,14 @@ from fdnet.training import Classifier
 class TestClassify:
     def test_argmax(self):
         # a 3-class net with fixed logits via zero first layer and shifts
-        params = NetworkParams.from_arrays([np.zeros((3, 2)), np.zeros((3, 3))], [np.zeros(3)])
+        arch = Architecture(2, (3,), 3)
+        params = NetworkParams(arch, np.zeros(arch.param_count))
         # forward gives uniform probabilities; tie -> class 1
         assert classify(params, np.zeros((1, 2))).tolist() == [1]
 
     def test_tie_breaks_to_smallest_index(self):
-        params = NetworkParams.from_arrays([np.zeros((2, 4)), np.zeros((2, 2))], [np.zeros(2)])
+        arch = Architecture(4, (2,), 2)
+        params = NetworkParams(arch, np.zeros(arch.param_count))
         assert classify(params, np.ones((1, 4))).tolist() == [1]
 
     def test_batch_output(self):
@@ -76,6 +78,12 @@ class TestConfusion:
         conf = confusion_matrix([1, 2, 2, 3], [1, 2, 3, 3], 3)
         assert conf[0, 0] == 1 and conf[1, 1] == 1 and conf[2, 2] == 1
         assert conf[2, 1] == 1
+
+    @pytest.mark.parametrize("preds, labels", [([1, 2], [0, 2]), ([4], [1]), ([1, 0], [1, 1])])
+    def test_classes_outside_1_to_k_refused(self, preds, labels):
+        # index 0 - 1 would wrap to the last row, K + 1 past the end
+        with pytest.raises(DomainError, match="classes in 1..3"):
+            confusion_matrix(preds, labels, 3)
 
 
 class TestEvaluate:

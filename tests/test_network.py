@@ -26,11 +26,12 @@ def random_params(arch, seed):
 
 
 def zero_params(arch):
-    widths = arch.layer_widths()
-    return NetworkParams.from_arrays(
-        weights=[np.zeros((q, p)) for p, q in zip(widths, widths[1:])],
-        shifts=[np.zeros(p) for p in arch.hidden_widths],
-    )
+    return NetworkParams(arch, np.zeros(arch.param_count))
+
+
+def packed(arch, *arrays):
+    """The network of `arch` whose W_0..W_L, then v_1..v_L, are `arrays`."""
+    return NetworkParams(arch, np.concatenate([np.ravel(a) for a in arrays]))
 
 
 def gradcheck(params, x, label, h=1e-5):
@@ -61,7 +62,7 @@ class TestForward:
     def test_known_softmax_value(self):
         # identity weights, zero shifts, input (1,0,0) -> logits (1,0,0)
         eye = np.eye(3)
-        params = NetworkParams.from_arrays(weights=[eye, eye], shifts=[np.zeros(3)])
+        params = packed(Architecture(3, (3,), 3), eye, eye, np.zeros(3))
         probs = forward(params, np.array([[1.0, 0.0, 0.0]]))[0]
         e = math.e
         np.testing.assert_allclose(probs, [e / (e + 2), 1 / (e + 2), 1 / (e + 2)], atol=1e-12)
@@ -82,10 +83,7 @@ class TestForward:
 
     def test_shift_sign_convention(self):
         # one unit: relu(w x - v) with w = 1, v = 0.5
-        params = NetworkParams.from_arrays(
-            weights=[np.array([[1.0]]), np.array([[1.0], [0.0]])],
-            shifts=[np.array([0.5])],
-        )
+        params = packed(Architecture(1, (1,), 2), [[1.0]], [[1.0], [0.0]], [0.5])
         # relu(0.4 - 0.5) = 0 gives equal logits; relu(1.5 - 0.5) = 1 gives (1, 0)
         low, high = forward(params, np.array([[0.4], [1.5]]))
         np.testing.assert_array_equal(low, [0.5, 0.5])
@@ -192,7 +190,7 @@ class TestBackward:
         # with identity first layer and nonnegative input, the last-layer
         # gradient is exactly outer(p - y, hidden activation)
         eye = np.eye(3)
-        params = NetworkParams.from_arrays(weights=[eye, eye], shifts=[np.zeros(3)])
+        params = packed(Architecture(3, (3,), 3), eye, eye, np.zeros(3))
         x = np.array([[0.7, 0.1, 0.0]])
         probs = forward(params, x)
         y = np.array([[0.0, 1.0, 0.0]])
@@ -250,19 +248,11 @@ class TestBackward:
 
 
 class TestParamsValidation:
-    def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            NetworkParams.from_arrays(weights=[np.ones((3, 2)), np.ones((2, 4))], shifts=[np.ones(3)])
-
-    def test_shift_length_mismatch(self):
-        with pytest.raises(DomainError):
-            NetworkParams.from_arrays(weights=[np.ones((3, 2)), np.ones((2, 3))], shifts=[np.ones(2)])
-
     def test_nonfinite_rejected(self):
         w = np.ones((2, 2))
         w[0, 0] = np.nan
         with pytest.raises(DomainError):
-            NetworkParams.from_arrays(weights=[w, np.ones((2, 2))], shifts=[np.zeros(2)])
+            packed(Architecture(2, (2,), 2), w, np.ones((2, 2)), np.zeros(2))
 
     def test_architecture_roundtrip(self):
         arch = Architecture(5, (7, 3), 4)
@@ -288,10 +278,19 @@ class TestFlatLayout:
         assert [f.name for f in dataclasses.fields(NetworkParams)] == ["architecture", "flat"]
 
     def test_weights_then_shifts_row_major(self):
-        w0, w1, v = np.arange(6.0).reshape(3, 2), np.arange(6.0, 12.0).reshape(2, 3), -np.arange(3.0)
-        params = NetworkParams.from_arrays([w0, w1], [v])
-        np.testing.assert_array_equal(params.flat, np.concatenate([w0.ravel(), w1.ravel(), v]))
-        assert params.architecture == Architecture(2, (3,), 2)
+        params = NetworkParams(Architecture(2, (3,), 2), np.arange(15.0))
+        (w0, w1), (v,) = params.weights, params.shifts
+        np.testing.assert_array_equal(w0, np.arange(6.0).reshape(3, 2))
+        np.testing.assert_array_equal(w1, np.arange(6.0, 12.0).reshape(2, 3))
+        np.testing.assert_array_equal(v, np.arange(12.0, 15.0))
+
+    def test_initial_params_draws_each_weight_in_layer_order(self):
+        arch = Architecture(3, (4, 5), 2)
+        rng = np.random.default_rng(14)
+        draws = [rng.uniform(-1 / np.sqrt(p), 1 / np.sqrt(p), size=q * p)
+                 for p, q in zip(arch.layer_widths(), arch.layer_widths()[1:])]
+        expected = np.concatenate([*draws, np.zeros(sum(arch.hidden_widths))])
+        np.testing.assert_array_equal(random_params(arch, seed=14).flat, expected)
 
     def test_views_write_through(self):
         params = random_params(Architecture(3, (4, 5), 2), seed=12)

@@ -219,3 +219,8 @@ class TestBayesPosterior:
     def test_monte_carlo_bayes_error_matches_pinned_value(self):
         err = bayes_error_mc(get_model("2d-gaussian"), 100_000, seed=202)
         assert err == pytest.approx(BAYES_ERROR_2D_GAUSSIAN, abs=0.005)
+
+    @pytest.mark.parametrize("n_draws", [0, -4, 2.5, True, "10"])
+    def test_monte_carlo_bayes_error_needs_a_positive_draw_count(self, n_draws):
+        with pytest.raises(DomainError, match="n_draws"):
+            bayes_error_mc(get_model("2d-gaussian"), n_draws, seed=202)
