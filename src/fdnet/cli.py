@@ -90,22 +90,24 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    dataset = dataio.load_dataset(args.data)
-    model = dataio.load_model(args.model)
-    preds, probs = predict(model, dataset)
-    dataio.write_predictions_csv(range(len(dataset)), preds, probs, args.out)
-    print(f"wrote {len(dataset)} predictions to {args.out}")
+    # the file is read and scored a row block at a time; nothing is written
+    # until every block has been read and checked
+    with dataio.DatasetReader(args.data) as data:
+        model = dataio.load_model(args.model)
+        preds, probs = predict(model, data)
+    dataio.write_predictions_csv(range(len(data)), preds, probs, args.out)
+    print(f"wrote {len(data)} predictions to {args.out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    dataset = dataio.load_dataset(args.data)
-    model = dataio.load_model(args.model)
-    err, conf, probs = evaluate(model, dataset)
+    with dataio.DatasetReader(args.data) as data:
+        model = dataio.load_model(args.model)
+        err, conf, probs = evaluate(model, data)
     # computed first, so that a refused C0 leaves no partial report
     tce = None
     if args.c0 is not None:
-        tce = truncated_kl_risk(one_hot(dataset.labels, dataset.n_classes), probs, args.c0)
+        tce = truncated_kl_risk(one_hot(data.labels, data.n_classes), probs, args.c0)
     print(f"error rate: {err:.6f}")
     print("confusion matrix (rows = true class, columns = predicted):")
     for row in conf:

@@ -8,8 +8,12 @@ per-layer arrays, is refused.
 
 Dataset files are binary (3-D datasets reach 10^5+ values per file and CSV
 parsing would dominate runtime); `dataset_to_csv` provides a readable dump
-when needed.  All writers are deterministic: identical inputs produce
-byte-identical files.
+when needed.  `DatasetReader` is the one parser: it checks the header once
+and then reads and checks the payload a row block at a time, so `fdnet
+predict` and `fdnet eval` hold one block rather than the file;
+`load_dataset` fills one (n, m) array from its blocks.  The CSV writers
+convert and write a block of rows at a time.  All writers are
+deterministic: identical inputs produce byte-identical files.
 
 Dataset file layout (little-endian):
 
@@ -26,6 +30,7 @@ Dataset file layout (little-endian):
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -33,7 +38,7 @@ import numpy as np
 from .basis import Grid
 from .errors import DomainError, FormatError
 from .network import Architecture, NetworkParams
-from .projection import Dataset
+from .projection import BLOCK_ROWS, Dataset, row_blocks
 from .training import Chosen, Classifier, HyperGrid
 
 DATASET_MAGIC = b"MFDN1"
@@ -42,8 +47,6 @@ MODEL_FORMAT = "fdnet-model"
 MODEL_VERSION = 2
 # float values per write when streaming a model's parameters
 _MODEL_CHUNK = 65536
-# rows per conversion when dumping a dataset to CSV
-_CSV_BLOCK = 1024
 
 BENCHMARK_COLUMNS = (
     "model_id",
@@ -87,66 +90,117 @@ def _need(buf: bytes, offset: int, count: int, what: str) -> None:
         raise FormatError(f"file truncated while reading {what}", offset)
 
 
+class DatasetReader:
+    """A dataset file opened for reading one row block at a time.
+
+    Opening reads and checks the header: magic, version, dimension, grid
+    shape, class count, and the payload size that the sample count
+    promises against the file's size.  `blocks()` then reads the payload
+    by the row blocks of `row_blocks(n)` and checks each block as it is
+    read, labels first and then values, so that the first bad row of the
+    first bad block is reported.  Every FormatError carries the absolute
+    byte offset of the fault.  `labels` (n,) is filled block by block.
+    It owns the open file: use it as a context manager, or call `close`.
+    """
+
+    # magic, version and d, a 3-D shape, K and n: the longest header
+    _HEADER_MAX = 5 + 8 + 12 + 12
+
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            self._read_header()
+        except BaseException:
+            self.close()
+            raise
+
+    def _read_header(self) -> None:
+        buf = self._fh.read(self._HEADER_MAX)
+        offset = 0
+        _need(buf, offset, 5, "magic")
+        if buf[:5] != DATASET_MAGIC:
+            raise FormatError(f"bad magic {buf[:5]!r}, expected {DATASET_MAGIC!r}", 0)
+        offset = 5
+        _need(buf, offset, 8, "version and dimension")
+        version, d = struct.unpack_from("<II", buf, offset)
+        if version != DATASET_VERSION:
+            raise FormatError(f"unsupported format version {version}", offset)
+        offset += 4
+        if not 1 <= d <= 3:
+            raise FormatError(f"dimension must be 1..3, got {d}", offset)
+        offset += 4
+        _need(buf, offset, 4 * d, "grid shape")
+        shape = struct.unpack_from(f"<{d}I", buf, offset)
+        offset += 4 * d
+        if any(s < 1 or s > 1_000_000 for s in shape):
+            raise FormatError(f"implausible grid shape {shape}", offset - 4 * d)
+        _need(buf, offset, 12, "class count and sample count")
+        n_classes, n = struct.unpack_from("<IQ", buf, offset)
+        if not 1 <= n_classes <= 255:
+            raise FormatError(f"class count must be 1..255, got {n_classes}", offset)
+        offset += 12
+
+        self.grid, self.n_classes = Grid(shape), n_classes
+        expected = n * (1 + 8 * self.grid.m)
+        actual = os.fstat(self._fh.fileno()).st_size - offset
+        if actual < expected:
+            raise FormatError(
+                f"payload holds {actual} bytes, header promises {expected}", offset
+            )
+        if actual > expected:
+            raise FormatError(f"{actual - expected} trailing bytes after payload", offset + expected)
+        self._payload_offset = offset
+        self.labels = np.zeros(n, dtype=np.int64)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+    def blocks(self):
+        """(lo, hi, values, labels) of each row block in file order:
+        `values` is a (hi - lo, m) float64 view of the block read, and
+        `labels` the int64 view `self.labels[lo:hi]`."""
+        if not len(self):  # no block; the m of an empty file may exceed a dtype's
+            return
+        width = 1 + 8 * self.grid.m
+        record = np.dtype([("label", "u1"), ("values", "<f8", (self.grid.m,))])
+        self._fh.seek(self._payload_offset)
+        for lo, hi in row_blocks(len(self)):
+            at = self._payload_offset + lo * width
+            payload = np.fromfile(self._fh, dtype=record, count=hi - lo)
+            if payload.size < hi - lo:  # the file shrank after it was opened
+                raise FormatError("file truncated while reading the payload", at + payload.size * width)
+            labels = self.labels[lo:hi]
+            labels[:] = payload["label"]
+            if labels.max() > self.n_classes:
+                bad = int(np.argmax(labels > self.n_classes))
+                raise FormatError(
+                    f"label {int(labels[bad])} exceeds class count {self.n_classes}",
+                    at + bad * width,
+                )
+            values = payload["values"]
+            if not np.all(np.isfinite(values)):
+                bad = int(np.argmax(~np.all(np.isfinite(values), axis=1)))
+                raise FormatError("non-finite sample values", at + bad * width + 1)
+            yield lo, hi, values, labels
+
+
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    offset = 0
-    _need(buf, offset, 5, "magic")
-    if buf[:5] != DATASET_MAGIC:
-        raise FormatError(f"bad magic {buf[:5]!r}, expected {DATASET_MAGIC!r}", 0)
-    offset = 5
-    _need(buf, offset, 8, "version and dimension")
-    version, d = struct.unpack_from("<II", buf, offset)
-    if version != DATASET_VERSION:
-        raise FormatError(f"unsupported format version {version}", offset)
-    offset += 4
-    if not 1 <= d <= 3:
-        raise FormatError(f"dimension must be 1..3, got {d}", offset)
-    offset += 4
-    _need(buf, offset, 4 * d, "grid shape")
-    shape = struct.unpack_from(f"<{d}I", buf, offset)
-    offset += 4 * d
-    if any(s < 1 or s > 1_000_000 for s in shape):
-        raise FormatError(f"implausible grid shape {shape}", offset - 4 * d)
-    _need(buf, offset, 12, "class count and sample count")
-    n_classes, n = struct.unpack_from("<IQ", buf, offset)
-    if not 1 <= n_classes <= 255:
-        raise FormatError(f"class count must be 1..255, got {n_classes}", offset)
-    offset += 12
-
-    m = int(np.prod(shape))
-    expected = n * (1 + 8 * m)
-    actual = len(buf) - offset
-    if actual < expected:
-        raise FormatError(
-            f"payload holds {actual} bytes, header promises {expected}", offset
-        )
-    if actual > expected:
-        raise FormatError(f"{actual - expected} trailing bytes after payload", offset + expected)
-
-    if n == 0:
-        values = np.empty((0, m))
-        labels = np.empty(0, dtype=np.int64)
-    else:
-        record = np.dtype([("label", "u1"), ("values", "<f8", (m,))])
-        payload = np.frombuffer(buf, dtype=record, count=n, offset=offset)
-        labels = payload["label"].astype(np.int64)
-        values = payload["values"].astype(np.float64)
-    if labels.size and labels.max() > n_classes:
-        bad = int(np.argmax(labels > n_classes))
-        raise FormatError(
-            f"label {int(labels[bad])} exceeds class count {n_classes}",
-            offset + bad * (1 + 8 * m),
-        )
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argmax(~np.all(np.isfinite(values), axis=1)))
-        raise FormatError("non-finite sample values", offset + bad * (1 + 8 * m) + 1)
-    return Dataset(
-        values=values,
-        grid=Grid(shape),
-        labels=labels,
-        n_classes=n_classes,
-    )
+    """The dataset a file holds, read and checked by `DatasetReader`'s
+    blocks into one (n, m) array."""
+    with DatasetReader(path) as reader:
+        values = np.empty((len(reader), reader.grid.m))
+        for lo, hi, block, _ in reader.blocks():
+            values[lo:hi] = block
+    return Dataset(values=values, grid=reader.grid, labels=reader.labels, n_classes=reader.n_classes)
 
 
 def save_model(model: Classifier, path, metadata: dict | None = None) -> None:
@@ -285,16 +339,22 @@ def write_benchmark_csv(report, path) -> None:
 
 
 def write_predictions_csv(indices, predictions, probabilities, path) -> None:
-    """CSV of index, predicted class, and per-class probabilities."""
-    probabilities = np.asarray(probabilities)
+    """CSV of index, predicted class, and per-class probabilities, one
+    row per entry of the `indices` sequence."""
+    predictions, probabilities = np.asarray(predictions), np.asarray(probabilities)
     k = probabilities.shape[1]
-    header = "index,predicted," + ",".join(f"p{j + 1}" for j in range(k))
-    rows = [header]
-    # one conversion to Python numbers; repr of a float is its shortest round-trip form
-    for i, pred, probs in zip(indices, np.asarray(predictions).tolist(), probabilities.tolist()):
-        rows.append(f"{i},{pred}," + ",".join(map(repr, probs)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("index,predicted," + ",".join(f"p{j + 1}" for j in range(k)) + "\n")
+        # one conversion to Python numbers per block of rows; repr of a
+        # float is its shortest round-trip form
+        for lo in range(0, len(indices), BLOCK_ROWS):
+            block = slice(lo, lo + BLOCK_ROWS)
+            fh.writelines(
+                f"{i},{pred}," + ",".join(map(repr, probs)) + "\n"
+                for i, pred, probs in zip(
+                    indices[block], predictions[block].tolist(), probabilities[block].tolist()
+                )
+            )
 
 
 def dataset_to_csv(dataset: Dataset, path) -> None:
@@ -305,8 +365,8 @@ def dataset_to_csv(dataset: Dataset, path) -> None:
         fh.write("index,label," + ",".join(f"v{j}" for j in range(m)) + "\n")
         # one conversion to Python numbers per block of rows; repr of a
         # float is its shortest round-trip form
-        for lo in range(0, len(dataset), _CSV_BLOCK):
-            block = dataset.values[lo : lo + _CSV_BLOCK].tolist()
+        for lo in range(0, len(dataset), BLOCK_ROWS):
+            block = dataset.values[lo : lo + BLOCK_ROWS].tolist()
             fh.writelines(
                 f"{i},{labels[i]}," + ",".join(map(repr, values)) + "\n"
                 for i, values in enumerate(block, start=lo)

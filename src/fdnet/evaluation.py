@@ -1,12 +1,19 @@
 """Dataset-level prediction, misclassification metrics, truncated KL risk,
 and the Monte-Carlo benchmark harness.
 
-`predict` takes a fitted `training.Classifier` and refuses data of a
-dimension other than that of its grid shape (another grid of the same
-dimension is scored).  It projects the dataset at the network's input
-width and runs `network.forward` once; classes come from
-`network.predicted_class`, the only argmax rule.  `evaluate` also returns
-the probabilities, so the KL risk of a replicate or the CLI's truncated
+`predict` and `evaluate` take a fitted `training.Classifier` and refuse
+data of a dimension other than that of its grid shape (another grid of
+the same dimension is scored).  Both run one blocked loop: for each row
+block of `projection.row_blocks`, it projects the block at the network's
+input width, runs `network.forward` and takes classes from
+`network.predicted_class`, the only argmax rule.  The data is an
+in-memory `Dataset`, whose blocks are views of its rows, or a
+`dataio.DatasetReader`, which reads each block from the file, so memory
+is one block plus the (n, K) probabilities.  Blocks of at least
+`BLOCK_ROWS` rows give the bits of one call over all rows (see
+`projection.BLOCK_ROWS` for the one exception measured).  `evaluate`
+adds up its confusion matrix block by block and also returns the
+probabilities, so the KL risk of a replicate or the CLI's truncated
 cross-entropy needs no second pass.
 
 The benchmark runs R independent replicates: each draws fresh training and
@@ -26,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, as_count, as_real
 from .network import forward, predicted_class
-from .projection import Dataset, project_batch
+from .projection import project_batch
 from .rng import as_seed_sequence, seed_to_int
 from .simulation import SimModel, bayes_posterior, default_test_size, generate_dataset
 from .training import Classifier, HyperGrid, TrainConfig, select
@@ -45,9 +52,11 @@ def misclassification_rate(predictions, labels) -> float:
 
 def confusion_matrix(predictions, labels, n_classes: int) -> np.ndarray:
     """(K, K) counts; rows are true classes, columns predicted classes,
-    each a class in 1..K."""
-    predictions = np.asarray(predictions, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
+    each an integer class in 1..K (a float or bool array is refused, not
+    truncated)."""
+    predictions, labels = np.asarray(predictions), np.asarray(labels)
+    if predictions.dtype.kind not in "iu" or labels.dtype.kind not in "iu":
+        raise DomainError("predictions and labels must be arrays of integer classes")
     if predictions.shape != labels.shape or predictions.size == 0:
         raise DomainError("predictions and labels must be nonempty and equal length")
     if min(predictions.min(), labels.min()) < 1 or max(predictions.max(), labels.max()) > n_classes:
@@ -111,32 +120,48 @@ class EvalReport:
         return float(np.mean(self.kl_risks))
 
 
-def predict(model: Classifier, dataset: Dataset):
-    """(classes, probs) of a fitted classifier on every sample of `dataset`,
-    projected onto the d-dimensional basis at the network's input width;
-    data of a dimension other than the model's d raises DomainError."""
+def _scored_blocks(model: Classifier, data):
+    """(lo, hi, labels, classes, probs) of each row block of `data`, a
+    `Dataset` or a `dataio.DatasetReader`, projected onto the
+    d-dimensional basis at the network's input width.  Data of a dimension
+    other than the model's d raises DomainError before any block is read;
+    an AliasingWarning comes with the first block only."""
     d, j = len(model.grid_shape), model.params.architecture.input_dim
-    if dataset.grid.d != d:
-        raise DomainError(f"the model was trained on {d}-D data, but the data is {dataset.grid.d}-D")
-    scores = project_batch(dataset.values, dataset.grid, j)
-    probs = forward(model.params, scores)
-    return predicted_class(probs), probs
+    if data.grid.d != d:
+        raise DomainError(f"the model was trained on {d}-D data, but the data is {data.grid.d}-D")
+    for lo, hi, values, labels in data.blocks():
+        probs = forward(model.params, project_batch(values, data.grid, j, warn=lo == 0))
+        yield lo, hi, labels, predicted_class(probs), probs
 
 
-def evaluate(model: Classifier, dataset: Dataset):
-    """(error_rate, confusion, probs) of a fitted classifier on a nonempty,
-    fully labeled dataset of its dimension, with the network's number of
-    classes."""
-    if len(dataset) == 0:
+def predict(model: Classifier, data):
+    """(classes, probs) of a fitted classifier on every sample of `data`,
+    a `Dataset` or a `dataio.DatasetReader` of the model's dimension."""
+    n, k = len(data), model.params.architecture.n_classes
+    classes, probs = np.empty(n, dtype=np.int64), np.empty((n, k))
+    for lo, hi, _, block_classes, block_probs in _scored_blocks(model, data):
+        classes[lo:hi], probs[lo:hi] = block_classes, block_probs
+    return classes, probs
+
+
+def evaluate(model: Classifier, data):
+    """(error_rate, confusion, probs) of a fitted classifier on nonempty,
+    fully labeled data of its dimension, with the network's number of
+    classes: a `Dataset` or a `dataio.DatasetReader`, whose unlabeled
+    samples are refused with the block that holds them."""
+    n, k = len(data), model.params.architecture.n_classes
+    if n == 0:
         raise DomainError("evaluation data has no samples")
-    if dataset.labels.min() < 1:
-        raise DomainError("evaluation data contains unlabeled samples")
-    k = model.params.architecture.n_classes
-    if dataset.n_classes != k:
-        raise DomainError(f"the model has {k} classes, but the data has {dataset.n_classes}")
-    pred, probs = predict(model, dataset)
-    err = misclassification_rate(pred, dataset.labels)
-    return err, confusion_matrix(pred, dataset.labels, dataset.n_classes), probs
+    if data.n_classes != k:
+        raise DomainError(f"the model has {k} classes, but the data has {data.n_classes}")
+    confusion, probs = np.zeros((k, k), dtype=np.int64), np.empty((n, k))
+    for lo, hi, labels, classes, block_probs in _scored_blocks(model, data):
+        if labels.min() < 1:
+            raise DomainError("evaluation data contains unlabeled samples")
+        confusion += confusion_matrix(classes, labels, k)
+        probs[lo:hi] = block_probs
+    # the mismatch count over n: the bits of the mean of the mismatches
+    return float((n - np.trace(confusion)) / n), confusion, probs
 
 
 def _run_replicate(args):

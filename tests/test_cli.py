@@ -1,9 +1,15 @@
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fdnet import Architecture, Classifier, Dataset, Grid, initial_params
 from fdnet.cli import main
+from fdnet.dataio import load_dataset, load_model, save_dataset, save_model, write_predictions_csv
+from fdnet.evaluation import predict
+from fdnet.projection import BLOCK_ROWS
 from synth_digits import write_idx_pair
 
 
@@ -299,17 +305,19 @@ class TestMalformedInputs:
         assert captured.out == ""
 
 
+@pytest.fixture
+def model_2d(tmp_path):
+    """A 3-class model trained on tmp_path / "data.mfd", 2-D data on a 3x3 grid."""
+    data = simulate(tmp_path, nk=15)
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(data), "--grid", grid_file(tmp_path),
+                 "--epochs", "5", "--batch", "8", "--seed", "3",
+                 "--out", str(model)]) == 0
+    return model
+
+
 class TestModelDimension:
     """A model refuses data of a dimension or class count it was not trained on."""
-
-    @pytest.fixture
-    def model_2d(self, tmp_path):
-        data = simulate(tmp_path, nk=15)
-        model = tmp_path / "model.json"
-        assert main(["train", "--data", str(data), "--grid", grid_file(tmp_path),
-                     "--epochs", "5", "--batch", "8", "--seed", "3",
-                     "--out", str(model)]) == 0
-        return model
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_3d_data_on_2d_model_exits_1(self, tmp_path, capsys, model_2d, command):
@@ -378,6 +386,116 @@ class TestModelDimension:
         assert "grid_shape" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def random_file(path, n, grid_shape=(3, 3)):
+    """A file of n labeled 3-class samples of random values."""
+    rng = np.random.default_rng(n)
+    grid = Grid(grid_shape)
+    save_dataset(Dataset(values=rng.standard_normal((n, grid.m)), grid=grid,
+                         labels=rng.integers(1, 4, n), n_classes=3), path)
+    return path
+
+
+class TestBlockedCommands:
+    """`predict` and `eval` read, check and score the file one row block at
+    a time; a fault in a later block still exits without a file or stdout."""
+
+    N = 2 * BLOCK_ROWS + 3  # two blocks
+    HEADER, RECORD = 33, 1 + 8 * 9  # a 2-D file's header, one 3x3 sample
+
+    def _argv(self, command, model, data, out):
+        argv = [command, "--model", str(model), "--data", str(data)]
+        return argv + ["--out", str(out)] if command == "predict" else argv
+
+    def test_same_csv_as_the_library_on_a_loaded_dataset(self, tmp_path, model_2d):
+        data = random_file(tmp_path / "blocks.mfd", self.N)
+        out, ref = tmp_path / "p.csv", tmp_path / "ref.csv"
+        assert main(self._argv("predict", model_2d, data, out)) == 0
+        preds, probs = predict(load_model(model_2d), load_dataset(data))
+        write_predictions_csv(range(self.N), preds, probs, ref)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize(
+        "fault, value, code, message",
+        [
+            ("label", 200, 1, "label 200 exceeds class count 3"),
+            ("value", float("nan"), 1, "non-finite sample values"),
+            ("value", 1e300, 2, "numeric error: non-finite values after hidden layer 1"),
+        ],
+    )
+    def test_fault_in_the_last_block(self, tmp_path, capsys, model_2d, command, fault, value, code, message):
+        path = random_file(tmp_path / "blocks.mfd", self.N)
+        data = bytearray(path.read_bytes())
+        at = self.HEADER + (self.N - 2) * self.RECORD
+        if fault == "label":
+            data[at] = value
+        else:
+            data[at + 1 : at + 9] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        assert main(self._argv(command, model_2d, path, out)) == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_empty_file_of_the_model_dimension(self, tmp_path, model_2d):
+        out = tmp_path / "p.csv"
+        data = random_file(tmp_path / "empty.mfd", 0)
+        assert main(self._argv("predict", model_2d, data, out)) == 0
+        assert out.read_bytes() == b"index,predicted,p1,p2,p3\n"
+
+    @pytest.mark.parametrize("command, message", [
+        ("predict", "trained on 2-D data, but the data is 3-D"),
+        ("eval", "no samples"),
+    ])
+    def test_empty_file_of_another_dimension_exits_1(self, tmp_path, capsys, model_2d, command, message):
+        # refused from the header alone: there is no block to look at
+        out = tmp_path / "p.csv"
+        data = random_file(tmp_path / "cube.mfd", 0, grid_shape=(2, 2, 2))
+        capsys.readouterr()
+        assert main(self._argv(command, model_2d, data, out)) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_memory_is_one_block_plus_the_probabilities(self, tmp_path, capsys, command):
+        """The traced peak of one command on predict-large's data size (100 002
+        samples on a 5x5x5 grid, a 100 MB file) stays below a quarter of the
+        file.  The peak is two copies of the largest block (the block read and
+        `project_batch`'s weighted copy, up to 2 * BLOCK_ROWS - 1 rows) plus
+        the (n, K) probabilities, about 17 MB here; a quarter of the file
+        bounds that for files from about 80 MB.  tracemalloc counts numpy's
+        allocations, so the bound does not depend on the host's RSS."""
+        grid, n = Grid((5, 5, 5)), 100_002
+        record = np.dtype([("label", "u1"), ("values", "<f8", (grid.m,))])
+        rng = np.random.default_rng(14)
+        data = tmp_path / "large.mfd"
+        with open(data, "wb") as fh:  # written a block at a time
+            fh.write(b"MFDN1" + struct.pack("<II3IIQ", 1, 3, *grid.shape, 3, n))
+            for lo in range(0, n, BLOCK_ROWS):
+                block = np.empty(min(BLOCK_ROWS, n - lo), dtype=record)
+                block["label"] = rng.integers(1, 4, block.size)
+                block["values"] = rng.standard_normal((block.size, grid.m))
+                fh.write(block.tobytes())
+        model = tmp_path / "model.json"
+        save_model(Classifier(initial_params(Architecture(18, (64, 64), 3), rng), grid.shape), model)
+        size = data.stat().st_size
+        tracemalloc.start()
+        try:
+            code = main(self._argv(command, model, data, tmp_path / "p.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            data.unlink()
+        assert code == 0
+        assert peak < size / 4, f"traced peak {peak} bytes for a {size}-byte file"
+        capsys.readouterr()
 
 
 class TestBenchmarkCommand:

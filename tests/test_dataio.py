@@ -19,6 +19,7 @@ from fdnet import (
 from fdnet import dataio
 from fdnet.dataio import (
     BENCHMARK_COLUMNS,
+    DatasetReader,
     dataset_to_csv,
     load_dataset,
     load_hypergrid,
@@ -26,8 +27,10 @@ from fdnet.dataio import (
     save_dataset,
     save_model,
     write_benchmark_csv,
+    write_predictions_csv,
 )
 from fdnet.idx import load_idx
+from fdnet.projection import BLOCK_ROWS, row_blocks
 from fdnet.training import Classifier
 from synth_digits import idx_image_bytes, idx_label_bytes, make_digit_arrays, write_idx_pair
 
@@ -109,6 +112,77 @@ class TestDatasetErrors:
     def test_bad_version(self, tmp_path, valid_bytes):
         valid_bytes[5:9] = struct.pack("<I", 99)
         self._expect_error(tmp_path, valid_bytes, match="version")
+
+
+def read_by_blocks(path):
+    """Every block of `DatasetReader(path)` in order: (lo, hi, values, labels) copies."""
+    with DatasetReader(path) as reader:
+        return [(lo, hi, v.copy(), y.copy()) for lo, hi, v, y in reader.blocks()]
+
+
+class TestBlockReader:
+    """A file of 2 * BLOCK_ROWS + 3 rows on a 3x3 grid: two blocks, the
+    second starting at row BLOCK_ROWS."""
+
+    N = 2 * BLOCK_ROWS + 3
+    HEADER = 33  # magic, version, d, a 2-D shape, K and n
+    RECORD = 1 + 8 * 9
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        rng = np.random.default_rng(8)
+        ds = Dataset(values=rng.standard_normal((self.N, 9)), grid=Grid((3, 3)),
+                     labels=rng.integers(0, 4, self.N), n_classes=3)
+        path = tmp_path / "blocks.mfd"
+        save_dataset(ds, path)
+        return path
+
+    def test_blocks_are_the_rows_of_load_dataset(self, path):
+        ds = load_dataset(path)
+        blocks = read_by_blocks(path)
+        assert [(lo, hi) for lo, hi, _, _ in blocks] == row_blocks(self.N) == [
+            (0, BLOCK_ROWS), (BLOCK_ROWS, self.N)
+        ]
+        for lo, hi, values, labels in blocks:
+            assert np.array_equal(values, ds.values[lo:hi]) and np.array_equal(labels, ds.labels[lo:hi])
+        with DatasetReader(path) as reader:
+            assert (len(reader), reader.grid, reader.n_classes) == (self.N, Grid((3, 3)), 3)
+
+    @pytest.mark.parametrize("fault", ["label", "nan"])
+    def test_fault_in_the_last_block(self, path, fault):
+        # a label above K, then a NaN, in the last block: labels are checked
+        # first, as one whole-file pass did; the offsets are absolute
+        label_row, nan_row = 2 * BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 2
+        data = bytearray(path.read_bytes())
+        if fault == "label":
+            data[self.HEADER + label_row * self.RECORD] = 200
+            expected = f"label 200 exceeds class count 3 (at byte offset {self.HEADER + label_row * self.RECORD})"
+        else:
+            expected = f"non-finite sample values (at byte offset {self.HEADER + nan_row * self.RECORD + 1})"
+        at = self.HEADER + nan_row * self.RECORD + 1
+        data[at : at + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(data))
+        for read in (load_dataset, read_by_blocks):
+            with pytest.raises(FormatError) as exc_info:
+                read(path)
+            assert str(exc_info.value) == expected
+
+    @pytest.mark.parametrize("change, match", [(b"\x00", "trailing"), (-1, "promises")])
+    def test_payload_size_checked_on_opening(self, path, change, match):
+        data = path.read_bytes()
+        path.write_bytes(data + change if isinstance(change, bytes) else data[:change])
+        with pytest.raises(FormatError, match=match):
+            DatasetReader(path)
+
+    def test_file_shrunk_after_opening(self, path):
+        with DatasetReader(path) as reader:
+            with open(path, "r+b") as fh:
+                fh.truncate(self.HEADER + (BLOCK_ROWS + 5) * self.RECORD)
+            blocks = reader.blocks()
+            next(blocks)
+            with pytest.raises(FormatError, match="truncated") as exc_info:
+                next(blocks)
+        assert exc_info.value.offset == self.HEADER + (BLOCK_ROWS + 5) * self.RECORD
 
 
 class TestModelRoundTrip:
@@ -390,6 +464,19 @@ class TestCsvWriters:
         for i in range(n):
             vals = ",".join(repr(float(v)) for v in ds.values[i])
             rows.append(f"{i},{int(ds.labels[i])},{vals}")
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode("utf-8")
+
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS + 2])
+    def test_predictions_csv_bytes(self, tmp_path, n):
+        rng = np.random.default_rng(13)
+        probs = rng.dirichlet(np.ones(3), n)
+        preds = probs.argmax(axis=1) + 1
+        path = tmp_path / "pred.csv"
+        write_predictions_csv(range(n), preds, probs, path)
+        # the row-by-row formatting the writer must reproduce
+        rows = ["index,predicted,p1,p2,p3"]
+        rows += [f"{i},{preds[i]}," + ",".join(repr(float(p)) for p in probs[i]) for i in range(n)]
         assert path.read_bytes() == ("\n".join(rows) + "\n").encode("utf-8")
 
 

@@ -1,21 +1,31 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from fdnet import (
+    AliasingWarning,
     Architecture,
+    Dataset,
     DomainError,
+    Grid,
     HyperGrid,
     NetworkParams,
     TrainConfig,
     benchmark,
     classify,
+    evaluate,
+    forward,
     get_model,
     initial_params,
+    predict,
+    project_batch,
     truncated_kl_risk,
 )
 from fdnet import evaluation
 from fdnet.evaluation import confusion_matrix, misclassification_rate
-from fdnet.network import _forward_pass
+from fdnet.network import _forward_pass, predicted_class
+from fdnet.projection import BLOCK_ROWS
 from fdnet.training import Classifier
 
 
@@ -85,6 +95,23 @@ class TestConfusion:
         with pytest.raises(DomainError, match="classes in 1..3"):
             confusion_matrix(preds, labels, 3)
 
+    @pytest.mark.parametrize(
+        "preds, labels",
+        [
+            ([1.7, 2], [1, 2]),  # 1.7 would be truncated to a correct class 1
+            ([1, 2], [1.0, 2.0]),
+            (np.array([True, True]), [1, 1]),  # a bool would count as class 1
+            ([1, 1], np.array([True, True])),
+        ],
+    )
+    def test_float_or_bool_classes_refused(self, preds, labels):
+        with pytest.raises(DomainError, match="integer classes"):
+            confusion_matrix(preds, labels, 3)
+
+    def test_unsigned_classes_counted(self):
+        conf = confusion_matrix(np.array([1, 3], dtype=np.uint8), np.array([1, 2], dtype=np.uint8), 3)
+        assert conf[0, 0] == 1 and conf[1, 2] == 1 and conf.sum() == 2
+
 
 class TestEvaluate:
     def test_class_count_must_match(self):
@@ -135,6 +162,57 @@ class TestEvaluate:
         for labels in (np.zeros_like(data.labels), one_unlabeled):
             with pytest.raises(DomainError, match="unlabeled"):
                 evaluate(model, replace(data, labels=labels))
+
+
+B = BLOCK_ROWS
+
+
+def random_case(n, grid_shape, n_scores, widths, seed=0):
+    """An untrained 3-class classifier and n labeled samples of random values."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(grid_shape)
+    model = Classifier(initial_params(Architecture(n_scores, widths, 3), rng), grid_shape)
+    data = Dataset(values=rng.standard_normal((n, grid.m)), grid=grid,
+                   labels=rng.integers(1, 4, n), n_classes=3)
+    return model, data
+
+
+class TestBlockedInference:
+    """`predict` and `evaluate` score row blocks; the bits must be those of
+    one `forward(project_batch(...))` over all rows.  CI also runs these
+    with OPENBLAS_NUM_THREADS=1."""
+
+    @pytest.mark.parametrize("n", [1, 444, B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize(
+        "grid_shape, n_scores, widths",
+        [((3, 3), 4, (8,)), ((5, 5, 5), 18, (64, 64))],
+        ids=["2d-J4-1x8", "3d-J18-2x64"],
+    )
+    def test_blocked_equals_one_call(self, n, grid_shape, n_scores, widths):
+        model, data = random_case(n, grid_shape, n_scores, widths, seed=n)
+        one_call = forward(model.params, project_batch(data.values, data.grid, n_scores))
+        classes, probs = predict(model, data)
+        assert np.array_equal(probs, one_call)
+        assert np.array_equal(classes, predicted_class(one_call))
+        err, conf, eval_probs = evaluate(model, data)
+        assert np.array_equal(eval_probs, one_call)
+        assert np.array_equal(conf, confusion_matrix(classes, data.labels, 3))
+        assert err == misclassification_rate(classes, data.labels)
+
+    def test_aliasing_warned_once_per_call(self):
+        # J = 12 on a 9-point grid, over three blocks
+        model, data = random_case(2 * B + 1, (3, 3), 12, (8,))
+        for score in (predict, evaluate):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                score(model, data)
+            assert [w.category for w in caught] == [AliasingWarning]
+
+    def test_unlabeled_sample_in_a_later_block_refused(self):
+        model, data = random_case(2 * B + 1, (3, 3), 4, (8,))
+        data.labels[-1] = 0
+        with pytest.raises(DomainError, match="unlabeled"):
+            evaluate(model, data)
 
 
 class TestTruncatedKl:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fdnet import AliasingWarning, DomainError, Grid, project_batch
+from fdnet import AliasingWarning, Dataset, DomainError, Grid, project_batch
 from fdnet.basis import design_matrix
+from fdnet.projection import BLOCK_ROWS, row_blocks
 
 
 def project_one(values, grid, J):
@@ -70,3 +71,32 @@ class TestProject:
             project_batch(np.ones((2, 8)), grid, 4)
         with pytest.raises(DomainError):
             project_batch(np.ones(9), grid, 4)
+
+
+B = BLOCK_ROWS
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 444, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 100_002])
+    def test_blocks_tile_the_rows_with_a_short_tail_merged(self, n):
+        blocks = row_blocks(n)
+        if n == 0:
+            assert blocks == []
+            return
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(blocks, blocks[1:]))
+        sizes = [hi - lo for lo, hi in blocks]
+        if n < B:
+            assert sizes == [n]
+        else:
+            assert all(B <= size <= 2 * B - 1 for size in sizes)
+
+    def test_dataset_blocks_are_views_of_its_rows(self):
+        n = 2 * B + 1
+        ds = Dataset(values=np.zeros((n, 4)), grid=Grid((2, 2)), labels=np.ones(n, dtype=int), n_classes=1)
+        seen = []
+        for lo, hi, values, labels in ds.blocks():
+            assert np.shares_memory(values, ds.values) and np.shares_memory(labels, ds.labels)
+            assert values.shape == (hi - lo, 4) and labels.shape == (hi - lo,)
+            seen.append((lo, hi))
+        assert seen == row_blocks(n)
