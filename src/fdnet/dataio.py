@@ -1,10 +1,13 @@
 """Serialization: binary dataset files, JSON model files, CSV reports.
 
-A model file (version 2) holds one `training.Classifier` as it is in
+A model file (version 3) holds one `training.Classifier` as it is in
 memory, each fact once: the network's architecture, the grid shape and
 the parameter vector `NetworkParams.flat`, beside the caller's metadata,
-which `load_model` does not read.  A version 1 file, which stored
-per-layer arrays, is refused.
+which `load_model` does not read.  The vector is one JSON string, the
+base64 of its little-endian float64 bytes, so that writing and reading
+millions of parameters is a byte copy rather than a float-to-text
+conversion of each.  Files of versions 1 (per-layer arrays) and 2 (the
+vector as a list of JSON numbers) are refused.
 
 Dataset files are binary (3-D datasets reach 10^5+ values per file and CSV
 parsing would dominate runtime); `dataset_to_csv` provides a readable dump
@@ -29,6 +32,7 @@ Dataset file layout (little-endian):
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import struct
@@ -44,9 +48,11 @@ from .training import Chosen, Classifier, HyperGrid
 DATASET_MAGIC = b"MFDN1"
 DATASET_VERSION = 1
 MODEL_FORMAT = "fdnet-model"
-MODEL_VERSION = 2
-# float values per write when streaming a model's parameters
-_MODEL_CHUNK = 65536
+MODEL_VERSION = 3
+# float values per write when streaming a model's parameters; a multiple
+# of 3, so that each chunk's 8 * _MODEL_CHUNK bytes encode to base64
+# without padding and the chunks join into the one-shot encoding
+_MODEL_CHUNK = 3 * 2**14
 
 BENCHMARK_COLUMNS = (
     "model_id",
@@ -209,9 +215,13 @@ def save_model(model: Classifier, path, metadata: dict | None = None) -> None:
     The bytes are those of `json.dump(doc, fh, sort_keys=True,
     separators=(",", ":"))` plus a newline, for the document of the
     architecture, format, grid_shape, caller's metadata, params and
-    version.  It is streamed in that key order, `params` in chunks of
-    `repr` of `NetworkParams.flat` (how `json` writes a finite float), so
-    no encoded copy of millions of floats is built in memory.
+    version, where params is `base64.b64encode` of the little-endian
+    float64 bytes of `NetworkParams.flat`.  Everything but params is
+    encoded before the file is opened: metadata that JSON cannot hold (a
+    numpy scalar, an arbitrary object, a NaN or infinite float) raises
+    DomainError and creates no file.  Params is then streamed in chunks of
+    `_MODEL_CHUNK` floats, so no full-size copy of the vector's bytes or
+    text is built in memory.
     """
     arch = model.params.architecture
     architecture = {
@@ -219,26 +229,33 @@ def save_model(model: Classifier, path, metadata: dict | None = None) -> None:
         "hidden_widths": list(arch.hidden_widths),
         "n_classes": arch.n_classes,
     }
+    try:
+        meta = _compact(metadata or {})
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"model metadata is not JSON: {exc}") from exc
+    head = (
+        f'{{"architecture":{_compact(architecture)},"format":{_compact(MODEL_FORMAT)},'
+        f'"grid_shape":{_compact(list(model.grid_shape))},"metadata":{meta},"params":"'
+    )
     flat = model.params.flat
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"architecture":{_compact(architecture)},"format":{_compact(MODEL_FORMAT)},')
-        fh.write(f'"grid_shape":{_compact(list(model.grid_shape))},')
-        fh.write(f'"metadata":{_compact(metadata or {})},"params":[')
+    with open(path, "wb") as fh:
+        fh.write(head.encode("ascii"))
         for lo in range(0, flat.size, _MODEL_CHUNK):
-            if lo:
-                fh.write(",")
-            fh.write(",".join(map(repr, flat[lo : lo + _MODEL_CHUNK].tolist())))
-        fh.write(f'],"version":{_compact(MODEL_VERSION)}}}\n')
+            chunk = flat[lo : lo + _MODEL_CHUNK].astype("<f8", copy=False)
+            fh.write(base64.b64encode(chunk.tobytes()))
+        fh.write(f'","version":{MODEL_VERSION}}}\n'.encode("ascii"))
 
 
 def _compact(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # ASCII (json escapes the rest) and strict JSON: no NaN or Infinity
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def load_model(path) -> Classifier:
     """The classifier a model file was written from.  Beyond the format and
-    version, only `params` is checked here, for JSON numbers; the
-    constructors check the rest, and any refusal is a FormatError."""
+    version, only `params` is checked here, for a base64 string of whole
+    float64 values; the constructors check the rest (length, finiteness,
+    grid shape), and any refusal is a FormatError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -253,13 +270,23 @@ def load_model(path) -> Classifier:
     try:
         spec = doc["architecture"]
         arch = Architecture(spec["input_dim"], tuple(spec["hidden_widths"]), spec["n_classes"])
-        values = doc["params"]
-        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
-            raise ValueError("params must be a list of JSON numbers")
-        return Classifier(NetworkParams(arch, np.asarray(values, dtype=float)), doc["grid_shape"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # ValueError includes every constructor's DomainError; OverflowError
-        # is an integer beyond the float range in the params
+        encoded = doc["params"]
+        # padded base64 is whole groups of 4 characters, with "=" only in
+        # the last two places; b64decode would accept excess "=" groups
+        if (
+            not isinstance(encoded, str)
+            or len(encoded) % 4
+            or encoded.find("=", 0, len(encoded) - 2) >= 0
+        ):
+            raise ValueError("params must be a string of padded base64")
+        # binascii.Error, a ValueError, for a non-alphabet character or bad padding
+        raw = base64.b64decode(encoded, validate=True)
+        if len(raw) % 8:
+            raise ValueError(f"params hold {len(raw)} bytes, not whole float64 values")
+        flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        return Classifier(NetworkParams(arch, flat), doc["grid_shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError includes every constructor's DomainError
         raise FormatError(f"malformed model document: {exc}") from exc
 
 

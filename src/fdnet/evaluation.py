@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import design_matrix
 from .errors import DomainError, as_count, as_real
 from .network import forward, predicted_class
 from .projection import project_batch
@@ -125,12 +126,16 @@ def _scored_blocks(model: Classifier, data):
     `Dataset` or a `dataio.DatasetReader`, projected onto the
     d-dimensional basis at the network's input width.  Data of a dimension
     other than the model's d raises DomainError before any block is read;
-    an AliasingWarning comes with the first block only."""
+    an AliasingWarning comes with the first block only, and the design
+    matrix is built once for all blocks."""
     d, j = len(model.grid_shape), model.params.architecture.input_dim
     if data.grid.d != d:
         raise DomainError(f"the model was trained on {d}-D data, but the data is {data.grid.d}-D")
+    phi = None  # built with the first block: an empty dataset builds none
     for lo, hi, values, labels in data.blocks():
-        probs = forward(model.params, project_batch(values, data.grid, j, warn=lo == 0))
+        if phi is None:
+            phi = design_matrix(j, data.grid)
+        probs = forward(model.params, project_batch(values, data.grid, j, warn=lo == 0, phi=phi))
         yield lo, hi, labels, predicted_class(probs), probs
 
 

@@ -82,17 +82,24 @@ def _check_aliasing(J: int, grid: Grid) -> None:
         )
 
 
-def project_batch(values: np.ndarray, grid: Grid, J: int, *, warn: bool = True) -> np.ndarray:
+def project_batch(
+    values: np.ndarray, grid: Grid, J: int, *, warn: bool = True, phi: np.ndarray | None = None
+) -> np.ndarray:
     """Scores for an (n, m) batch of samples, returned as (n, J).
 
     score_j = sum over nodes of weight * value * phi_j(node).  An
     AliasingWarning is issued when J exceeds the grid's m, unless `warn`
-    is false (a blocked caller warns with its first block only).
+    is false (a blocked caller warns with its first block only).  `phi`
+    is `design_matrix(J, grid)`, built here unless a caller that projects
+    many blocks passes the one it built.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != grid.m:
         raise DomainError("values must be (n, m) matching the grid")
     if warn:
         _check_aliasing(J, grid)
-    phi = design_matrix(J, grid)
+    if phi is None:
+        phi = design_matrix(J, grid)
+    elif phi.shape != (grid.m, J):
+        raise DomainError(f"design matrix must be (m, J) = {(grid.m, J)}, got {phi.shape}")
     return (values * grid.node_weights()[None, :]) @ phi

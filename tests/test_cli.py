@@ -1,3 +1,4 @@
+import base64
 import json
 import struct
 import tracemalloc
@@ -18,6 +19,10 @@ def grid_file(tmp_path, doc=None):
     doc = doc or {"J": [4], "L": [1], "width": [8], "dropout": [0.0]}
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
 
 
 def simulate(tmp_path, name="data.mfd", nk=12, m=9, seed=7, test_nk=0):
@@ -187,8 +192,9 @@ class TestMalformedInputs:
 
     def test_model_json_infinite_integer_exits_1(self, tmp_path, capsys):
         # and every other value that is not a JSON integer (widths,
-        # grid_shape) or number (params), and a params list of the wrong
-        # length; none of them may be coerced
+        # grid_shape), every params that is not a string of padded base64,
+        # and params of whole float64 values of the wrong length or not
+        # finite; none of them may be coerced
         from fdnet import Architecture, initial_params
         from fdnet.dataio import save_model
         from fdnet.training import Classifier
@@ -205,10 +211,16 @@ class TestMalformedInputs:
             lambda d: d["architecture"].update(input_dim=4.5),
             lambda d: d["architecture"].update(hidden_widths=["8"]),
             lambda d: d["architecture"].update(n_classes=True),
-            lambda d: d["params"].__setitem__(-1, "0.5"),
-            lambda d: d["params"].__setitem__(-1, True),
-            lambda d: d["params"].__setitem__(-1, None),
-            lambda d: d["params"].pop(),
+            # the list of JSON numbers of version 2
+            lambda d: d.update(params=params.flat.tolist()),
+            lambda d: d.update(params=True),
+            lambda d: d.update(params=None),
+            lambda d: d.update(params="!" + d["params"][1:]),
+            lambda d: d.update(params=d["params"].rstrip("=")),
+            # one byte short, one float short, and all NaN
+            lambda d: d.update(params=b64(params.flat.tobytes()[:-1])),
+            lambda d: d.update(params=b64(params.flat[:-1].tobytes())),
+            lambda d: d.update(params=b64(np.full(params.flat.size, np.nan).tobytes())),
             lambda d: d.update(grid_shape=["3", 3]),
         ]
         for i, edit in enumerate(edits):

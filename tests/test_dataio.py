@@ -1,3 +1,4 @@
+import base64
 import copy
 import gzip
 import json
@@ -188,13 +189,15 @@ class TestBlockReader:
 class TestModelRoundTrip:
     def test_bit_exact(self, tmp_path):
         params = initial_params(Architecture(7, (5, 4), 3), np.random.default_rng(8))
-        params.weights[0][0, 0] = 1e-300
+        params.flat[:5] = [1e-300, -0.0, 5e-324, 1e300, 1 / 3]
         params.weights[1][0, 0] = 0.1
         path = tmp_path / "model.json"
         save_model(Classifier(params, (5, 6)), path, metadata={"seed": 1})
         loaded = load_model(path)
         assert loaded.params.architecture == params.architecture
-        np.testing.assert_array_equal(loaded.params.flat, params.flat)
+        # the bits, so that -0.0 is told from 0.0
+        assert np.array_equal(loaded.params.flat.view(np.int64), params.flat.view(np.int64))
+        assert loaded.params.flat.flags.writeable
         assert loaded.grid_shape == (5, 6)
         doc = json.loads(path.read_text())
         assert doc["metadata"] == {"seed": 1} and doc["grid_shape"] == [5, 6]
@@ -223,23 +226,39 @@ class TestModelRoundTrip:
     def test_bytes_equal_one_shot_json(self, tmp_path, metadata):
         # W_0 fills exactly one write chunk of params, the rest more than one
         # with a short tail
-        arch = Architecture(256, (256, 300), 3)
+        arch = Architecture(192, (256, 300), 3)
         assert arch.hidden_widths[0] * arch.input_dim == dataio._MODEL_CHUNK
         params = initial_params(arch, np.random.default_rng(10))
         params.weights[1][0, :4] = [-0.0, 5e-324, 1e300, 1 / 3]
         params.shifts[0][:] = np.random.default_rng(11).standard_normal(256)
+        flat = np.concatenate([*params.weights, *params.shifts], axis=None)
         doc = {
             "format": "fdnet-model",
-            "version": 2,
-            "architecture": {"input_dim": 256, "hidden_widths": [256, 300], "n_classes": 3},
+            "version": 3,
+            "architecture": {"input_dim": 192, "hidden_widths": [256, 300], "n_classes": 3},
             "grid_shape": [28, 28],
-            "params": np.concatenate([*params.weights, *params.shifts], axis=None).tolist(),
+            "params": base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii"),
             "metadata": metadata or {},
         }
         expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         path = tmp_path / "model.json"
         save_model(Classifier(params, (28, 28)), path, metadata=metadata)
         assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_large_model_bit_exact(self, tmp_path):
+        # the MNIST-scale cell: J=500, 3 x 1000, K=10, 2.5M parameters
+        params = initial_params(Architecture(500, (1000, 1000, 1000), 10), np.random.default_rng(15))
+        path = tmp_path / "m.json"
+        save_model(Classifier(params, (28, 28)), path)
+        assert np.array_equal(load_model(path).params.flat, params.flat)
+
+    @pytest.mark.parametrize("value", [np.int64(3), object(), float("nan")])
+    def test_metadata_json_cannot_hold_refused(self, tmp_path, value):
+        params = initial_params(Architecture(3, (4,), 2), np.random.default_rng(16))
+        path = tmp_path / "m.json"
+        with pytest.raises(DomainError, match="metadata"):
+            save_model(Classifier(params, (3, 3)), path, metadata={"x": value})
+        assert not path.exists()
 
     def test_rejects_non_model_json(self, tmp_path):
         path = tmp_path / "x.json"
@@ -310,6 +329,71 @@ class TestModelRoundTrip:
             "chosen": {"J": 2, "L": 1, "width": 3, "dropout": 0.25},
             "config": {"epochs": 3, "batch_size": 8, "learning_rate": 0.5},
         }
+
+
+class TestModelParamsRefused:
+    """Every `params` that is not the base64 of whole, finite float64
+    values, and every file of an earlier version, is a FormatError."""
+
+    @pytest.fixture
+    def doc(self, tmp_path):
+        params = initial_params(Architecture(3, (4,), 2), np.random.default_rng(17))
+        path = tmp_path / "m.json"
+        save_model(Classifier(params, (3, 3)), path)
+        return json.loads(path.read_text())
+
+    def _refused(self, tmp_path, doc, match):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=match):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [[0.5] * 32, 0.5, None, True, {}])
+    def test_not_a_string(self, tmp_path, doc, value):
+        self._refused(tmp_path, dict(doc, params=value), "malformed model document: params must be a string")
+
+    @pytest.mark.parametrize("char", ["!", "-", "_", " ", "\n", "\u00e9"])
+    def test_character_outside_the_alphabet(self, tmp_path, doc, char):
+        encoded = doc["params"]
+        self._refused(tmp_path, dict(doc, params=encoded[:8] + char + encoded[9:]), "malformed")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda e: e[:-1],  # a group cut short
+            lambda e: e[:-2] + "==",  # padding in place of data: 190 bytes
+            lambda e: e + "=",  # excess padding after whole groups
+            lambda e: e + "====",
+            lambda e: e[:4] + "AA==" + e[4:],  # padding inside the string
+            lambda e: e[:-4] + "A===",
+        ],
+    )
+    def test_bad_padding(self, tmp_path, doc, edit):
+        # 24 floats are 192 bytes, whose encoding needs no padding
+        assert len(doc["params"]) == 256 and not doc["params"].endswith("=")
+        self._refused(tmp_path, dict(doc, params=edit(doc["params"])), "malformed")
+
+    @pytest.mark.parametrize("size", [191, 193, 1])
+    def test_bytes_not_whole_floats(self, tmp_path, doc, size):
+        raw = (base64.b64decode(doc["params"]) + b"\0")[:size]
+        encoded = base64.b64encode(raw).decode("ascii")
+        self._refused(tmp_path, dict(doc, params=encoded), "not whole float64 values")
+
+    def test_wrong_length(self, tmp_path, doc):
+        raw = base64.b64decode(doc["params"])[:-8]
+        self._refused(tmp_path, dict(doc, params=base64.b64encode(raw).decode("ascii")), "length 24")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_bytes(self, tmp_path, doc, value):
+        flat = np.frombuffer(base64.b64decode(doc["params"]), "<f8").copy()
+        flat[5] = value
+        encoded = base64.b64encode(flat.tobytes()).decode("ascii")
+        self._refused(tmp_path, dict(doc, params=encoded), "finite")
+
+    def test_version_2(self, tmp_path, doc):
+        # the vector as a list of JSON numbers, which is not read
+        flat = np.frombuffer(base64.b64decode(doc["params"]), "<f8")
+        self._refused(tmp_path, dict(doc, params=flat.tolist(), version=2), "unsupported model version 2")
 
 
 class TestHyperGridJson:
@@ -407,7 +491,7 @@ class TestJsonLoaderFuzz:
         save_model(Classifier(params, (3, 3)), path)
         doc = json.loads(path.read_text())
         for where in (("architecture", "input_dim"), ("architecture", "hidden_widths", 0),
-                      ("params", 0)):
+                      ("params",)):
             path.write_text(json.dumps(_replaced(doc, where, float("inf"))))
             with pytest.raises(FormatError, match="malformed"):
                 load_model(path)

@@ -208,6 +208,25 @@ class TestBlockedInference:
                 score(model, data)
             assert [w.category for w in caught] == [AliasingWarning]
 
+    def test_design_matrix_built_once_per_call(self, monkeypatch):
+        # three blocks; the count covers every module that could build one
+        from fdnet import basis, projection
+
+        built = []
+
+        def counted(J, grid):
+            built.append(J)
+            return basis.design_matrix(J, grid)
+
+        for module in (evaluation, projection):
+            monkeypatch.setattr(module, "design_matrix", counted)
+        model, data = random_case(3 * B + 1, (3, 3), 4, (8,))
+        assert len(list(data.blocks())) == 3
+        for score in (predict, evaluate):
+            built.clear()
+            score(model, data)
+            assert built == [4]
+
     def test_unlabeled_sample_in_a_later_block_refused(self):
         model, data = random_case(2 * B + 1, (3, 3), 4, (8,))
         data.labels[-1] = 0

@@ -71,6 +71,8 @@ class TestProject:
             project_batch(np.ones((2, 8)), grid, 4)
         with pytest.raises(DomainError):
             project_batch(np.ones(9), grid, 4)
+        with pytest.raises(DomainError, match="design matrix"):
+            project_batch(np.ones((2, 9)), grid, 4, phi=design_matrix(5, grid))
 
 
 B = BLOCK_ROWS
