@@ -217,9 +217,10 @@ def save_model(model: Classifier, path, metadata: dict | None = None) -> None:
     architecture, format, grid_shape, caller's metadata, params and
     version, where params is `base64.b64encode` of the little-endian
     float64 bytes of `NetworkParams.flat`.  Everything but params is
-    encoded before the file is opened: metadata that JSON cannot hold (a
-    numpy scalar, an arbitrary object, a NaN or infinite float) raises
-    DomainError and creates no file.  Params is then streamed in chunks of
+    encoded before the file is opened: metadata other than a dict or None
+    (None is written as {}), or that JSON cannot hold (a numpy scalar, an
+    arbitrary object, a NaN or infinite float), raises DomainError and
+    creates no file.  Params is then streamed in chunks of
     `_MODEL_CHUNK` floats, so no full-size copy of the vector's bytes or
     text is built in memory.
     """
@@ -229,8 +230,10 @@ def save_model(model: Classifier, path, metadata: dict | None = None) -> None:
         "hidden_widths": list(arch.hidden_widths),
         "n_classes": arch.n_classes,
     }
+    if not isinstance(metadata, (dict, type(None))):
+        raise DomainError(f"model metadata must be a dict or None, got {type(metadata).__name__}")
     try:
-        meta = _compact(metadata or {})
+        meta = _compact({} if metadata is None else metadata)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"model metadata is not JSON: {exc}") from exc
     head = (

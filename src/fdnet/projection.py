@@ -4,7 +4,7 @@ Each sample is integrated against the first J elements of the tensor
 Fourier basis with the grid's quadrature weights; the resulting score
 vectors are what the network consumes.  The grid fixes everything else:
 its shape gives the nodes and weights, and its dimension the basis order.
-Inference and dataset reading go by the row blocks of `row_blocks`.
+Training, inference and dataset reading all go by `row_blocks`.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from .basis import Grid, design_matrix
 from .errors import AliasingWarning, DomainError
 
 
-# rows per block of inference and of dataset reading.  A short last block
-# joins the one before it: with OpenBLAS, a matmul over a few hundred rows
-# takes another kernel, which changes the last bits of its rows, while
-# blocks of BLOCK_ROWS or more rows give the bits of one call over all rows.
-# One measured exception: on a 28x28 grid at J=500, a few dozen rows of a
-# multi-block projection differ from one call in the last bit or two
+# rows per block of every dataset projection, training's and inference's
+# alike, and of dataset reading.  A short last block joins the one before
+# it: with OpenBLAS, a matmul over a few hundred rows takes another kernel,
+# which changes the last bits of its rows, while blocks of BLOCK_ROWS or more
+# rows give the bits of one call over all rows.  One measured exception: on
+# a 28x28 grid at J=500, a few dozen rows of a multi-block projection differ
+# from one call in the last bit or two
 BLOCK_ROWS = 4096
 
 
@@ -72,34 +73,40 @@ class Dataset:
             yield lo, hi, self.values[lo:hi], self.labels[lo:hi]
 
 
-def _check_aliasing(J: int, grid: Grid) -> None:
+def _design_matrix(J: int, grid: Grid) -> np.ndarray:
     if J > grid.m:
-        warnings.warn(
-            f"projecting onto J={J} basis elements from only m={grid.m} grid "
-            "points; scores beyond the grid resolution are aliased",
-            AliasingWarning,
-            stacklevel=3,
-        )
+        warnings.warn(f"projecting onto J={J} basis elements from only m={grid.m} grid points; "
+                      "scores beyond the grid resolution are aliased",
+                      AliasingWarning, stacklevel=3)
+    return design_matrix(J, grid)
 
 
 def project_batch(
-    values: np.ndarray, grid: Grid, J: int, *, warn: bool = True, phi: np.ndarray | None = None
+    values: np.ndarray, grid: Grid, J: int, *, phi: np.ndarray | None = None
 ) -> np.ndarray:
     """Scores for an (n, m) batch of samples, returned as (n, J).
 
-    score_j = sum over nodes of weight * value * phi_j(node).  An
-    AliasingWarning is issued when J exceeds the grid's m, unless `warn`
-    is false (a blocked caller warns with its first block only).  `phi`
-    is `design_matrix(J, grid)`, built here unless a caller that projects
-    many blocks passes the one it built.
+    score_j = sum over nodes of weight * value * phi_j(node).  `phi` is
+    `design_matrix(J, grid)`, built here, with an AliasingWarning when J
+    exceeds the grid's m, unless the caller passes the one it built.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != grid.m:
         raise DomainError("values must be (n, m) matching the grid")
-    if warn:
-        _check_aliasing(J, grid)
     if phi is None:
-        phi = design_matrix(J, grid)
+        phi = _design_matrix(J, grid)
     elif phi.shape != (grid.m, J):
         raise DomainError(f"design matrix must be (m, J) = {(grid.m, J)}, got {phi.shape}")
     return (values * grid.node_weights()[None, :]) @ phi
+
+
+def projected_blocks(data, J: int):
+    """(lo, hi, labels, scores) of each of `data.blocks()`, where data is a
+    `Dataset` or a `dataio.DatasetReader` and scores is the block's (hi - lo,
+    J) `project_batch`.  The design matrix is built once, with the first
+    block (empty data builds none), and an AliasingWarning comes with it."""
+    phi = None
+    for lo, hi, values, labels in data.blocks():
+        if phi is None:
+            phi = _design_matrix(J, data.grid)
+        yield lo, hi, labels, project_batch(values, data.grid, J, phi=phi)

@@ -3,15 +3,16 @@
 `train` fits one network with the adaptive-moment (Adam) update and
 inverted dropout on hidden units.  `select(dataset, cfg, grid, seed)` runs
 the full hyperparameter procedure over the candidate `HyperGrid`: extract
-scores once at the largest candidate J, on the basis of the dataset's
-dimension (the basis order depends on nothing else), split 70/30
-stratified by class, train every candidate cell on the training fold,
-score it by 0-1 error on the validation fold (through `network.classify`,
-the same streaming inference loop and argmax rule every prediction uses),
-pick the argmin (ties falling to the lexicographically smallest candidate
-tuple) and retrain on all data.  The fitted model is a `Classifier`: the
-final network and the grid shape of its training data, whose length is
-the dimension of the data the model accepts.
+scores at the largest candidate J by row blocks through `projected_blocks`
+(as prediction does), on the basis of the dataset's dimension (the basis
+order depends on nothing else), split 70/30 stratified by class, train
+every candidate cell on the training fold, score it by 0-1 error on the
+validation fold (through `network.classify`, the same streaming inference
+loop and argmax rule every prediction uses), pick the argmin (ties falling
+to the lexicographically smallest candidate tuple) and retrain on all
+data.  The fitted model is a `Classifier`: the final network and the grid
+shape of its training data, whose length is the dimension of the data the
+model accepts.
 
 Inside `select`, score coordinates are standardized (zero mean, unit
 scale) before training; raw score scales span orders of magnitude and
@@ -56,7 +57,7 @@ from .network import (
     loss_and_gradient,
     one_hot,
 )
-from .projection import Dataset, project_batch
+from .projection import Dataset, projected_blocks
 from .rng import as_seed_sequence
 
 # moment decay rates and denominator guard of the adaptive-moment update
@@ -353,7 +354,7 @@ def _absorb_input_affine(params: NetworkParams, mu: np.ndarray, sd: np.ndarray) 
 def select(dataset: Dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     """Full data-splitting selection over the candidate grid.
 
-    Scores are extracted once at max(n_scores) and truncated per cell.
+    Scores are projected by row blocks at max(n_scores), then truncated.
     Every cell trains on the 70% fold under its own dropout rate and is
     scored by 0-1 error on the 30% fold; the final model retrains on all
     samples with the winning tuple and keeps the dataset's grid shape.
@@ -371,7 +372,10 @@ def select(dataset: Dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> Selecti
     k = dataset.n_classes
 
     j_max = max(grid.n_scores)
-    raw_scores = project_batch(dataset.values, dataset.grid, j_max)
+    raw_scores = np.empty((len(dataset), j_max))
+    for lo, hi, _, block in projected_blocks(dataset, j_max):
+        raw_scores[lo:hi] = block
+    del block  # not kept alive through training
 
     train_idx, val_idx = split_70_30(labels, streams[0])
 

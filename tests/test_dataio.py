@@ -221,6 +221,7 @@ class TestModelRoundTrip:
                 "tiny": 5e-324,
                 "nested": {"b": [1.5, -0.0, {"z": True, "a": 1e300}], "a": None},
             },
+            {},
         ],
     )
     def test_bytes_equal_one_shot_json(self, tmp_path, metadata):
@@ -258,6 +259,15 @@ class TestModelRoundTrip:
         path = tmp_path / "m.json"
         with pytest.raises(DomainError, match="metadata"):
             save_model(Classifier(params, (3, 3)), path, metadata={"x": value})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("metadata", [0, "", [], False, "note", [1, 2]])
+    def test_metadata_other_than_a_dict_refused(self, tmp_path, metadata):
+        # a falsy value is not taken for None and written as {}
+        params = initial_params(Architecture(3, (4,), 2), np.random.default_rng(16))
+        path = tmp_path / "m.json"
+        with pytest.raises(DomainError, match="must be a dict or None"):
+            save_model(Classifier(params, (3, 3)), path, metadata=metadata)
         assert not path.exists()
 
     def test_rejects_non_model_json(self, tmp_path):

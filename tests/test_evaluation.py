@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -20,10 +21,11 @@ from fdnet import (
     initial_params,
     predict,
     project_batch,
+    select,
     truncated_kl_risk,
 )
-from fdnet import evaluation
-from fdnet.evaluation import confusion_matrix, misclassification_rate
+from fdnet import basis, evaluation, projection, training
+from fdnet.evaluation import confusion_matrix
 from fdnet.network import _forward_pass, predicted_class
 from fdnet.projection import BLOCK_ROWS
 from fdnet.training import Classifier
@@ -57,22 +59,6 @@ class TestClassify:
         for transform in (lambda z: 3.0 * z + 7.0, np.exp, np.tanh):
             np.testing.assert_array_equal(np.argmax(transform(logits), axis=1), base)
         np.testing.assert_array_equal(classify(params, x) - 1, base)
-
-
-class TestMisclassification:
-    def test_identical(self):
-        assert misclassification_rate([1, 2, 3], [1, 2, 3]) == 0.0
-
-    def test_fully_mismatched(self):
-        assert misclassification_rate([1, 1, 1], [2, 2, 2]) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            misclassification_rate([], [])
-
-    def test_length_mismatch(self):
-        with pytest.raises(DomainError):
-            misclassification_rate([1, 2], [1])
 
 
 class TestConfusion:
@@ -177,6 +163,12 @@ def random_case(n, grid_shape, n_scores, widths, seed=0):
     return model, data
 
 
+def one_epoch_select(data, n_scores):
+    """`select` over one small one-layer cell per J of n_scores, one epoch."""
+    grid = HyperGrid(n_scores=n_scores, depths=(1,), widths=(4,), dropouts=(0.0,))
+    return select(data, TrainConfig(epochs=1, batch_size=512), grid, 0)
+
+
 class TestBlockedInference:
     """`predict` and `evaluate` score row blocks; the bits must be those of
     one `forward(project_batch(...))` over all rows.  CI also runs these
@@ -197,12 +189,12 @@ class TestBlockedInference:
         err, conf, eval_probs = evaluate(model, data)
         assert np.array_equal(eval_probs, one_call)
         assert np.array_equal(conf, confusion_matrix(classes, data.labels, 3))
-        assert err == misclassification_rate(classes, data.labels)
+        assert err == np.mean(classes != data.labels)
 
     def test_aliasing_warned_once_per_call(self):
         # J = 12 on a 9-point grid, over three blocks
         model, data = random_case(2 * B + 1, (3, 3), 12, (8,))
-        for score in (predict, evaluate):
+        for score in (predict, evaluate, lambda _, d: one_epoch_select(d, (12,))):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 score(model, data)
@@ -210,19 +202,20 @@ class TestBlockedInference:
 
     def test_design_matrix_built_once_per_call(self, monkeypatch):
         # three blocks; the count covers every module that could build one
-        from fdnet import basis, projection
-
-        built = []
+        original, built = basis.design_matrix, []
 
         def counted(J, grid):
             built.append(J)
-            return basis.design_matrix(J, grid)
+            return original(J, grid)
 
-        for module in (evaluation, projection):
-            monkeypatch.setattr(module, "design_matrix", counted)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fdnet.") and module is not basis:
+                if getattr(module, "design_matrix", None) is original:
+                    monkeypatch.setattr(module, "design_matrix", counted)
         model, data = random_case(3 * B + 1, (3, 3), 4, (8,))
         assert len(list(data.blocks())) == 3
-        for score in (predict, evaluate):
+        # select projects once, at the largest candidate J
+        for score in (predict, evaluate, lambda _, d: one_epoch_select(d, (2, 4))):
             built.clear()
             score(model, data)
             assert built == [4]
@@ -232,6 +225,30 @@ class TestBlockedInference:
         data.labels[-1] = 0
         with pytest.raises(DomainError, match="unlabeled"):
             evaluate(model, data)
+
+
+class TestOneProjection:
+    """`select` trains on the scores `predict` computes for the same rows.
+    CI also runs this with OPENBLAS_NUM_THREADS=1."""
+
+    def test_select_and_predict_project_alike(self, monkeypatch):
+        # two blocks on 28x28 at J=500, where a multi-block projection
+        # differs from one call over all rows in the last bits
+        original, returned = projection.project_batch, []
+
+        def recorded(*args, **kwargs):
+            returned.append(original(*args, **kwargs))
+            return returned[-1]
+
+        for module in (projection, training, evaluation):
+            if getattr(module, "project_batch", None) is original:
+                monkeypatch.setattr(module, "project_batch", recorded)
+        _, data = random_case(2 * B + 1, (28, 28), 500, (4,))
+        model = one_epoch_select(data, (500,)).classifier
+        selected = np.concatenate(returned)
+        returned.clear()
+        predict(model, data)
+        assert np.array_equal(np.concatenate(returned), selected)
 
 
 class TestTruncatedKl:
