@@ -68,9 +68,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _run_selection(
-    dataset: Dataset, grid_path: str, cfg: TrainConfig, seed: int, out: str
-) -> SelectionResult:
+def _run_selection(dataset, grid_path: str, cfg: TrainConfig, seed: int, out: str) -> SelectionResult:
     grid = dataio.load_hypergrid(grid_path)
     result = select(dataset, cfg, grid, seed)
     metadata = dataio.metadata_for(result.chosen, cfg, seed)
@@ -84,14 +82,14 @@ def _run_selection(
 
 
 def _cmd_train(args) -> int:
-    dataset = dataio.load_dataset(args.data)
-    _run_selection(dataset, args.grid, _train_config(args), args.seed, args.out)
+    # train, predict and eval read the file a row block at a time; nothing
+    # is written until every block has been read and checked
+    with dataio.DatasetReader(args.data) as data:
+        _run_selection(data, args.grid, _train_config(args), args.seed, args.out)
     return 0
 
 
 def _cmd_predict(args) -> int:
-    # the file is read and scored a row block at a time; nothing is written
-    # until every block has been read and checked
     with dataio.DatasetReader(args.data) as data:
         model = dataio.load_model(args.model)
         preds, probs = predict(model, data)
@@ -148,9 +146,11 @@ def _cmd_mnist(args) -> int:
     for limit in (args.limit, args.test_limit):
         if limit < 0:
             raise DomainError(f"a sample limit must be >= 0, got {limit}")
+    if (args.test_images is None) != (args.test_labels is None):
+        raise DomainError("--test-images and --test-labels must be given together")
     dataset = _head(idx.load_idx(args.images, args.labels), args.limit)
     result = _run_selection(dataset, args.grid, _train_config(args), args.seed, args.out)
-    if args.test_images and args.test_labels:
+    if args.test_images is not None:
         # the model just written, still in memory; IDX data is always 2-D
         test = _head(idx.load_idx(args.test_images, args.test_labels), args.test_limit)
         err, _, _ = evaluate(result.classifier, test)
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
-    except (FdnetError, OSError) as exc:
+    except (FdnetError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ Dataset files are binary (3-D datasets reach 10^5+ values per file and CSV
 parsing would dominate runtime); `dataset_to_csv` provides a readable dump
 when needed.  `DatasetReader` is the one parser: it checks the header once
 and then reads and checks the payload a row block at a time, so `fdnet
-predict` and `fdnet eval` hold one block rather than the file;
+train`, `predict` and `eval` hold one block rather than the file;
 `load_dataset` fills one (n, m) array from its blocks.  The CSV writers
 convert and write a block of rows at a time.  All writers are
 deterministic: identical inputs produce byte-identical files.

@@ -58,7 +58,11 @@ def as_seed(value) -> int:
 
 def as_real(value, what: str) -> float:
     """`value` as a float, refused unless it is a real number (a bool,
-    string or None raises DomainError); its range is the caller's check."""
+    string or None raises DomainError, as does an integer too large for a
+    float); its range is the caller's check."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} is an integer too large for a float") from None

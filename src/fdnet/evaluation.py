@@ -3,16 +3,16 @@ the Monte-Carlo benchmark harness.
 
 `predict` and `evaluate` take a fitted `training.Classifier` and refuse
 data of a dimension other than that of its grid shape (another grid of
-the same dimension is scored).  Both run one blocked loop: for each block
-of `projection.projected_blocks` at the network's input width (the scores
-`select` trains on), it runs `network.forward` and takes classes from
-`network.predicted_class`, the only argmax rule.  The data is an
-in-memory `Dataset`, whose blocks are views of its rows, or a
-`dataio.DatasetReader`, which reads each block from the file, so memory
-is one block plus the (n, K) probabilities.  Blocks of at least
-`BLOCK_ROWS` rows give the bits of one call over all rows (see
-`projection.BLOCK_ROWS` for the one exception measured).  `evaluate`
-adds up its confusion matrix block by block and also returns the
+the same dimension is scored).  `predict` is the one scoring loop: for
+each block of `projection.projected_blocks` at the network's input width
+(the scores `select` trains on), it runs `network.forward`, and at the end
+takes the classes from `network.predicted_class`, the only argmax rule.
+The data is an in-memory `Dataset`, whose blocks are views of its rows, or
+a `dataio.DatasetReader`, which reads each block from the file, so memory
+is one block plus the (n, K) probabilities and the n classes.  Blocks of
+at least `BLOCK_ROWS` rows give the bits of one call over all rows (see
+`projection.BLOCK_ROWS` for the one exception measured).  `evaluate` is
+`predict` plus the confusion matrix of its classes, and also returns the
 probabilities, so the KL risk of a replicate or the CLI's truncated
 cross-entropy needs no second pass.
 
@@ -109,46 +109,34 @@ class EvalReport:
         return float(np.mean(self.kl_risks))
 
 
-def _scored_blocks(model: Classifier, data):
-    """(lo, hi, labels, classes, probs) of each block of `projected_blocks`
-    of `data`, a `Dataset` or a `dataio.DatasetReader`, at the network's
-    input width.  Data of a dimension other than the model's d raises
-    DomainError before any block is read."""
+def predict(model: Classifier, data):
+    """(classes, probs) of a fitted classifier on every sample of `data`,
+    a `Dataset` or a `dataio.DatasetReader` of the model's dimension.  Data
+    of another dimension raises DomainError before any block is read."""
     d, j = len(model.grid_shape), model.params.architecture.input_dim
     if data.grid.d != d:
         raise DomainError(f"the model was trained on {d}-D data, but the data is {data.grid.d}-D")
-    for lo, hi, labels, scores in projected_blocks(data, j):
-        probs = forward(model.params, scores)
+    probs = np.empty((len(data), model.params.architecture.n_classes))
+    for lo, hi, _, scores in projected_blocks(data, j):
+        probs[lo:hi] = forward(model.params, scores)
         del scores  # held across the next block's read, it fragments the heap (+5 MB RSS)
-        yield lo, hi, labels, predicted_class(probs), probs
-
-
-def predict(model: Classifier, data):
-    """(classes, probs) of a fitted classifier on every sample of `data`,
-    a `Dataset` or a `dataio.DatasetReader` of the model's dimension."""
-    n, k = len(data), model.params.architecture.n_classes
-    classes, probs = np.empty(n, dtype=np.int64), np.empty((n, k))
-    for lo, hi, _, block_classes, block_probs in _scored_blocks(model, data):
-        classes[lo:hi], probs[lo:hi] = block_classes, block_probs
-    return classes, probs
+    return predicted_class(probs), probs
 
 
 def evaluate(model: Classifier, data):
     """(error_rate, confusion, probs) of a fitted classifier on nonempty,
     fully labeled data of its dimension, with the network's number of
     classes: a `Dataset` or a `dataio.DatasetReader`, whose unlabeled
-    samples are refused with the block that holds them."""
+    samples are refused once every block has been read."""
     n, k = len(data), model.params.architecture.n_classes
     if n == 0:
         raise DomainError("evaluation data has no samples")
     if data.n_classes != k:
         raise DomainError(f"the model has {k} classes, but the data has {data.n_classes}")
-    confusion, probs = np.zeros((k, k), dtype=np.int64), np.empty((n, k))
-    for lo, hi, labels, classes, block_probs in _scored_blocks(model, data):
-        if labels.min() < 1:
-            raise DomainError("evaluation data contains unlabeled samples")
-        confusion += confusion_matrix(classes, labels, k)
-        probs[lo:hi] = block_probs
+    classes, probs = predict(model, data)
+    if data.labels.min() < 1:
+        raise DomainError("evaluation data contains unlabeled samples")
+    confusion = confusion_matrix(classes, data.labels, k)
     # the mismatch count over n: the bits of the mean of the mismatches
     return float((n - np.trace(confusion)) / n), confusion, probs
 

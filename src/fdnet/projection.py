@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Grid, design_matrix
-from .errors import AliasingWarning, DomainError
+from .errors import AliasingWarning, DomainError, as_count
 
 
 # rows per block of every dataset projection, training's and inference's
@@ -52,6 +52,9 @@ class Dataset:
     latent: np.ndarray | None = None
 
     def __post_init__(self):
+        self.n_classes = as_count(self.n_classes, "n_classes")
+        if self.n_classes < 1:
+            raise DomainError(f"n_classes must be >= 1, got {self.n_classes}")
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.values.ndim != 2 or self.values.shape[1] != self.grid.m:

@@ -57,7 +57,7 @@ from .network import (
     loss_and_gradient,
     one_hot,
 )
-from .projection import Dataset, projected_blocks
+from .projection import projected_blocks
 from .rng import as_seed_sequence
 
 # moment decay rates and denominator guard of the adaptive-moment update
@@ -351,9 +351,10 @@ def _absorb_input_affine(params: NetworkParams, mu: np.ndarray, sd: np.ndarray) 
     return out
 
 
-def select(dataset: Dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
+def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     """Full data-splitting selection over the candidate grid.
 
+    `dataset` is a `Dataset` or a `dataio.DatasetReader`, as for `predict`.
     Scores are projected by row blocks at max(n_scores), then truncated.
     Every cell trains on the 70% fold under its own dropout rate and is
     scored by 0-1 error on the 30% fold; the final model retrains on all
@@ -363,6 +364,13 @@ def select(dataset: Dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> Selecti
     if len(dataset) == 0:
         raise DomainError("selection data has no samples")
     streams = as_seed_sequence(seed).spawn(grid.n_cells + 2)
+    j_max = max(grid.n_scores)
+    raw_scores = np.empty((len(dataset), j_max))
+    for lo, hi, _, block in projected_blocks(dataset, j_max):
+        raw_scores[lo:hi] = block
+    del block  # not kept alive through training
+
+    # a reader fills its labels as it reads the blocks
     labels = dataset.labels
     if labels.min() < 1:
         raise DomainError("selection needs fully labeled data")
@@ -370,12 +378,6 @@ def select(dataset: Dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> Selecti
     if len(classes) < 2 or np.any(counts < 2):
         raise DomainError("selection needs >= 2 classes with >= 2 samples each")
     k = dataset.n_classes
-
-    j_max = max(grid.n_scores)
-    raw_scores = np.empty((len(dataset), j_max))
-    for lo, hi, _, block in projected_blocks(dataset, j_max):
-        raw_scores[lo:hi] = block
-    del block  # not kept alive through training
 
     train_idx, val_idx = split_70_30(labels, streams[0])
 

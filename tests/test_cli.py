@@ -256,6 +256,21 @@ class TestMalformedInputs:
             assert "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"J": [10**15], "L": [1], "width": [4], "dropout": [0.0]},  # the (n, J) scores
+        {"J": [4], "L": [1], "width": [10**12], "dropout": [0.0]},  # the parameters
+    ], ids=["J", "width"])
+    def test_grid_too_large_for_memory_exits_1(self, tmp_path, capsys, doc):
+        data, out = simulate(tmp_path, nk=20), tmp_path / "m.json"
+        capsys.readouterr()
+        code = main(["train", "--data", str(data), "--grid", grid_file(tmp_path, doc),
+                     "--epochs", "1", "--seed", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: Unable to allocate" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("command", ["simulate", "train", "benchmark", "mnist"])
     def test_negative_seed_exits_1(self, tmp_path, capsys, command):
@@ -291,6 +306,20 @@ class TestMalformedInputs:
         assert code == 1
         captured = capsys.readouterr()
         assert "limit must be >= 0" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["--test-images", "--test-labels"])
+    def test_half_a_test_pair_exits_1(self, tmp_path, capsys, given):
+        # refused before any file is read: none of these files exists
+        missing, out = str(tmp_path / "missing.idx"), tmp_path / "m.json"
+        capsys.readouterr()
+        code = main(["mnist", "--images", missing, "--labels", missing, given, missing,
+                     "--grid", missing, "--seed", "1", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--test-images and --test-labels must be given together" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists()
@@ -410,13 +439,17 @@ def random_file(path, n, grid_shape=(3, 3)):
 
 
 class TestBlockedCommands:
-    """`predict` and `eval` read, check and score the file one row block at
-    a time; a fault in a later block still exits without a file or stdout."""
+    """`train`, `predict` and `eval` read, check and score the file one row
+    block at a time; a fault in a later block still exits without a file or
+    stdout."""
 
     N = 2 * BLOCK_ROWS + 3  # two blocks
     HEADER, RECORD = 33, 1 + 8 * 9  # a 2-D file's header, one 3x3 sample
 
     def _argv(self, command, model, data, out):
+        if command == "train":  # `out` is the model file it would write
+            return ["train", "--data", str(data), "--grid", grid_file(out.parent),
+                    "--epochs", "1", "--seed", "1", "--out", str(out)]
         argv = [command, "--model", str(model), "--data", str(data)]
         return argv + ["--out", str(out)] if command == "predict" else argv
 
@@ -428,13 +461,18 @@ class TestBlockedCommands:
         write_predictions_csv(range(self.N), preds, probs, ref)
         assert out.read_bytes() == ref.read_bytes()
 
-    @pytest.mark.parametrize("command", ["predict", "eval"])
     @pytest.mark.parametrize(
-        "fault, value, code, message",
+        "fault, value, code, message, command",
         [
-            ("label", 200, 1, "label 200 exceeds class count 3"),
-            ("value", float("nan"), 1, "non-finite sample values"),
-            ("value", 1e300, 2, "numeric error: non-finite values after hidden layer 1"),
+            (*fault, command)
+            for fault in [
+                ("label", 200, 1, "label 200 exceeds class count 3"),
+                ("value", float("nan"), 1, "non-finite sample values"),
+                ("value", 1e300, 2, "numeric error: non-finite values after hidden layer 1"),
+            ]
+            for command in ["predict", "eval", "train"]
+            # train refuses no finite value: it standardizes the scores and fits
+            if not (command == "train" and fault[1] == 1e300)
         ],
     )
     def test_fault_in_the_last_block(self, tmp_path, capsys, model_2d, command, fault, value, code, message):

@@ -1,5 +1,5 @@
 """Constructor fuzzing of the library's public value types: every field of
-TrainConfig, HyperGrid, Grid and Classifier gets each junk
+TrainConfig, HyperGrid, Grid, Classifier and Dataset gets each junk
 value.  A constructor raises DomainError or builds an object whose field
 holds a value of the field's kind, equal to what was given; any other
 exception, or a value converted into another, is the failure."""
@@ -8,10 +8,10 @@ import math
 
 import numpy as np
 
-from fdnet import Architecture, Classifier, DomainError, Grid, HyperGrid, TrainConfig
+from fdnet import Architecture, Classifier, Dataset, DomainError, Grid, HyperGrid, TrainConfig
 from fdnet import initial_params
 
-JUNK = (math.inf, math.nan, -1, 2.5, True, "x", None, np.int64(3), np.float64(0.5))
+JUNK = (math.inf, math.nan, -1, 2.5, True, "x", None, np.int64(3), np.float64(0.5), 10**400)
 
 
 def _holds(kind: str, value, given) -> bool:
@@ -74,3 +74,8 @@ def test_classifier():
     fields = {"params": "params", "grid_shape": "counts"}
     assert _crashes(lambda f, v: Classifier(**{**valid, f: v}), fields) == []
 
+
+
+def test_dataset():
+    valid = {"values": np.zeros((2, 4)), "grid": Grid((2, 2)), "labels": [1, 1]}
+    assert _crashes(lambda f, v: Dataset(**valid, **{f: v}), {"n_classes": "count"}) == []

@@ -25,6 +25,7 @@ from fdnet import (
     truncated_kl_risk,
 )
 from fdnet import basis, evaluation, projection, training
+from fdnet.dataio import DatasetReader, load_dataset, save_dataset
 from fdnet.evaluation import confusion_matrix
 from fdnet.network import _forward_pass, predicted_class
 from fdnet.projection import BLOCK_ROWS
@@ -228,8 +229,9 @@ class TestBlockedInference:
 
 
 class TestOneProjection:
-    """`select` trains on the scores `predict` computes for the same rows.
-    CI also runs this with OPENBLAS_NUM_THREADS=1."""
+    """`select` trains on the scores `predict` computes for the same rows,
+    from a `Dataset` or a `DatasetReader` alike.  CI also runs this with
+    OPENBLAS_NUM_THREADS=1."""
 
     def test_select_and_predict_project_alike(self, monkeypatch):
         # two blocks on 28x28 at J=500, where a multi-block projection
@@ -249,6 +251,18 @@ class TestOneProjection:
         returned.clear()
         predict(model, data)
         assert np.array_equal(np.concatenate(returned), selected)
+
+    def test_select_on_a_reader_equals_select_on_its_dataset(self, tmp_path):
+        path = tmp_path / "blocks.mfd"
+        save_dataset(random_case(2 * B + 1, (3, 3), 4, (4,))[1], path)
+        grid = HyperGrid(n_scores=(2, 4), depths=(1,), widths=(4,), dropouts=(0.0, 0.1))
+        cfg = TrainConfig(epochs=1, batch_size=512)
+        loaded = select(load_dataset(path), cfg, grid, 0)
+        with DatasetReader(path) as reader:
+            read = select(reader, cfg, grid, 0)
+        assert np.array_equal(read.classifier.params.flat, loaded.classifier.params.flat)
+        assert np.array_equal(read.validation_errors, loaded.validation_errors)
+        assert read.chosen == loaded.chosen
 
 
 class TestTruncatedKl:
