@@ -307,21 +307,10 @@ def load_hypergrid(path) -> HyperGrid:
     missing = {"J", "L", "width", "dropout"} - set(doc)
     if missing:
         raise FormatError(f"hyperparameter grid is missing key(s) {sorted(missing)}")
-    for key, kinds in (("J", int), ("L", int), ("width", int), ("dropout", (int, float))):
-        values = doc[key]
-        # bool is an int subclass; strings and floats must not be coerced
-        if not isinstance(values, list) or any(
-            isinstance(v, bool) or not isinstance(v, kinds) for v in values
-        ):
-            what = "numbers" if key == "dropout" else "integers"
-            raise FormatError(
-                f"malformed hyperparameter grid: {key} must be a list of JSON {what}, got {values!r}"
-            )
     try:
-        dropouts = tuple(float(s) for s in doc["dropout"])
-    except OverflowError as exc:  # an integer beyond the float range
+        return HyperGrid(n_scores=doc["J"], depths=doc["L"], widths=doc["width"], dropouts=doc["dropout"])
+    except DomainError as exc:
         raise FormatError(f"malformed hyperparameter grid: {exc}") from exc
-    return HyperGrid(n_scores=doc["J"], depths=doc["L"], widths=doc["width"], dropouts=dropouts)
 
 
 def _fmt(x) -> str:

@@ -14,12 +14,13 @@ data.  The fitted model is a `Classifier`: the final network and the grid
 shape of its training data, whose length is the dimension of the data the
 model accepts.
 
-Inside `select`, score coordinates are standardized (zero mean, unit
-scale) before training; raw score scales span orders of magnitude and
-slow the optimizer badly.  The affine transform is folded exactly into
-the first weight matrix and shift vector of the final model, so the
-returned parameters consume raw scores and the hypothesis class is
-unchanged.
+Every network `select` trains, validated or final, comes from one fit,
+`_fit`: it standardizes the score coordinates of its rows (zero mean,
+unit scale; raw score scales span orders of magnitude and slow the
+optimizer badly), trains, and folds the affine map exactly into the first
+weight matrix and shift vector.  Every such network consumes raw scores,
+the validation fold's as well as the caller's, and the hypothesis class
+is unchanged.
 
 All randomness of `select` derives from its integer seed through
 deterministically ordered SeedSequence spawns: one stream for the split,
@@ -50,6 +51,7 @@ import numpy as np
 from .basis import Grid
 from .errors import DomainError, NumericError, as_count, as_real
 from .network import (
+    MAX_ARRAY_FLOATS,
     Architecture,
     NetworkParams,
     classify,
@@ -332,23 +334,28 @@ class SelectionResult:
     classifier: Classifier
 
 
-def _standardization(scores: np.ndarray):
-    mu = scores.mean(axis=0)
-    sd = scores.std(axis=0)
+def _fit(raw, labels, cell, k: int, cfg: TrainConfig, stream) -> NetworkParams:
+    """Train `cell` = (J, L, width, dropout) on raw score rows (n, >= J),
+    standardized, then fold the standardization into the first layer in
+    place: relu(W0 (x - mu) / sd - V1) = relu(W0' x - V1') with W0' = W0 / sd
+    and V1' = V1 + W0' mu, so the network consumes raw scores.  Raises
+    NumericError when a mean or spread is not finite."""
+    j_c, l_c, w_c, s_c = cell
+    arch = Architecture(input_dim=j_c, hidden_widths=(w_c,) * l_c, n_classes=k)
+    # reduce over every column, then cut to J: numpy sums a lone column
+    # pairwise but the columns of a wider matrix row by row, so the bits
+    # would depend on how many columns the rows carry
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sd = raw.mean(axis=0)[:j_c], raw.std(axis=0)[:j_c]
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sd))):
+        raise NumericError("the mean or spread of a score overflows; the sample values are too large")
     sd[sd == 0.0] = 1.0  # constant coordinates are passed through unscaled
-    return mu, sd
-
-
-def _absorb_input_affine(params: NetworkParams, mu: np.ndarray, sd: np.ndarray) -> NetworkParams:
-    """Rewrite a network trained on (x - mu) / sd to consume raw x.
-
-    W0' = W0 / sd and V1' = V1 + W0' mu reproduce the trained map exactly:
-    relu(W0 (x - mu)/sd - V1) = relu(W0' x - (V1 + W0' mu)).
-    """
-    out = NetworkParams(params.architecture, params.flat.copy())
-    out.weights[0] /= sd[None, :]
-    out.shifts[0] += out.weights[0] @ mu
-    return out
+    x = raw[:, :j_c] - mu
+    x /= sd
+    params = train(x, labels, arch, cfg, dropout=s_c, rng=np.random.default_rng(stream))
+    params.weights[0] /= sd
+    params.shifts[0] += params.weights[0] @ mu
+    return params
 
 
 def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
@@ -356,15 +363,18 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
 
     `dataset` is a `Dataset` or a `dataio.DatasetReader`, as for `predict`.
     Scores are projected by row blocks at max(n_scores), then truncated.
-    Every cell trains on the 70% fold under its own dropout rate and is
-    scored by 0-1 error on the 30% fold; the final model retrains on all
-    samples with the winning tuple and keeps the dataset's grid shape.
-    `seed` (a non-negative int or a SeedSequence) drives every stream.
+    Every cell is fit by `_fit` on the 70% fold under its own dropout rate
+    and scored by 0-1 error on the raw scores of the 30% fold; the winner
+    is fit by `_fit` again on all samples and keeps the dataset's grid
+    shape.  `seed` (a non-negative int or a SeedSequence) drives every
+    stream.
     """
     if len(dataset) == 0:
         raise DomainError("selection data has no samples")
-    streams = as_seed_sequence(seed).spawn(grid.n_cells + 2)
     j_max = max(grid.n_scores)
+    if len(dataset) * j_max > MAX_ARRAY_FLOATS:
+        raise DomainError(f"too large for one numpy array: {len(dataset)} samples of {j_max} scores")
+    streams = as_seed_sequence(seed).spawn(grid.n_cells + 2)
     raw_scores = np.empty((len(dataset), j_max))
     for lo, hi, _, block in projected_blocks(dataset, j_max):
         raw_scores[lo:hi] = block
@@ -380,33 +390,16 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     k = dataset.n_classes
 
     train_idx, val_idx = split_70_30(labels, streams[0])
+    errors = np.empty((len(grid.n_scores), len(grid.depths), len(grid.widths), len(grid.dropouts)))
+    for ci, cell in enumerate(grid.cells()):
+        net = _fit(raw_scores[train_idx], labels[train_idx], cell, k, cfg, streams[1 + ci])
+        errors.flat[ci] = np.mean(classify(net, raw_scores[val_idx, : cell[0]]) != labels[val_idx])
+    del net  # the last cell's network is not kept alive through the final fit
 
-    mu, sd = _standardization(raw_scores[train_idx])
-    scores = (raw_scores - mu) / sd
-
-    shape = (len(grid.n_scores), len(grid.depths), len(grid.widths), len(grid.dropouts))
-    errors = np.empty(shape)
-    best = None
-    for ci, (flat, cell) in enumerate(zip(np.ndindex(shape), grid.cells())):
-        j_c, l_c, w_c, s_c = cell
-        arch = Architecture(input_dim=j_c, hidden_widths=(w_c,) * l_c, n_classes=k)
-        rng = np.random.default_rng(streams[1 + ci])
-        params = train(scores[train_idx], labels[train_idx], arch, cfg, dropout=s_c, rng=rng)
-        err = float(np.mean(classify(params, scores[val_idx, :j_c]) != labels[val_idx]))
-        errors[flat] = err
-        key = (err, cell)
-        if best is None or key < best[0]:
-            best = (key, cell)
-
-    chosen_cell = best[1]
-    j_c, l_c, w_c, s_c = chosen_cell
-    arch = Architecture(input_dim=j_c, hidden_widths=(w_c,) * l_c, n_classes=k)
-    rng = np.random.default_rng(streams[-1])
-    mu_all, sd_all = _standardization(raw_scores)
-    final = train((raw_scores - mu_all) / sd_all, labels, arch, cfg, dropout=s_c, rng=rng)
-    final = _absorb_input_affine(final, mu_all[:j_c], sd_all[:j_c])
+    chosen = min(zip(errors.flat, grid.cells()))[1]
+    final = _fit(raw_scores, labels, chosen, k, cfg, streams[-1])
     return SelectionResult(
-        chosen=Chosen(j_c, l_c, w_c, s_c),
+        chosen=Chosen(*chosen),
         validation_errors=errors,
         classifier=Classifier(final, dataset.grid.shape),
     )

@@ -256,18 +256,21 @@ class TestMalformedInputs:
             assert "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
 
-    @pytest.mark.parametrize("doc", [
-        {"J": [10**15], "L": [1], "width": [4], "dropout": [0.0]},  # the (n, J) scores
-        {"J": [4], "L": [1], "width": [10**12], "dropout": [0.0]},  # the parameters
-    ], ids=["J", "width"])
-    def test_grid_too_large_for_memory_exits_1(self, tmp_path, capsys, doc):
+    @pytest.mark.parametrize("doc, message", [
+        ({"J": [10**15], "L": [1], "width": [4], "dropout": [0.0]}, "Unable to allocate"),  # the (n, J) scores
+        ({"J": [4], "L": [1], "width": [10**12], "dropout": [0.0]}, "Unable to allocate"),  # the parameters
+        # more floats than one numpy array can hold: refused before allocating
+        ({"J": [2**62], "L": [1], "width": [4], "dropout": [0.0]}, "too large for one numpy array"),
+        ({"J": [4], "L": [1], "width": [2**62], "dropout": [0.0]}, "too large for one numpy array"),
+    ], ids=["J", "width", "J-beyond-one-array", "width-beyond-one-array"])
+    def test_grid_too_large_for_memory_exits_1(self, tmp_path, capsys, doc, message):
         data, out = simulate(tmp_path, nk=20), tmp_path / "m.json"
         capsys.readouterr()
         code = main(["train", "--data", str(data), "--grid", grid_file(tmp_path, doc),
                      "--epochs", "1", "--seed", "1", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "error: Unable to allocate" in err
+        assert err.startswith(f"error: {message}")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -470,9 +473,11 @@ class TestBlockedCommands:
                 ("value", float("nan"), 1, "non-finite sample values"),
                 ("value", 1e300, 2, "numeric error: non-finite values after hidden layer 1"),
             ]
-            for command in ["predict", "eval", "train"]
-            # train refuses no finite value: it standardizes the scores and fits
-            if not (command == "train" and fault[1] == 1e300)
+            for command in ["predict", "eval"]
+        ] + [
+            ("label", 200, 1, "label 200 exceeds class count 3", "train"),
+            ("value", float("nan"), 1, "non-finite sample values", "train"),
+            ("value", 1e300, 2, "numeric error: the mean or spread of a score overflows", "train"),
         ],
     )
     def test_fault_in_the_last_block(self, tmp_path, capsys, model_2d, command, fault, value, code, message):

@@ -11,13 +11,15 @@ from fdnet import (
     TrainConfig,
     classify,
     initial_params,
+    project_batch,
     select,
     split_70_30,
     train,
 )
 from fdnet.basis import design_matrix
 from fdnet.network import loss_and_gradient, one_hot
-from fdnet.training import ADAM_SLICE, Classifier
+from fdnet.rng import as_seed_sequence
+from fdnet.training import ADAM_SLICE, Classifier, _fit
 
 
 def params_equal(a, b):
@@ -364,8 +366,6 @@ class TestSelect:
         grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(8,), dropouts=(0.0,))
         cfg = TrainConfig(epochs=30, batch_size=8, learning_rate=1e-2)
         result = select(ds, cfg, grid, 21)
-        from fdnet import project_batch
-
         scores = project_batch(ds.values, ds.grid, 2)
         pred = classify(result.classifier.params, scores)
         assert np.mean(pred != ds.labels) <= 0.05
@@ -391,6 +391,53 @@ class TestSelect:
         cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=1e-2)
         a, b = (select(ds, cfg, grid, seed).classifier.params for seed in (0, 1))
         assert not params_equal(a, b)
+
+
+class TestOneFit:
+    """Every network `select` trains comes from `_fit` and consumes raw
+    scores.  CI also runs this with OPENBLAS_NUM_THREADS=1: the fold's
+    W0' mu is a BLAS product."""
+
+    def test_bits_of_a_one_score_cell_on_wider_rows(self):
+        # standardized over all 3 columns, trained on the first, folded
+        rng = np.random.default_rng(40)
+        scores, labels = blob_scores(rng, 25, [(0, 0, 0), (4, 1, -2), (-3, 2, 5)])
+        raw = scores * np.array([300.0, 1.0, 0.01]) + np.array([-50.0, 7.0, 0.0])
+        cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=1e-2)
+        stream = np.random.SeedSequence(41)
+        got = _fit(raw, labels, (1, 2, 5, 0.1), 3, cfg, stream)
+
+        mu, sd = raw.mean(axis=0), raw.std(axis=0)
+        ref = train((raw - mu) / sd, labels, Architecture(1, (5, 5), 3), cfg, dropout=0.1,
+                    rng=np.random.default_rng(stream))
+        ref.weights[0] /= sd[None, :1]
+        ref.shifts[0] += ref.weights[0] @ mu[:1]
+        assert params_equal(got, ref)
+
+    def test_validation_errors_are_those_of_the_folded_fold_networks(self):
+        rng = np.random.default_rng(42)
+        ds = toy_functional_dataset(rng, 20, [(0, 0), (6, 6)])
+        grid = HyperGrid(n_scores=(1, 3), depths=(1, 2), widths=(4,), dropouts=(0.0, 0.1))
+        cfg = TrainConfig(epochs=5, batch_size=8, learning_rate=1e-2)
+        result = select(ds, cfg, grid, 43)
+
+        streams = as_seed_sequence(43).spawn(grid.n_cells + 2)
+        raw = project_batch(ds.values, ds.grid, 3)  # one block: the rows select projects
+        train_idx, val_idx = split_70_30(ds.labels, streams[0])
+        errors = [
+            np.mean(classify(_fit(raw[train_idx], ds.labels[train_idx], cell, 2, cfg, stream),
+                             raw[val_idx, : cell[0]]) != ds.labels[val_idx])
+            for cell, stream in zip(grid.cells(), streams[1:])
+        ]
+        assert np.array_equal(result.validation_errors.ravel(), errors)
+        final = _fit(raw, ds.labels, result.chosen.as_tuple(), 2, cfg, streams[-1])
+        assert params_equal(result.classifier.params, final)
+
+    def test_overflowing_spread_is_a_numeric_error(self):
+        scores, labels = blob_scores(np.random.default_rng(44), 10, [(0, 0), (3, 3)])
+        scores[0, 1] = 1e300  # its square overflows
+        with pytest.raises(NumericError, match="overflows"):
+            _fit(scores, labels, (2, 1, 4, 0.0), 2, TrainConfig(epochs=1, batch_size=4), 0)
 
 
 class TestHyperGrid:
