@@ -9,6 +9,7 @@ errors (including usage), 2 numeric failures.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -30,10 +31,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sibling_path(path: str, tag: str) -> str:
-    stem, dot, ext = path.rpartition(".")
-    if dot:
-        return f"{stem}.{tag}.{ext}"
-    return f"{path}.{tag}"
+    # the extension of the file name only: a dot in a directory or a
+    # leading dot is not one
+    stem, ext = os.path.splitext(path)
+    return f"{stem}.{tag}{ext}"
 
 
 def _train_config(args) -> TrainConfig:
@@ -74,9 +75,13 @@ def _run_selection(dataset, grid_path: str, cfg: TrainConfig, seed: int, out: st
     metadata = dataio.metadata_for(result.chosen, cfg, seed)
     dataio.save_model(result.classifier, out, metadata=metadata)
     c = result.chosen
+    if grid.n_cells == 1:
+        validation = "validation skipped (one candidate)"
+    else:
+        validation = f"validation error {result.validation_errors.min():.4f}"
     print(
         f"chosen J={c.n_scores} L={c.depth} width={c.width} dropout={c.dropout}; "
-        f"validation error {result.validation_errors.min():.4f}; model written to {out}"
+        f"{validation}; model written to {out}"
     )
     return result
 

@@ -10,9 +10,10 @@ every candidate cell on the training fold, score it by 0-1 error on the
 validation fold (through `network.classify`, the same streaming inference
 loop and argmax rule every prediction uses), pick the argmin (ties falling
 to the lexicographically smallest candidate tuple) and retrain on all
-data.  The fitted model is a `Classifier`: the final network and the grid
-shape of its training data, whose length is the dimension of the data the
-model accepts.
+data.  A grid of one candidate is its own argmin, so that candidate skips
+the fold and trains once, on all data.  The fitted model is a
+`Classifier`: the final network and the grid shape of its training data,
+whose length is the dimension of the data the model accepts.
 
 Every network `select` trains, validated or final, comes from one fit,
 `_fit`: it standardizes the score coordinates of its rows (zero mean,
@@ -325,7 +326,8 @@ class SelectionResult:
     """Outcome of the selection procedure.
 
     `validation_errors` is indexed [i_J, i_L, i_width, i_dropout] in the
-    order of the candidate lists; `chosen` attains its minimum.
+    order of the candidate lists; `chosen` attains its minimum.  A grid of
+    one candidate is not validated, and its (1, 1, 1, 1) array holds NaN.
     `classifier` is the winner retrained on all samples.
     """
 
@@ -366,8 +368,10 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     Every cell is fit by `_fit` on the 70% fold under its own dropout rate
     and scored by 0-1 error on the raw scores of the 30% fold; the winner
     is fit by `_fit` again on all samples and keeps the dataset's grid
-    shape.  `seed` (a non-negative int or a SeedSequence) drives every
-    stream.
+    shape.  A one-cell grid skips the fold fit and its validation (its
+    error stays NaN), so its cell trains once; the split still runs, so
+    the refusals and the final fit's stream are those of a larger grid.
+    `seed` (a non-negative int or a SeedSequence) drives every stream.
     """
     if len(dataset) == 0:
         raise DomainError("selection data has no samples")
@@ -390,11 +394,13 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     k = dataset.n_classes
 
     train_idx, val_idx = split_70_30(labels, streams[0])
-    errors = np.empty((len(grid.n_scores), len(grid.depths), len(grid.widths), len(grid.dropouts)))
-    for ci, cell in enumerate(grid.cells()):
-        net = _fit(raw_scores[train_idx], labels[train_idx], cell, k, cfg, streams[1 + ci])
-        errors.flat[ci] = np.mean(classify(net, raw_scores[val_idx, : cell[0]]) != labels[val_idx])
-    del net  # the last cell's network is not kept alive through the final fit
+    shape = (len(grid.n_scores), len(grid.depths), len(grid.widths), len(grid.dropouts))
+    errors = np.full(shape, np.nan)
+    if grid.n_cells > 1:  # one candidate is the argmin without validation
+        for ci, cell in enumerate(grid.cells()):
+            net = _fit(raw_scores[train_idx], labels[train_idx], cell, k, cfg, streams[1 + ci])
+            errors.flat[ci] = np.mean(classify(net, raw_scores[val_idx, : cell[0]]) != labels[val_idx])
+        del net  # the last cell's network is not kept alive through the final fit
 
     chosen = min(zip(errors.flat, grid.cells()))[1]
     final = _fit(raw_scores, labels, chosen, k, cfg, streams[-1])

@@ -47,6 +47,12 @@ class TestSimulate:
         simulate(tmp_path, "data.mfd", test_nk=5)
         assert (tmp_path / "data.test.mfd").exists()
 
+    def test_dot_in_a_directory_is_not_an_extension(self, tmp_path, capsys):
+        (tmp_path / "run.1").mkdir()
+        simulate(tmp_path, "run.1/train", test_nk=5)
+        assert sorted(p.name for p in (tmp_path / "run.1").iterdir()) == ["train", "train.test"]
+        assert f"to {tmp_path / 'run.1' / 'train.test'}" in capsys.readouterr().out
+
     def test_refused_test_size_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "data.mfd"
         code = main(["simulate", "--model", "2d-gaussian", "--nk", "5", "--m", "9",
@@ -84,6 +90,34 @@ class TestTrainPredictEval:
         assert "error rate:" in out
         assert "confusion matrix" in out
         assert "truncated cross-entropy" in out
+
+    def test_one_candidate_is_not_validated(self, tmp_path, capsys):
+        data = simulate(tmp_path)
+        assert main(["train", "--data", str(data), "--grid", grid_file(tmp_path),
+                     "--epochs", "2", "--batch", "8", "--seed", "3",
+                     "--out", str(tmp_path / "m.json")]) == 0
+        out = capsys.readouterr().out
+        assert "chosen J=4 L=1 width=8 dropout=0.0; validation skipped (one candidate);" in out
+        assert "validation error" not in out
+
+    def test_candidates_report_the_validation_error(self, tmp_path, capsys):
+        data = simulate(tmp_path)
+        grid = grid_file(tmp_path, {"J": [4], "L": [1], "width": [4, 8], "dropout": [0.0]})
+        assert main(["train", "--data", str(data), "--grid", grid, "--epochs", "2",
+                     "--batch", "8", "--seed", "3", "--out", str(tmp_path / "m.json")]) == 0
+        out = capsys.readouterr().out
+        error = float(out.split("validation error ")[1].split(";")[0])
+        assert 0.0 <= error <= 1.0
+
+    def test_batch_beyond_the_fold(self, tmp_path, capsys):
+        # 36 samples, a fold of 25: only a grid that trains on the fold refuses 26..36
+        data = simulate(tmp_path)
+        argv = ["train", "--data", str(data), "--epochs", "1", "--batch", "30",
+                "--seed", "3", "--out", str(tmp_path / "m.json")]
+        assert main(argv + ["--grid", grid_file(tmp_path)]) == 0
+        grid = grid_file(tmp_path, {"J": [4], "L": [1], "width": [4, 8], "dropout": [0.0]})
+        assert main(argv + ["--grid", grid]) == 1
+        assert "batch_size 30 exceeds the 25 training samples" in capsys.readouterr().err
 
     def test_train_reruns_byte_identical(self, tmp_path):
         data = simulate(tmp_path)

@@ -297,8 +297,59 @@ class TestSelect:
         cfg = TrainConfig(epochs=20, batch_size=8, learning_rate=1e-2)
         result = select(ds, cfg, grid, 13)
         assert result.chosen.as_tuple() == (2, 1, 8, 0.0)
+        # one candidate is the argmin unvalidated: its error is NaN
         assert result.validation_errors.shape == (1, 1, 1, 1)
+        assert np.all(np.isnan(result.validation_errors))
         assert result.classifier.grid_shape == ds.grid.shape
+
+    def test_one_cell_trains_once(self, monkeypatch):
+        calls = []
+
+        def counting_train(scores, *args, **kwargs):
+            calls.append(len(scores))
+            return train(scores, *args, **kwargs)
+
+        monkeypatch.setattr("fdnet.training.train", counting_train)
+        ds = toy_functional_dataset(np.random.default_rng(12), 20, [(0, 0), (8, 8)])
+        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=1e-2)
+        one = HyperGrid(n_scores=(2,), depths=(1,), widths=(8,), dropouts=(0.0,))
+        select(ds, cfg, one, 13)
+        assert calls == [40]  # the final fit, on all rows
+        calls.clear()
+        two = HyperGrid(n_scores=(2,), depths=(1,), widths=(4, 8), dropouts=(0.0,))
+        select(ds, cfg, two, 13)
+        assert calls == [28, 28, 40]  # each cell on the fold, then the winner
+
+    def test_one_cell_bits_are_those_of_the_last_stream(self):
+        # the fold is skipped, but the final fit keeps the stream a larger
+        # grid's retrain would draw from; CI also runs this with one BLAS
+        # thread (W0' mu is a BLAS product)
+        rng = np.random.default_rng(24)
+        ds = toy_functional_dataset(rng, 15, [(0, 0), (6, 6), (-6, 6)])
+        cell = (2, 2, 6, 0.1)
+        grid = HyperGrid(*((v,) for v in cell))
+        cfg = TrainConfig(epochs=5, batch_size=8, learning_rate=1e-2)
+        result = select(ds, cfg, grid, 25)
+        raw = project_batch(ds.values, ds.grid, 2)  # one block: the rows select projects
+        final = _fit(raw, ds.labels, cell, 3, cfg, as_seed_sequence(25).spawn(3)[-1])
+        assert np.array_equal(result.classifier.params.flat, final.flat)
+
+    def test_batch_larger_than_the_fold(self):
+        # n = 40: the fold has 28 rows; only a grid that trains on it refuses 29..40
+        ds = toy_functional_dataset(np.random.default_rng(26), 20, [(0, 0), (8, 8)])
+        one = HyperGrid(n_scores=(2,), depths=(1,), widths=(4,), dropouts=(0.0,))
+        two = HyperGrid(n_scores=(2,), depths=(1,), widths=(4, 8), dropouts=(0.0,))
+        assert select(ds, TrainConfig(epochs=2, batch_size=40), one, 27).chosen.as_tuple() == (2, 1, 4, 0.0)
+        with pytest.raises(DomainError, match="exceeds the 28 training samples"):
+            select(ds, TrainConfig(epochs=2, batch_size=29), two, 27)
+        with pytest.raises(DomainError, match="exceeds the 40 training samples"):
+            select(ds, TrainConfig(epochs=2, batch_size=41), one, 27)
+
+    def test_one_cell_still_needs_a_splittable_dataset(self):
+        ds = toy_functional_dataset(np.random.default_rng(28), 4, [(0, 0), (8, 8)])
+        grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(4,), dropouts=(0.0,))
+        with pytest.raises(DomainError, match="at least 10 samples"):
+            select(ds, TrainConfig(epochs=1, batch_size=4), grid, 0)
 
     def test_underfit_versus_fit(self):
         # XOR-style blobs: a single hidden unit cannot separate them,
