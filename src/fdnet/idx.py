@@ -37,10 +37,8 @@ def _check_magic(buf: bytes, expected: int, kind: str, path) -> None:
 
 def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
-        head = fh.read(2)
-        rest = fh.read()
-    raw = head + rest
-    if head == b"\x1f\x8b":
+        raw = fh.read()
+    if raw[:2] == b"\x1f\x8b":
         try:
             return gzip.decompress(raw)
         except (OSError, EOFError) as exc:
@@ -85,7 +83,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         )
 
     pixels = np.frombuffer(img, dtype=np.uint8, count=n * rows * cols, offset=16)
-    values = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
+    values = pixels.reshape(n, rows * cols) / 255.0
     digits = np.frombuffer(lab, dtype=np.uint8, count=ln, offset=8).astype(np.int64)
     n_classes = max(10, int(digits.max()) + 1) if digits.size else 10
     return Dataset(

@@ -19,12 +19,14 @@ layout.
 
 Every entry point takes a batch: inputs are (n, J) arrays, and a 1-D
 input raises DomainError.  Labels take one encoding, the one-hot (n, K)
-matrix that `one_hot` builds from classes in {1..K}.  Inference
-(`forward`, `classify`) runs one streaming loop that keeps one activation
-alive and raises NumericError at the first non-finite layer; training
-(`loss_and_gradient`, also behind `backward`) keeps every activation for
-the gradient pass.  `predicted_class` is the one classification rule: the
-argmax of each row of class probabilities.
+matrix that `one_hot` builds from classes in {1..K}.  One generator,
+`_hidden_layers`, computes the hidden layers for both inference and
+training.  Inference (`forward`, `classify`) consumes it one activation at
+a time and raises NumericError at the first non-finite layer; training
+(`loss_and_gradient`, also behind `backward`) keeps every activation, and
+reads the ReLU derivative of the gradient pass from it.  `predicted_class`
+is the one classification rule: the argmax of each row of class
+probabilities.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ class NetworkParams:
         size = arch.param_count
         if flat.shape != (size,) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
             raise DomainError(f"need a contiguous float64 vector of length {size}")
-        _check_finite(flat)
+        if not np.all(np.isfinite(flat)):
+            raise DomainError("network parameters must be finite")
         views, start = [], 0
         for shape in arch.param_shapes():
             end = start + math.prod(shape)
@@ -110,11 +113,6 @@ class NetworkParams:
     def __reduce__(self):
         # a pickled or copied network rebuilds its views over its own vector
         return NetworkParams, (self.architecture, self.flat)
-
-
-def _check_finite(flat: np.ndarray) -> None:
-    if not np.all(np.isfinite(flat)):
-        raise DomainError("network parameters must be finite")
 
 
 def initial_params(arch: Architecture, rng: np.random.Generator) -> NetworkParams:
@@ -141,39 +139,33 @@ def _as_batch(x: np.ndarray, input_dim: int) -> np.ndarray:
     return x
 
 
-def _forward_pass(params: NetworkParams, x: np.ndarray, masks=None):
-    """Training forward computation; returns (activations, pre_relu, logits).
+def _hidden_layers(params: NetworkParams, x: np.ndarray, masks=None):
+    """Yield the activation of each hidden layer of a batch, first to last.
 
-    Every activation and pre-activation stays alive for the gradient pass.
-    `masks` is an optional list of per-hidden-layer multiplicative factors
-    (0 or 1/(1-s)) with the batch shape; they implement inverted dropout.
+    Each layer is computed in place in a fresh array: relu(a W^T - v), times
+    `masks[l]` when masks are given.  The masks are per-hidden-layer
+    multiplicative factors (0 or 1/(1-s)) with the batch shape; they
+    implement inverted dropout.
     """
-    activations, pre_relu, a = [x], [], x
+    a = x
     for l, (w, v) in enumerate(zip(params.weights, params.shifts)):
-        h = a @ w.T
-        h -= v
-        a = np.maximum(h, 0.0)
-        if masks is not None and masks[l] is not None:
+        a = a @ w.T
+        a -= v
+        np.maximum(a, 0.0, out=a)
+        if masks is not None:
             a *= masks[l]
-        pre_relu.append(h)
-        activations.append(a)
-    logits = a @ params.weights[-1].T
-    return activations, pre_relu, logits
+        yield a
 
 
 def _logits(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """The inference loop: one activation alive at a time, ReLU in place."""
-    a = x
+    """The inference logits: one activation alive at a time, each layer
+    checked as it is computed."""
     # the checks below report overflow as NumericError; numpy's warning would
     # reach the caller first (or instead, under `-W error`)
     with np.errstate(over="ignore", invalid="ignore"):
-        for l, (w, v) in enumerate(zip(params.weights, params.shifts), start=1):
-            h = a @ w.T
-            h -= v
-            np.maximum(h, 0.0, out=h)
-            if not np.all(np.isfinite(h)):
+        for l, a in enumerate(_hidden_layers(params, x), start=1):
+            if not np.all(np.isfinite(a)):
                 raise NumericError(f"non-finite values after hidden layer {l}")
-            a = h
         logits = a @ params.weights[-1].T
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite values in the output logits")
@@ -222,8 +214,8 @@ def loss_and_gradient(params: NetworkParams, x, y, masks=None, grad: NetworkPara
     """
     # divergence surfaces as a non-finite loss; silence its overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        activations, pre_relu, logits = _forward_pass(params, x, masks)
-        probs = softmax(logits)
+        activations = [x, *_hidden_layers(params, x, masks)]
+        probs = softmax(activations[-1] @ params.weights[-1].T)
         loss = float(-np.log(np.maximum((probs * y).sum(axis=1), PROB_FLOOR)).mean())
     if grad is None:
         return loss
@@ -233,9 +225,11 @@ def loss_and_gradient(params: NetworkParams, x, y, masks=None, grad: NetworkPara
     np.matmul(delta.T, activations[-1], out=grad_w[-1])
     upstream = delta @ params.weights[-1]
     for l in range(len(params.shifts) - 1, -1, -1):
-        if masks is not None and masks[l] is not None:
+        if masks is not None:
             upstream *= masks[l]
-        upstream *= pre_relu[l] > 0.0
+        # with a nonzero mask, relu(h) * mask > 0 exactly when h > 0; where
+        # the mask is 0, upstream is already 0 (or NaN) either way
+        upstream *= activations[l + 1] > 0.0
         np.sum(upstream, axis=0, out=grad_v[l])
         np.negative(grad_v[l], out=grad_v[l])
         np.matmul(upstream.T, activations[l], out=grad_w[l])
@@ -249,7 +243,7 @@ def backward(params: NetworkParams, x: np.ndarray, y: np.ndarray) -> NetworkPara
     labels (n, K), for every weight and shift.
 
     The result reuses the NetworkParams container, gradients laid out
-    exactly like the parameters; a non-finite gradient raises DomainError.
+    exactly like the parameters; a non-finite gradient raises NumericError.
     """
     arch = params.architecture
     xb = _as_batch(x, arch.input_dim)
@@ -257,5 +251,6 @@ def backward(params: NetworkParams, x: np.ndarray, y: np.ndarray) -> NetworkPara
         raise DomainError("labels must be a one-hot (n, K) matrix matching the batch")
     grad = NetworkParams(arch, np.zeros(arch.param_count))
     loss_and_gradient(params, xb, np.asarray(y, dtype=float), grad=grad)
-    _check_finite(grad.flat)
+    if not np.all(np.isfinite(grad.flat)):
+        raise NumericError("non-finite gradient")
     return grad

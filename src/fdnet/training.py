@@ -31,11 +31,11 @@ independent of any execution schedule.
 
 One training step works on flat vectors.  The parameters are one
 `NetworkParams`, whose weights and shifts are views into one contiguous
-float64 vector.  `network.loss_and_gradient` runs the training forward
-loop, which keeps every activation, and writes the gradient into a second
-`NetworkParams` of the same layout; Adam then updates the parameter
-vector with a fixed sequence of in-place ufuncs, run over one cache-sized
-slice of the vector at a time.  The dropout masks of a step come from one
+float64 vector.  `network.loss_and_gradient` keeps every activation of
+the hidden-layer loop that inference also runs, and writes the gradient
+into a second `NetworkParams` of the same layout; Adam then updates the
+parameter vector with a fixed sequence of in-place ufuncs, run over one
+cache-sized slice of the vector at a time.  The dropout masks of a step come from one
 uniform draw, sliced layer by layer.  Each elementwise operation is the
 one the per-array formulas perform, in the same order, so the result
 depends neither on the layout nor on where the slices fall.

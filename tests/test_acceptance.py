@@ -71,12 +71,15 @@ def _input_clear_of_kinks(params, arch, rng, margin=1e-3):
     """Draw an input whose pre-activations stay away from the ReLU kinks;
     finite differences are only a valid derivative oracle at
     differentiable points, and an h=1e-5 step must not cross a kink."""
-    from fdnet.network import _forward_pass
-
     x = None
     for _ in range(100):
         x = rng.standard_normal(arch.input_dim)
-        _, pre_relu, _ = _forward_pass(params, x[None, :])
+        a, pre_relu = x[None, :], []
+        for w, v in zip(params.weights, params.shifts):
+            h = a @ w.T
+            h -= v
+            pre_relu.append(h)
+            a = np.maximum(h, 0.0)
         if all(np.abs(h).min() > margin for h in pre_relu):
             return x
     return x

@@ -601,6 +601,14 @@ class TestIdx:
         assert ds.values[0, 1] == pytest.approx(0.2)
         assert ds.labels[0] == 8  # digit 7 -> class 8
 
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_every_byte_scales_exactly(self, tmp_path, compress):
+        raw = idx_image_bytes(np.arange(256, dtype=np.uint8).reshape(1, 16, 16))
+        (tmp_path / "i.idx").write_bytes(gzip.compress(raw) if compress else raw)
+        (tmp_path / "l.idx").write_bytes(idx_label_bytes(np.array([0], dtype=np.uint8)))
+        ds = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
+        assert ds.values[0].tolist() == [byte / 255.0 for byte in range(256)]
+
     def test_swapped_files_diagnosed(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, 5, seed=14)
         with pytest.raises(FormatError, match="magic"):

@@ -27,7 +27,7 @@ from fdnet import (
 from fdnet import basis, evaluation, projection, training
 from fdnet.dataio import DatasetReader, load_dataset, save_dataset
 from fdnet.evaluation import confusion_matrix
-from fdnet.network import _forward_pass, predicted_class
+from fdnet.network import _logits, predicted_class
 from fdnet.projection import BLOCK_ROWS
 from fdnet.training import Classifier
 
@@ -55,7 +55,7 @@ class TestClassify:
     def test_invariant_to_increasing_transforms(self):
         params = initial_params(Architecture(4, (6,), 3), np.random.default_rng(2))
         x = np.random.default_rng(3).standard_normal((50, 4))
-        logits = _forward_pass(params, x)[2]
+        logits = _logits(params, x)
         base = np.argmax(logits, axis=1)
         for transform in (lambda z: 3.0 * z + 7.0, np.exp, np.tanh):
             np.testing.assert_array_equal(np.argmax(transform(logits), axis=1), base)
@@ -351,7 +351,6 @@ class TestBenchmark:
         import warnings
 
         from fdnet import AliasingWarning, bayes_posterior, generate_dataset, select
-        from fdnet.network import _forward_pass, softmax
         from fdnet.projection import project_batch
 
         warnings.filterwarnings("ignore", category=AliasingWarning)
@@ -364,8 +363,8 @@ class TestBenchmark:
             test_ds = generate_dataset(model, 3334, m=400, seed=77, subset="test")
             result = select(train_ds, cfg, grid, 0)
             scores = project_batch(test_ds.values, test_ds.grid, 10)
-            _, _, logits = _forward_pass(result.classifier.params, scores)
-            return truncated_kl_risk(bayes_posterior(model, test_ds.latent), softmax(logits), 2.0)
+            probs = forward(result.classifier.params, scores)
+            return truncated_kl_risk(bayes_posterior(model, test_ds.latent), probs, 2.0)
 
         assert risk_at(700) < risk_at(200)
 

@@ -18,7 +18,7 @@ from fdnet import (
     initial_params,
     truncated_kl_risk,
 )
-from fdnet.network import _forward_pass, loss_and_gradient, one_hot, softmax
+from fdnet.network import PROB_FLOOR, _logits, loss_and_gradient, one_hot, softmax
 
 
 def random_params(arch, seed):
@@ -27,6 +27,18 @@ def random_params(arch, seed):
 
 def zero_params(arch):
     return NetworkParams(arch, np.zeros(arch.param_count))
+
+
+def pre_activations(params, x):
+    """The pre-activation a W^T - v of every hidden layer of a batch,
+    computed with the operations the network uses."""
+    out, a = [], x
+    for w, v in zip(params.weights, params.shifts):
+        h = a @ w.T
+        h -= v
+        out.append(h)
+        a = np.maximum(h, 0.0)
+    return out
 
 
 def packed(arch, *arrays):
@@ -78,7 +90,7 @@ class TestForward:
     def test_invariant_to_logit_shift(self):
         params = random_params(Architecture(5, (8,), 3), seed=2)
         x = np.random.default_rng(3).standard_normal((1, 5))
-        logits = _forward_pass(params, x)[2]
+        logits = _logits(params, x)
         np.testing.assert_allclose(softmax(logits + 123.4), forward(params, x), atol=1e-12)
 
     def test_shift_sign_convention(self):
@@ -179,6 +191,19 @@ class TestCeLoss:
         with pytest.raises(DomainError):
             truncated_kl_risk(one_hot([1], 2), np.array([[0.5, 0.5]]), 1.5)
 
+    def test_training_loss_is_that_of_forward(self):
+        # training and inference compute the hidden layers alike, so the
+        # training loss is the floored cross-entropy of `forward`, bit for bit
+        arch = Architecture(5, (7, 6), 3)
+        params = random_params(arch, seed=12)
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((40, 5)) * 100.0
+        y = one_hot(rng.integers(1, 4, size=40), 3)
+        p_true = (forward(params, x) * y).sum(axis=1)
+        assert p_true.min() < PROB_FLOOR < p_true.max()  # the floor binds on some rows
+        expected = float(-np.log(np.maximum(p_true, PROB_FLOOR)).mean())
+        assert loss_and_gradient(params, x, y) == expected
+
 
 class TestBackward:
     def test_zero_input_zero_first_gradient(self):
@@ -210,8 +235,7 @@ class TestBackward:
             # difference is a valid derivative oracle
             for _ in range(100):
                 x = rng.standard_normal(arch.input_dim)
-                _, pre_relu, _ = _forward_pass(params, x[None, :])
-                if all(np.abs(h).min() > 1e-3 for h in pre_relu):
+                if all(np.abs(h).min() > 1e-3 for h in pre_activations(params, x[None, :])):
                     break
             label = int(rng.integers(1, arch.n_classes + 1))
             assert gradcheck(params, x, label) <= 1e-5
@@ -229,10 +253,11 @@ class TestBackward:
         assert not np.any(grads.flat == np.pi)  # every entry was written
 
     def test_nonfinite_gradient_raises(self):
-        # an infinite hidden activation times a zero output weight gives NaN
+        # finite parameters and input, but an infinite hidden activation
+        # times a zero output weight gives NaN: a numeric failure
         params = zero_params(Architecture(2, (2,), 2))
         params.weights[0][:] = 1e300
-        with np.errstate(all="ignore"), pytest.raises(DomainError, match="finite"):
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite gradient"):
             backward(params, np.array([[1e10, 1e10]]), one_hot([1], 2))
 
     def test_batch_gradient_is_mean(self):
