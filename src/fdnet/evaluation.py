@@ -20,19 +20,21 @@ The benchmark runs R independent replicates: each draws fresh training and
 test data, runs the full selection procedure, and evaluates on the test
 set.  Replicates use seeds derived from the master seed in replicate
 order, so results are bit-identical whether replicates run serially or on
-a process pool.
+a process pool.  The pool is `parallel.ordered_map`'s, the one `select`
+fits its cells on; inside a replicate `select` fits its cells serially
+(`workers=1`), so the replicates are the only parallel unit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, as_count, as_real
 from .network import forward, predicted_class
+from .parallel import ordered_map
 from .projection import projected_blocks
 from .rng import as_seed_sequence, seed_to_int
 from .simulation import SimModel, bayes_posterior, default_test_size, generate_dataset
@@ -141,12 +143,12 @@ def evaluate(model: Classifier, data):
     return float((n - np.trace(confusion)) / n), confusion, probs
 
 
-def _run_replicate(args):
-    (model, n_k, m, grid, cfg, rep_ss, test_nk) = args
+def _run_replicate(model, n_k, m, grid, cfg, test_nk, rep_ss):
     data_ss, select_ss = rep_ss.spawn(2)
     train_ds = generate_dataset(model, n_k, m=m, seed=data_ss, subset="train")
     test_ds = generate_dataset(model, test_nk, m=m, seed=data_ss, subset="test")
-    result = select(train_ds, cfg, grid, seed_to_int(select_ss))
+    # serial cells: replicates are the unit of parallelism, and pools never nest
+    result = select(train_ds, cfg, grid, seed_to_int(select_ss), workers=1)
     err, conf, probs = evaluate(result.classifier, test_ds)
 
     kl = None
@@ -174,7 +176,9 @@ def benchmark(
     the test set; `seed` is the master seed of every replicate's streams.
     The KL risk uses `truncated_kl_risk`'s default truncation constant.
     `workers` > 1 distributes replicates over at most `replicates`
-    processes without changing any result.
+    processes (through `parallel.ordered_map`) without changing any
+    result; each replicate runs its selection's cells serially, so pools
+    never nest.
     """
     reps = as_count(replicates, "replicates")
     if reps < 1:
@@ -183,18 +187,13 @@ def benchmark(
     workers = as_count(workers, "workers")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, reps)
     if test_per_class is None:
         test_nk = default_test_size(n_per_class)
     else:
         test_nk = as_count(test_per_class, "test_per_class")
     rep_streams = as_seed_sequence(seed).spawn(reps)
-    arglist = [(model, n_per_class, m, grid, cfg, rep_streams[r], test_nk) for r in range(reps)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replicate, arglist))
-    else:
-        results = [_run_replicate(a) for a in arglist]
+    shared = (model, n_per_class, m, grid, cfg, test_nk)
+    results = ordered_map(_run_replicate, [(ss,) for ss in rep_streams], workers, shared=shared)
 
     errors = np.array([r[0] for r in results])
     chosen = [r[1] for r in results]

@@ -1,5 +1,6 @@
 import base64
 import json
+import os
 import struct
 import tracemalloc
 
@@ -601,6 +602,17 @@ class TestBenchmarkCommand:
         lines = out1.read_text().strip().split("\n")
         assert len(lines) == 1 + 1 + 3  # header, summary, one row per replicate
         assert out1.read_bytes() == out2.read_bytes()  # parallel == serial
+
+    def test_dead_worker_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("fdnet.evaluation._run_replicate", lambda *args: os._exit(1))
+        out = tmp_path / "r.csv"
+        code = main(["benchmark", "--model-id", "2d-gaussian", "--nk", "12", "--m", "9",
+                     "--reps", "2", "--grid", grid_file(tmp_path), "--seed", "5",
+                     "--epochs", "1", "--batch", "8", "--workers", "2", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "ended abruptly" in captured.err and "Traceback" not in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_exits_1(self, tmp_path, capsys, workers):

@@ -24,7 +24,7 @@ from fdnet import (
     select,
     truncated_kl_risk,
 )
-from fdnet import basis, evaluation, projection, training
+from fdnet import basis, evaluation, parallel, projection, training
 from fdnet.dataio import DatasetReader, load_dataset, save_dataset
 from fdnet.evaluation import confusion_matrix
 from fdnet.network import _logits, predicted_class
@@ -377,8 +377,9 @@ class TestBenchmarkArguments:
         class SerialPool:
             """Records its size and runs `map` in this process, starting none."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs, **kwargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -389,12 +390,16 @@ class TestBenchmarkArguments:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
-        args = (get_model("2d-gaussian"), 12, 9, tiny_grid(), tiny_cfg())
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(parallel, "_task", None)  # SerialPool sets it in this process
+        # two cells, so a replicate's select would build a pool of its own
+        grid = HyperGrid(n_scores=(4,), depths=(1,), widths=(4, 8), dropouts=(0.0,))
+        args = (get_model("2d-gaussian"), 12, 9, grid, tiny_cfg())
         serial = benchmark(*args, replicates=2, seed=13, test_per_class=5)
         pooled = benchmark(*args, replicates=2, seed=13, test_per_class=5, workers=64)
         benchmark(*args, replicates=1, seed=13, test_per_class=5, workers=64)
-        assert sizes == [2]  # a single replicate runs in this process
+        # a single replicate runs in this process, and no replicate's select builds a pool
+        assert sizes == [2]
         np.testing.assert_array_equal(serial.errors, pooled.errors)
 
     @pytest.mark.parametrize("field", ["n_per_class", "m", "test_per_class", "workers", "replicates"])

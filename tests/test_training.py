@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from fdnet import (
     train,
 )
 from fdnet.basis import design_matrix
+from fdnet.dataio import save_model
 from fdnet.network import loss_and_gradient, one_hot
 from fdnet.rng import as_seed_sequence
 from fdnet.training import ADAM_SLICE, Classifier, _fit
@@ -316,9 +319,49 @@ class TestSelect:
         select(ds, cfg, one, 13)
         assert calls == [40]  # the final fit, on all rows
         calls.clear()
+        # one worker, so every call is made in this process, in order;
+        # test_pooled_equals_serial covers the pool
         two = HyperGrid(n_scores=(2,), depths=(1,), widths=(4, 8), dropouts=(0.0,))
-        select(ds, cfg, two, 13)
+        select(ds, cfg, two, 13, workers=1)
         assert calls == [28, 28, 40]  # each cell on the fold, then the winner
+
+    def test_pooled_equals_serial(self, tmp_path):
+        # CI also runs this with one BLAS thread
+        rng = np.random.default_rng(30)
+        ds = toy_functional_dataset(rng, 15, [(0, 0), (6, 6), (-6, 6)])
+        grid = HyperGrid(n_scores=(2, 3), depths=(1, 2), widths=(6,), dropouts=(0.0, 0.2))
+        cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=1e-2)
+        serial = select(ds, cfg, grid, 31, workers=1)
+        pooled = select(ds, cfg, grid, 31, workers=2)
+        assert np.array_equal(serial.validation_errors, pooled.validation_errors)
+        assert serial.chosen == pooled.chosen
+        assert np.array_equal(serial.classifier.params.flat, pooled.classifier.params.flat)
+        for name, result in (("serial.json", serial), ("pooled.json", pooled)):
+            save_model(result.classifier, tmp_path / name)
+        assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "pooled.json").read_bytes()
+
+    def test_first_failure_in_grid_order(self, monkeypatch):
+        # the first cell fails late on one worker, the second fails at once
+        # on the other; the first cell's error is the one raised
+        def failing_train(scores, labels, arch, *args, **kwargs):
+            if arch.hidden_widths[0] == 4:
+                time.sleep(0.5)
+                raise DomainError("the first cell failed")
+            raise NumericError("the second cell failed")
+
+        monkeypatch.setattr("fdnet.training.train", failing_train)
+        ds = toy_functional_dataset(np.random.default_rng(32), 10, [(0, 0), (8, 8)])
+        grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(4, 8), dropouts=(0.0,))
+        for workers in (1, 2):
+            with pytest.raises(DomainError, match="the first cell failed"):
+                select(ds, TrainConfig(epochs=1, batch_size=4), grid, 0, workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.0, True])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        ds = toy_functional_dataset(np.random.default_rng(34), 10, [(0, 0), (8, 8)])
+        grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(4, 8), dropouts=(0.0,))
+        with pytest.raises(DomainError, match="workers must be"):
+            select(ds, TrainConfig(epochs=1, batch_size=4), grid, 0, workers=workers)
 
     def test_one_cell_bits_are_those_of_the_last_stream(self):
         # the fold is skipped, but the final fit keeps the stream a larger
