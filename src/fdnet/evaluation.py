@@ -20,9 +20,8 @@ The benchmark runs R independent replicates: each draws fresh training and
 test data, runs the full selection procedure, and evaluates on the test
 set.  Replicates use seeds derived from the master seed in replicate
 order, so results are bit-identical whether replicates run serially or on
-a process pool.  The pool is `parallel.ordered_map`'s, the one `select`
-fits its cells on; inside a replicate `select` fits its cells serially
-(`workers=1`), so the replicates are the only parallel unit.
+the pool of `parallel.ordered_map`, whose rule keeps each replicate's
+`select` serial.
 """
 
 from __future__ import annotations
@@ -95,14 +94,26 @@ class EvalReport:
     model_id: str
     n_per_class: int
     m: int
-    replicates: int
     errors: np.ndarray
-    mean_error: float
-    sd: float | None
-    se: float | None
     confusion: np.ndarray
     chosen: list
     kl_risks: list | None = None
+
+    @property
+    def replicates(self) -> int:
+        return len(self.errors)
+
+    @property
+    def mean_error(self) -> float:
+        return float(self.errors.mean())
+
+    @property
+    def sd(self) -> float | None:
+        return float(np.std(self.errors, ddof=1)) if self.replicates >= 2 else None
+
+    @property
+    def se(self) -> float | None:
+        return float(self.sd / np.sqrt(self.replicates)) if self.replicates >= 2 else None
 
     @property
     def kl_mean(self) -> float | None:
@@ -147,8 +158,7 @@ def _run_replicate(model, n_k, m, grid, cfg, test_nk, rep_ss):
     data_ss, select_ss = rep_ss.spawn(2)
     train_ds = generate_dataset(model, n_k, m=m, seed=data_ss, subset="train")
     test_ds = generate_dataset(model, test_nk, m=m, seed=data_ss, subset="test")
-    # serial cells: replicates are the unit of parallelism, and pools never nest
-    result = select(train_ds, cfg, grid, seed_to_int(select_ss), workers=1)
+    result = select(train_ds, cfg, grid, seed_to_int(select_ss))
     err, conf, probs = evaluate(result.classifier, test_ds)
 
     kl = None
@@ -175,42 +185,30 @@ def benchmark(
     test data, runs the selection procedure, and scores the chosen model on
     the test set; `seed` is the master seed of every replicate's streams.
     The KL risk uses `truncated_kl_risk`'s default truncation constant.
-    `workers` > 1 distributes replicates over at most `replicates`
-    processes (through `parallel.ordered_map`) without changing any
-    result; each replicate runs its selection's cells serially, so pools
-    never nest.
+    The replicates run through `parallel.ordered_map` on `workers`
+    processes, at most one per replicate.
     """
     reps = as_count(replicates, "replicates")
     if reps < 1:
         raise DomainError(f"replicates must be >= 1, got {reps}")
     n_per_class, m = as_count(n_per_class, "n_per_class"), as_count(m, "m")
-    workers = as_count(workers, "workers")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
     if test_per_class is None:
         test_nk = default_test_size(n_per_class)
     else:
         test_nk = as_count(test_per_class, "test_per_class")
+        if test_nk < 1:
+            raise DomainError(f"test_per_class must be >= 1, got {test_nk}")
     rep_streams = as_seed_sequence(seed).spawn(reps)
     shared = (model, n_per_class, m, grid, cfg, test_nk)
     results = ordered_map(_run_replicate, [(ss,) for ss in rep_streams], workers, shared=shared)
 
-    errors = np.array([r[0] for r in results])
-    chosen = [r[1] for r in results]
-    confusion = np.sum([r[2] for r in results], axis=0)
-    kls = [r[3] for r in results]
-    kl_risks = None if any(k is None for k in kls) else kls
-    sd = float(np.std(errors, ddof=1)) if reps >= 2 else None
+    errors, chosen, confusions, kls = zip(*results)
     return EvalReport(
         model_id=model.model_id,
         n_per_class=n_per_class,
         m=m,
-        replicates=reps,
-        errors=errors,
-        mean_error=float(errors.mean()),
-        sd=sd,
-        se=float(sd / np.sqrt(reps)) if sd is not None else None,
-        confusion=confusion,
-        chosen=chosen,
-        kl_risks=kl_risks,
+        errors=np.array(errors),
+        confusion=np.sum(confusions, axis=0),
+        chosen=list(chosen),
+        kl_risks=None if None in kls else list(kls),
     )

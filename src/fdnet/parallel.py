@@ -1,16 +1,22 @@
-"""One ordered map over a process pool: the fold fits of `training.select`
-and the replicates of `evaluation.benchmark` both run through it.
+"""The one pool policy of fdnet: `ordered_map(fn, items, workers=None,
+shared=())` returns `[fn(*shared, *item) for item in items]`, and both the
+fold fits of `training.select` and the replicates of `evaluation.benchmark`
+run through it.
 
-`ordered_map(fn, items, workers, shared)` returns
-`[fn(*shared, *item) for item in items]`.  With more than one worker and
-more than one item it maps over a `ProcessPoolExecutor` of
-min(workers, len(items)) processes, started with the fork method where the
-platform has it.  `shared` reaches each worker once, through the pool's
-initializer (under fork it is inherited, not pickled); only the items and
-the results cross between processes.  Results come back in item order, and
-an exception surfaces as the one of the first failing item in that order,
-whichever finished first.  A worker that dies (killed, for example, for
-lack of memory) raises FdnetError instead of the pool's BrokenProcessPool.
+`workers` defaults to `usable_cpus()`, so `taskset` limits it.  More than
+one worker and more than one item map over a `ProcessPoolExecutor` of
+min(workers, len(items)) processes, started by fork where the platform has
+it.  `shared` reaches each worker once, through the pool's initializer
+(inherited under fork, not pickled); only items and results cross between
+processes.  Results come back in item order, the first failing item in
+that order raises its exception whichever finished first, and a worker
+that dies (killed, say, for lack of memory) raises FdnetError instead of
+the pool's BrokenProcessPool.
+
+Pools never nest: a map called while this process runs another map's
+items, in a pool worker or on the serial path, runs in this process, so a
+replicate's `select` fits its cells serially.  No result depends on the
+number of workers.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from .errors import FdnetError
+from .errors import DomainError, FdnetError, as_count
 
-# (fn, shared) of this worker process, set once by the pool's initializer
+# (fn, shared) of the map whose items this process is running, else None
 _task = None
 
 
@@ -45,13 +51,21 @@ def _call(item):
     return fn(*shared, *item)
 
 
-def ordered_map(fn, items, workers: int, shared: tuple = ()) -> list:
-    """[fn(*shared, *item) for item in items], on min(workers, len(items))
-    processes when that is more than one, else in this process."""
+def ordered_map(fn, items, workers: int | None = None, shared: tuple = ()) -> list:
+    """[fn(*shared, *item) for item in items], on a pool when more than one
+    worker, more than one item and no running map here allow it."""
+    global _task
+    workers = usable_cpus() if workers is None else as_count(workers, "workers")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     items = list(items)
     workers = min(workers, len(items))
-    if workers <= 1:
-        return [fn(*shared, *item) for item in items]
+    if workers <= 1 or _task is not None:
+        outer, _task = _task, (fn, shared)
+        try:
+            return [_call(item) for item in items]
+        finally:
+            _task = outer
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork") if "fork" in methods else None
     try:

@@ -6,18 +6,15 @@ the full hyperparameter procedure over the candidate `HyperGrid`: extract
 scores at the largest candidate J by row blocks through `projected_blocks`
 (as prediction does), on the basis of the dataset's dimension (the basis
 order depends on nothing else), split 70/30 stratified by class, train
-every candidate cell on the training fold, score it by 0-1 error on the
-validation fold (through `network.classify`, the same streaming inference
-loop and argmax rule every prediction uses), pick the argmin (ties falling
-to the lexicographically smallest candidate tuple) and retrain on all
-data.  A grid of one candidate is its own argmin, so that candidate skips
-the fold and trains once, on all data.  The fitted model is a
-`Classifier`: the final network and the grid shape of its training data,
-whose length is the dimension of the data the model accepts.
-
-The fold fits are independent, so `select` runs them on a process pool
-over the usable CPUs (see `select`); the final fit runs in the calling
-process.
+every candidate cell on the training fold (through `parallel.ordered_map`,
+on a pool where its rule allows), score it by 0-1 error on the validation
+fold (through `network.classify`, the same streaming inference loop and
+argmax rule every prediction uses), pick the argmin (ties falling to the
+lexicographically smallest candidate tuple) and retrain on all data.  A
+grid of one candidate is its own argmin, so that candidate skips the fold
+and trains once, on all data.  The fitted model is a `Classifier`: the
+final network and the grid shape of its training data, whose length is
+the dimension of the data the model accepts.
 
 Every network `select` trains, validated or final, comes from one fit,
 `_fit`: it standardizes the score coordinates of its rows (zero mean,
@@ -64,7 +61,7 @@ from .network import (
     loss_and_gradient,
     one_hot,
 )
-from .parallel import ordered_map, usable_cpus
+from .parallel import ordered_map
 from .projection import projected_blocks
 from .rng import as_seed_sequence
 
@@ -365,9 +362,7 @@ def _fit(raw, labels, cell, k: int, cfg: TrainConfig, stream) -> NetworkParams:
     return params
 
 
-def select(
-    dataset, cfg: TrainConfig, grid: HyperGrid, seed, *, workers: int | None = None
-) -> SelectionResult:
+def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     """Full data-splitting selection over the candidate grid.
 
     `dataset` is a `Dataset` or a `dataio.DatasetReader`, as for `predict`.
@@ -380,21 +375,14 @@ def select(
     the refusals and the final fit's stream are those of a larger grid.
     `seed` (a non-negative int or a SeedSequence) drives every stream.
 
-    The fold fits run through `parallel.ordered_map` on `workers`
-    processes, at most one per cell; the default is the CPUs this process
-    may use, so `taskset` limits it, and 1 builds no pool.  The networks
-    come back in grid order and are validated here once every fit is done,
-    so `select` holds every fold network until then: n_cells * P * 8 bytes
-    for P parameters per network (0.6 MB for the README's 16-cell grid on
-    3 classes, 20 MB per cell at J=500, L=3, width 1000 on 10 classes).
-    The first failing cell in grid order raises its error.  The winner's
-    final fit runs here.  No result depends on `workers`.
+    The fold fits run through `parallel.ordered_map` at its default
+    worker count.  The networks come back in grid order and are validated
+    here once every fit is done, so `select` holds every fold network
+    until then: n_cells * P * 8 bytes for P parameters per network
+    (0.6 MB for the README's 16-cell grid on 3 classes, 20 MB per cell at
+    J=500, L=3, width 1000 on 10 classes).  The first failing cell in grid
+    order raises its error.  The winner's final fit runs here.
     """
-    if workers is None:
-        workers = usable_cpus()
-    workers = as_count(workers, "workers")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
     if len(dataset) == 0:
         raise DomainError("selection data has no samples")
     j_max = max(grid.n_scores)
@@ -421,7 +409,7 @@ def select(
     if grid.n_cells > 1:  # one candidate is the argmin without validation
         cells = list(grid.cells())
         tasks = [(cell, k, cfg, streams[1 + ci]) for ci, cell in enumerate(cells)]
-        nets = ordered_map(_fit, tasks, workers, shared=(raw_scores[train_idx], labels[train_idx]))
+        nets = ordered_map(_fit, tasks, shared=(raw_scores[train_idx], labels[train_idx]))
         # validated here, once every fit is done: a validation pass is large
         # enough to wake BLAS helper threads, which would take a core from
         # a fit still running

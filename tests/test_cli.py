@@ -2,11 +2,15 @@ import base64
 import json
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdnet
 from fdnet import Architecture, Classifier, Dataset, Grid, initial_params
 from fdnet.cli import main
 from fdnet.dataio import load_dataset, load_model, save_dataset, save_model, write_predictions_csv
@@ -614,6 +618,18 @@ class TestBenchmarkCommand:
         assert "ended abruptly" in captured.err and "Traceback" not in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("test_nk", ["0", "-2"])
+    def test_nonpositive_test_size_exits_1(self, tmp_path, capsys, test_nk):
+        out = tmp_path / "r.csv"
+        code = main(["benchmark", "--model-id", "2d-gaussian", "--nk", "12", "--m", "9",
+                     "--reps", "2", "--grid", grid_file(tmp_path), "--seed", "5", "--test-nk", test_nk,
+                     "--epochs", "1", "--batch", "8", "--workers", "2", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"test_per_class must be >= 1, got {test_nk}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_exits_1(self, tmp_path, capsys, workers):
         out = tmp_path / "r.csv"
@@ -625,6 +641,48 @@ class TestBenchmarkCommand:
         assert "workers must be >= 1" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+class TestTrainBytesInAFreshProcess:
+    """`fdnet train` run as a command writes the model bytes of its default
+    CPU count on one CPU (so its fold fits run serially) and with one BLAS
+    thread."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("train_bytes")
+        doc = {"J": [4, 8], "L": [1], "width": [8, 16], "dropout": [0.1]}
+        return tmp, simulate(tmp, nk=60, m=25), grid_file(tmp, doc)
+
+    def model_bytes(self, inputs, name, env=None, preexec_fn=None):
+        tmp, data, grid = inputs
+        out = tmp / name
+        src = Path(fdnet.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdnet.cli", "train", "--data", str(data), "--grid", grid,
+             "--epochs", "5", "--batch", "16", "--seed", "3", "--out", str(out)],
+            env={**os.environ, **(env or {}), "PYTHONPATH": str(src)},
+            preexec_fn=preexec_fn, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return out.read_bytes()
+
+    @pytest.fixture(scope="class")
+    def default_bytes(self, inputs):
+        return self.model_bytes(inputs, "default.json")
+
+    def test_one_cpu(self, inputs, default_bytes):
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("the platform has no CPU affinity")
+        assert self.model_bytes(inputs, "one_cpu.json", preexec_fn=_one_cpu) == default_bytes
+
+    def test_one_blas_thread(self, inputs, default_bytes):
+        one_thread = {"OPENBLAS_NUM_THREADS": "1"}
+        assert self.model_bytes(inputs, "one_blas.json", env=one_thread) == default_bytes
 
 
 class TestMnistCommand:

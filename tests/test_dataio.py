@@ -519,11 +519,7 @@ class TestCsvWriters:
             model_id="2d-gaussian",
             n_per_class=10,
             m=9,
-            replicates=3,
             errors=np.array([0.1, 0.2, 0.3]),
-            mean_error=0.2,
-            sd=0.1,
-            se=0.0577,
             confusion=np.eye(3, dtype=int),
             chosen=[Chosen(5, 2, 32, 0.01), Chosen(5, 2, 32, 0.01), Chosen(10, 3, 64, 0.1)],
         )

@@ -411,6 +411,13 @@ class TestBenchmarkArguments:
         with pytest.raises(DomainError, match=f"{field} must be an integer"):
             benchmark(**args)
 
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_test_per_class_at_least_one(self, monkeypatch, value):
+        monkeypatch.setattr(evaluation, "_run_replicate", pytest.fail)  # refused before any runs
+        with pytest.raises(DomainError, match="test_per_class must be >= 1"):
+            benchmark(get_model("2d-gaussian"), 12, 9, tiny_grid(), tiny_cfg(), replicates=2, seed=0,
+                      test_per_class=value, workers=2)
+
     def test_replicates_at_least_one(self):
         with pytest.raises(DomainError, match="replicates must be >= 1"):
             benchmark(get_model("2d-gaussian"), 12, 9, tiny_grid(), tiny_cfg(), replicates=0, seed=0)

@@ -3,7 +3,7 @@ module's private (`_`-prefixed) names, either by importing them or through
 an imported module object, and every fdnet import sits at module level, so
 each module's dependencies show in its header.  Every name the package
 re-exports has a caller in the program, the benchmark or the acceptance
-suite."""
+suite.  Only `parallel` imports a process-pool module."""
 
 import ast
 from pathlib import Path
@@ -105,6 +105,24 @@ def unreferenced_exports(init: ast.Module, callers: dict) -> list:
     ]
 
 
+POOL_MODULES = ("multiprocessing", "concurrent")
+
+
+def pool_imports(tree: ast.Module) -> list:
+    """(line, text) of every import of a process-pool module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in POOL_MODULES for name in names):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
 def test_sources_found():
     assert {"network.py", "training.py", "evaluation.py", "cli.py"} <= {p.name for p in SOURCES}
 
@@ -179,3 +197,27 @@ def test_detects_export_only_its_own_module_mentions():
     }
     # a string counts only in the benchmark, a mention only outside the home module
     assert unreferenced_exports(init, callers) == ["softmax", "select"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_parallel_starts_processes(path):
+    # `parallel.ordered_map` is the one pool helper, and it holds the pool rule
+    imports = pool_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert path.name == "parallel.py" or imports == [], f"{path.name} imports pool modules: {imports}"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import multiprocessing",
+        "import os, multiprocessing.pool as mp",
+        "from concurrent.futures import ProcessPoolExecutor",
+        "def f():\n    from multiprocessing import get_context",
+    ],
+)
+def test_detects_pool_import(source):
+    assert pool_imports(ast.parse(source))
+
+
+def test_parallel_imports_pool_modules():
+    assert pool_imports(ast.parse((PACKAGE / "parallel.py").read_text()))

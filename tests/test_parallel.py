@@ -16,6 +16,11 @@ def with_pid(x):
     return x, os.getpid()
 
 
+def inner_pids(x, workers):
+    """The pids of an inner two-item map, with this process's own."""
+    return {pid for _, pid in ordered_map(with_pid, [(x,), (x + 1,)], workers)} | {os.getpid()}
+
+
 def die(x):
     os._exit(1)
 
@@ -55,6 +60,31 @@ class TestOrderedMap:
         with pytest.raises(FdnetError, match="ended abruptly") as info:
             ordered_map(die, [(1,), (2,)], 2)
         assert type(info.value) is FdnetError  # not the pool's RuntimeError
+
+    def test_map_inside_a_pooled_map_runs_in_its_worker(self):
+        results = ordered_map(inner_pids, [(0, 2), (1, 2)], 2)
+        assert all(len(pids) == 1 for pids in results)  # one process each: no nested pool
+        assert os.getpid() not in set.union(*results)
+
+    def test_map_inside_a_serial_map_runs_here(self):
+        results = ordered_map(inner_pids, [(0, 2), (1, 2)], 1)
+        assert results == [{os.getpid()}, {os.getpid()}]
+        assert parallel._task is None  # restored once the outer map is done
+
+    def test_default_is_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", pytest.fail)
+        assert ordered_map(scaled, [(2,), (5,)], shared=(3,)) == [6, 15]
+        monkeypatch.undo()
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        results = ordered_map(with_pid, [(0,), (1,)])
+        assert os.getpid() not in {r[1] for r in results}
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.0, True])
+    def test_workers_must_be_a_positive_integer(self, monkeypatch, workers):
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", pytest.fail)
+        with pytest.raises(DomainError, match="workers must be"):
+            ordered_map(pytest.fail, [(1,), (2,)], workers)
 
     def test_usable_cpus(self):
         assert usable_cpus() >= 1

@@ -18,6 +18,7 @@ from fdnet import (
     split_70_30,
     train,
 )
+from fdnet import parallel
 from fdnet.basis import design_matrix
 from fdnet.dataio import save_model
 from fdnet.network import loss_and_gradient, one_hot
@@ -319,20 +320,23 @@ class TestSelect:
         select(ds, cfg, one, 13)
         assert calls == [40]  # the final fit, on all rows
         calls.clear()
-        # one worker, so every call is made in this process, in order;
+        # one CPU, so every call is made in this process, in order;
         # test_pooled_equals_serial covers the pool
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         two = HyperGrid(n_scores=(2,), depths=(1,), widths=(4, 8), dropouts=(0.0,))
-        select(ds, cfg, two, 13, workers=1)
+        select(ds, cfg, two, 13)
         assert calls == [28, 28, 40]  # each cell on the fold, then the winner
 
-    def test_pooled_equals_serial(self, tmp_path):
+    def test_pooled_equals_serial(self, tmp_path, monkeypatch):
         # CI also runs this with one BLAS thread
         rng = np.random.default_rng(30)
         ds = toy_functional_dataset(rng, 15, [(0, 0), (6, 6), (-6, 6)])
         grid = HyperGrid(n_scores=(2, 3), depths=(1, 2), widths=(6,), dropouts=(0.0, 0.2))
         cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=1e-2)
-        serial = select(ds, cfg, grid, 31, workers=1)
-        pooled = select(ds, cfg, grid, 31, workers=2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        serial = select(ds, cfg, grid, 31)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        pooled = select(ds, cfg, grid, 31)
         assert np.array_equal(serial.validation_errors, pooled.validation_errors)
         assert serial.chosen == pooled.chosen
         assert np.array_equal(serial.classifier.params.flat, pooled.classifier.params.flat)
@@ -352,16 +356,10 @@ class TestSelect:
         monkeypatch.setattr("fdnet.training.train", failing_train)
         ds = toy_functional_dataset(np.random.default_rng(32), 10, [(0, 0), (8, 8)])
         grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(4, 8), dropouts=(0.0,))
-        for workers in (1, 2):
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
             with pytest.raises(DomainError, match="the first cell failed"):
-                select(ds, TrainConfig(epochs=1, batch_size=4), grid, 0, workers=workers)
-
-    @pytest.mark.parametrize("workers", [0, -1, 1.0, True])
-    def test_workers_must_be_a_positive_integer(self, workers):
-        ds = toy_functional_dataset(np.random.default_rng(34), 10, [(0, 0), (8, 8)])
-        grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(4, 8), dropouts=(0.0,))
-        with pytest.raises(DomainError, match="workers must be"):
-            select(ds, TrainConfig(epochs=1, batch_size=4), grid, 0, workers=workers)
+                select(ds, TrainConfig(epochs=1, batch_size=4), grid, 0)
 
     def test_one_cell_bits_are_those_of_the_last_stream(self):
         # the fold is skipped, but the final fit keeps the stream a larger
