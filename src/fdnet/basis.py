@@ -38,8 +38,7 @@ def univariate_fourier(index: int, t):
     `t` may be a scalar or an array; all entries must lie in [0, 1].
     Returns a float for scalar input, an array otherwise.
     """
-    if index < 1:
-        raise DomainError(f"Fourier index must be >= 1, got {index}")
+    index = as_count(index, "Fourier index")
     arr = np.asarray(t, dtype=float)
     if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
         raise DomainError("evaluation points must lie in [0, 1]")
@@ -70,8 +69,7 @@ def multi_indices(d: int, J: int) -> np.ndarray:
     array: a bijection from ranks to distinct d-tuples of univariate
     indices, graded by their maximum entry and ordered lexicographically
     within a grade."""
-    if J < 1:
-        raise DomainError(f"J must be >= 1, got {J}")
+    J = as_count(J, "J")
     out, grade = [], 0
     while len(out) < J:
         grade += 1
@@ -95,7 +93,7 @@ class Grid:
         shape = self.shape
         if isinstance(shape, (tuple, list)):
             shape = tuple(as_count(s, "a grid_shape entry") for s in shape)
-        if not (isinstance(shape, tuple) and 1 <= len(shape) <= 3 and min(shape) >= 1):
+        if not (isinstance(shape, tuple) and 1 <= len(shape) <= 3):
             raise DomainError(f"grid_shape must hold 1 to 3 positive integers, got {shape!r}")
         object.__setattr__(self, "shape", shape)
 

@@ -5,7 +5,9 @@ Domain errors cover invalid arguments and malformed inputs (CLI exit
 code 1); numeric errors cover runtime failures of the numerical routines
 such as diverging losses or non-finite network outputs (CLI exit code 2).
 `as_count`, `as_seed` and `as_real` refuse a value of the wrong type
-instead of converting it; a bool is never a number here.
+instead of converting it; a bool is never a number here.  Every count in
+the package (sizes, orders, depths, widths, epochs, replicates, workers)
+is an integer >= 1, and `as_count` is the one place that says so.
 """
 
 import numbers
@@ -41,11 +43,14 @@ class AliasingWarning(UserWarning):
 
 
 def as_count(value, what: str) -> int:
-    """`value` as an int, refused unless it is an integer: a Python or numpy
-    integer passes, while a bool, float or string raises DomainError
-    instead of being converted."""
+    """`value` as an int, refused unless it is an integer >= 1: a Python or
+    numpy integer passes, while a bool, float or string raises DomainError
+    ("must be an integer") instead of being converted, and so does an
+    integer below 1 ("must be >= 1")."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{what} must be >= 1, got {value}")
     return int(value)
 
 

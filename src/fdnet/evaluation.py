@@ -36,7 +36,7 @@ from .network import forward, predicted_class
 from .parallel import ordered_map
 from .projection import projected_blocks
 from .rng import as_seed_sequence, seed_to_int
-from .simulation import SimModel, bayes_posterior, default_test_size, generate_dataset
+from .simulation import SimModel, bayes_posterior, default_test_size, generate_dataset, resolve_grid
 from .training import Classifier, HyperGrid, TrainConfig, select
 
 
@@ -189,15 +189,12 @@ def benchmark(
     processes, at most one per replicate.
     """
     reps = as_count(replicates, "replicates")
-    if reps < 1:
-        raise DomainError(f"replicates must be >= 1, got {reps}")
     n_per_class, m = as_count(n_per_class, "n_per_class"), as_count(m, "m")
+    resolve_grid(model, m)  # an unsupported m is refused before any replicate starts
     if test_per_class is None:
         test_nk = default_test_size(n_per_class)
     else:
         test_nk = as_count(test_per_class, "test_per_class")
-        if test_nk < 1:
-            raise DomainError(f"test_per_class must be >= 1, got {test_nk}")
     rep_streams = as_seed_sequence(seed).spawn(reps)
     shared = (model, n_per_class, m, grid, cfg, test_nk)
     results = ordered_map(_run_replicate, [(ss,) for ss in rep_streams], workers, shared=shared)

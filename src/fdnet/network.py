@@ -54,13 +54,14 @@ class Architecture:
 
     def __post_init__(self):
         object.__setattr__(self, "input_dim", as_count(self.input_dim, "input_dim"))
-        widths = tuple(as_count(p, "a hidden width") for p in self.hidden_widths)
-        object.__setattr__(self, "hidden_widths", widths)
+        try:
+            widths = tuple(self.hidden_widths)
+        except TypeError:  # not a sequence at all
+            raise DomainError(f"hidden_widths must be a list, got {self.hidden_widths!r}") from None
+        object.__setattr__(self, "hidden_widths", tuple(as_count(p, "a hidden width") for p in widths))
         object.__setattr__(self, "n_classes", as_count(self.n_classes, "n_classes"))
-        if self.input_dim < 1:
-            raise DomainError(f"input_dim must be >= 1, got {self.input_dim}")
-        if len(self.hidden_widths) < 1 or any(p < 1 for p in self.hidden_widths):
-            raise DomainError("need at least one hidden layer, all widths >= 1")
+        if not self.hidden_widths:
+            raise DomainError("need at least one hidden layer")
         if self.n_classes < 2:
             raise DomainError(f"need at least 2 classes, got {self.n_classes}")
         if self.param_count > MAX_ARRAY_FLOATS:

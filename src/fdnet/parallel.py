@@ -26,7 +26,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from .errors import DomainError, FdnetError, as_count
+from .errors import FdnetError, as_count
 
 # (fn, shared) of the map whose items this process is running, else None
 _task = None
@@ -56,8 +56,6 @@ def ordered_map(fn, items, workers: int | None = None, shared: tuple = ()) -> li
     worker, more than one item and no running map here allow it."""
     global _task
     workers = usable_cpus() if workers is None else as_count(workers, "workers")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
     items = list(items)
     workers = min(workers, len(items))
     if workers <= 1 or _task is not None:

@@ -53,8 +53,6 @@ class Dataset:
 
     def __post_init__(self):
         self.n_classes = as_count(self.n_classes, "n_classes")
-        if self.n_classes < 1:
-            raise DomainError(f"n_classes must be >= 1, got {self.n_classes}")
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.values.ndim != 2 or self.values.shape[1] != self.grid.m:
@@ -77,7 +75,7 @@ class Dataset:
 
 
 def _design_matrix(J: int, grid: Grid) -> np.ndarray:
-    if J > grid.m:
+    if as_count(J, "J") > grid.m:
         warnings.warn(f"projecting onto J={J} basis elements from only m={grid.m} grid points; "
                       "scores beyond the grid resolution are aliased",
                       AliasingWarning, stacklevel=3)

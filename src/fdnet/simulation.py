@@ -245,8 +245,6 @@ def generate_dataset(
     dataset carries the latent score vectors in `latent`.
     """
     n_per_class = as_count(n_per_class, "n_per_class")
-    if n_per_class < 1:
-        raise DomainError(f"n_per_class must be >= 1, got {n_per_class}")
     if subset not in ("train", "test"):
         raise DomainError(f"subset must be 'train' or 'test', got {subset!r}")
     grid = resolve_grid(model, m)
@@ -303,8 +301,6 @@ def bayes_error_mc(model: SimModel, n_draws: int, seed) -> float:
     equal priors, using `n_draws` >= 1 total latent draws split over
     classes."""
     n_draws = as_count(n_draws, "n_draws")
-    if n_draws < 1:
-        raise DomainError(f"n_draws must be >= 1, got {n_draws}")
     rng = np.random.default_rng(as_seed_sequence(seed))
     n_per = -(-n_draws // model.n_classes)  # ceil
     wrong = 0

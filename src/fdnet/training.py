@@ -93,10 +93,6 @@ class TrainConfig:
         for name in ("epochs", "batch_size"):
             object.__setattr__(self, name, as_count(getattr(self, name), name))
         object.__setattr__(self, "learning_rate", as_real(self.learning_rate, "learning_rate"))
-        if self.epochs < 1:
-            raise DomainError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         # learning_rate 0 is allowed as an explicit no-op schedule; NaN fails too
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise DomainError(f"learning_rate must be a finite number >= 0, got {self.learning_rate}")
@@ -276,10 +272,6 @@ class HyperGrid:
             object.__setattr__(self, name, tuple(entry(v, name) for v in values))
         if not all((self.n_scores, self.depths, self.widths, self.dropouts)):
             raise DomainError("every candidate list must be nonempty")
-        if any(j < 1 for j in self.n_scores) or any(l < 1 for l in self.depths):
-            raise DomainError("score counts and depths must be positive")
-        if any(w < 1 for w in self.widths):
-            raise DomainError("widths must be positive")
         if any(not 0.0 <= s < 1.0 for s in self.dropouts):
             raise DomainError("dropout rates must lie in [0, 1)")
 

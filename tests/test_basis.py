@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fdnet import DomainError, Grid, gram_matrix
+from fdnet import DomainError, Grid, gram_matrix, project_batch
 from fdnet.basis import design_matrix, multi_indices, univariate_fourier
 
 SQRT2 = math.sqrt(2.0)
@@ -85,6 +85,17 @@ class TestEnumeration:
             multi_indices(2, 0)
         with pytest.raises(DomainError):
             design_matrix(0, Grid((3, 3)))
+
+    @pytest.mark.parametrize("order", [2.5, True, "2"])
+    @pytest.mark.parametrize("build", [
+        lambda J: design_matrix(J, Grid((3, 3))),
+        lambda J: gram_matrix(J, Grid((3, 3))),
+        lambda J: project_batch(np.zeros((2, 9)), Grid((3, 3)), J),
+        lambda J: univariate_fourier(J, np.linspace(0, 1, 5)),
+    ], ids=["design_matrix", "gram_matrix", "project_batch", "univariate_fourier"])
+    def test_order_must_be_an_integer(self, build, order):
+        with pytest.raises(DomainError, match="must be an integer"):
+            build(order)
 
 
 class TestTensorEval:

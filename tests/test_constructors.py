@@ -1,6 +1,6 @@
 """Constructor fuzzing of the library's public value types: every field of
-TrainConfig, HyperGrid, Grid, Classifier and Dataset gets each junk
-value.  A constructor raises DomainError or builds an object whose field
+TrainConfig, HyperGrid, Grid, Architecture, Classifier and Dataset gets
+each junk value, 0 among them, the boundary of every count.  A constructor raises DomainError or builds an object whose field
 holds a value of the field's kind, equal to what was given; any other
 exception, or a value converted into another, is the failure."""
 
@@ -11,7 +11,7 @@ import numpy as np
 from fdnet import Architecture, Classifier, Dataset, DomainError, Grid, HyperGrid, TrainConfig
 from fdnet import initial_params
 
-JUNK = (math.inf, math.nan, -1, 2.5, True, "x", None, np.int64(3), np.float64(0.5), 10**400)
+JUNK = (math.inf, math.nan, -1, 0, 2.5, True, "x", None, np.int64(3), np.float64(0.5), 10**400)
 
 
 def _holds(kind: str, value, given) -> bool:
@@ -66,6 +66,12 @@ def test_hyper_grid():
 
 def test_grid():
     assert _crashes(lambda f, v: Grid(v), {"shape": "counts"}) == []
+
+
+def test_architecture():
+    valid = {"input_dim": 2, "hidden_widths": (3,), "n_classes": 2}
+    fields = {"input_dim": "count", "hidden_widths": "counts", "n_classes": "count"}
+    assert _crashes(lambda f, v: Architecture(**{**valid, f: v}), fields) == []
 
 
 def test_classifier():

@@ -3,7 +3,8 @@ module's private (`_`-prefixed) names, either by importing them or through
 an imported module object, and every fdnet import sits at module level, so
 each module's dependencies show in its header.  Every name the package
 re-exports has a caller in the program, the benchmark or the acceptance
-suite.  Only `parallel` imports a process-pool module."""
+suite.  Only `parallel` imports a process-pool module, and only `errors`
+states the count rule."""
 
 import ast
 from pathlib import Path
@@ -221,3 +222,9 @@ def test_detects_pool_import(source):
 
 def test_parallel_imports_pool_modules():
     assert pool_imports(ast.parse((PACKAGE / "parallel.py").read_text()))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_errors_states_the_count_rule(path):
+    # `errors.as_count` refuses a count below 1; no caller repeats the check
+    assert path.name == "errors.py" or "must be >= 1" not in path.read_text()
