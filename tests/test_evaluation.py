@@ -411,14 +411,19 @@ class TestBenchmarkArguments:
         with pytest.raises(DomainError, match=f"{field} must be an integer"):
             benchmark(**args)
 
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_test_per_class_at_least_one(self, monkeypatch, value):
+        monkeypatch.setattr(evaluation, "_run_replicate", pytest.fail)  # refused before any runs
+        with pytest.raises(DomainError, match=f"test_per_class must be >= 1, got {value}"):
+            benchmark(get_model("2d-gaussian"), 12, 9, tiny_grid(), tiny_cfg(), replicates=2, seed=0,
+                      test_per_class=value, workers=2)
+
     @pytest.mark.parametrize("field,value,message", [
-        ("test_per_class", 0, "test_per_class must be >= 1, got 0"),
-        ("test_per_class", -2, "test_per_class must be >= 1, got -2"),
         ("n_per_class", 0, "n_per_class must be >= 1, got 0"),
         ("n_per_class", -2, "n_per_class must be >= 1, got -2"),
         ("m", 0, "m must be >= 1, got 0"),
         ("m", 10, "unsupported sampling frequency m=10"),
-    ], ids=["test_per_class-0", "test_per_class--2", "n_per_class-0", "n_per_class--2", "m-0", "m-10"])
+    ], ids=["n_per_class-0", "n_per_class--2", "m-0", "m-10"])
     def test_sizes_refused_before_any_replicate(self, monkeypatch, field, value, message):
         monkeypatch.setattr(evaluation, "_run_replicate", pytest.fail)  # refused before any runs
         args = {"model": get_model("2d-gaussian"), "n_per_class": 12, "m": 9, "grid": tiny_grid(),
