@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_count
+from .errors import DomainError, as_count, as_list
 
 SQRT2 = math.sqrt(2.0)
 
@@ -90,10 +90,8 @@ class Grid:
     shape: tuple
 
     def __post_init__(self):
-        shape = self.shape
-        if isinstance(shape, (tuple, list)):
-            shape = tuple(as_count(s, "a grid_shape entry") for s in shape)
-        if not (isinstance(shape, tuple) and 1 <= len(shape) <= 3):
+        shape = as_list(self.shape, "grid_shape", as_count)
+        if not 1 <= len(shape) <= 3:
             raise DomainError(f"grid_shape must hold 1 to 3 positive integers, got {shape!r}")
         object.__setattr__(self, "shape", shape)
 

@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=None, help="processes (default: the usable CPUs)")
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("mnist", help="train on IDX image data end to end")
@@ -255,7 +255,9 @@ def main(argv=None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
     except (FdnetError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # numpy's MemoryError names the allocation; a bare one has no text
+        bare = isinstance(exc, MemoryError) and not str(exc)
+        print(f"error: {'out of memory' if bare else exc}", file=sys.stderr)
         return 1
 
 

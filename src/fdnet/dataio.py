@@ -81,14 +81,17 @@ def save_dataset(dataset: Dataset, path) -> None:
         dataset.n_classes,
         len(dataset),
     )
-    m = dataset.grid.m
-    record = np.dtype([("label", "u1"), ("values", "<f8", (m,))])
-    payload = np.empty(len(dataset), dtype=record)
+    payload = np.empty(len(dataset), dtype=_record(dataset.grid.m))
     payload["label"] = dataset.labels.astype(np.uint8)
     payload["values"] = dataset.values
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload.tobytes())
+
+
+def _record(m: int) -> np.dtype:
+    """One sample of the payload: its label byte, then its m values."""
+    return np.dtype([("label", "u1"), ("values", "<f8", (m,))])
 
 
 def _need(buf: bytes, offset: int, count: int, what: str) -> None:
@@ -176,8 +179,8 @@ class DatasetReader:
         `labels` the int64 view `self.labels[lo:hi]`."""
         if not len(self):  # no block; the m of an empty file may exceed a dtype's
             return
-        width = 1 + 8 * self.grid.m
-        record = np.dtype([("label", "u1"), ("values", "<f8", (self.grid.m,))])
+        record = _record(self.grid.m)
+        width = record.itemsize
         self._fh.seek(self._payload_offset)
         for lo, hi in row_blocks(len(self)):
             at = self._payload_offset + lo * width
@@ -254,25 +257,32 @@ def _compact(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _json_object(path, what: str) -> dict:
+    """The JSON object a file holds; invalid JSON, or JSON of another type,
+    is a FormatError naming `what` the file should be."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"not a {what} (a JSON {type(doc).__name__}, not a JSON object)")
+    return doc
+
+
 def load_model(path) -> Classifier:
     """The classifier a model file was written from.  Beyond the format and
     version, only `params` is checked here, for a base64 string of whole
     float64 values; the constructors check the rest (length, finiteness,
     grid shape), and any refusal is a FormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"model file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"not a model file (a JSON {type(doc).__name__}, not an object)")
+    doc = _json_object(path, "model file")
     if doc.get("format") != MODEL_FORMAT:
         raise FormatError(f"not a model file (format field {doc.get('format')!r})")
     if doc.get("version") != MODEL_VERSION:
         raise FormatError(f"unsupported model version {doc.get('version')!r}")
     try:
         spec = doc["architecture"]
-        arch = Architecture(spec["input_dim"], tuple(spec["hidden_widths"]), spec["n_classes"])
+        arch = Architecture(spec["input_dim"], spec["hidden_widths"], spec["n_classes"])
         encoded = doc["params"]
         # padded base64 is whole groups of 4 characters, with "=" only in
         # the last two places; b64decode would accept excess "=" groups
@@ -297,13 +307,7 @@ def load_hypergrid(path) -> HyperGrid:
     """Parse candidate lists from JSON: {"J": [...], "L": [...],
     "width": [...], "dropout": [...]}, integers for J, L and width and
     numbers for dropout; nothing else is converted."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"hyperparameter grid is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"hyperparameter grid must be a JSON object, not a {type(doc).__name__}")
+    doc = _json_object(path, "hyperparameter grid")
     missing = {"J", "L", "width", "dropout"} - set(doc)
     if missing:
         raise FormatError(f"hyperparameter grid is missing key(s) {sorted(missing)}")
@@ -357,39 +361,34 @@ def write_benchmark_csv(report, path) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-def write_predictions_csv(indices, predictions, probabilities, path) -> None:
-    """CSV of index, predicted class, and per-class probabilities, one
-    row per entry of the `indices` sequence."""
-    predictions, probabilities = np.asarray(predictions), np.asarray(probabilities)
-    k = probabilities.shape[1]
+def _write_rows(path, names, indices, column, rows) -> None:
+    """CSV of the header `names`, then for each entry of the `indices`
+    sequence one row: the index, its entry of the integer array `column`
+    and the floats of its row of `rows`.  Each block of rows is converted
+    to Python numbers at once; repr of a float is its shortest round-trip
+    form."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,predicted," + ",".join(f"p{j + 1}" for j in range(k)) + "\n")
-        # one conversion to Python numbers per block of rows; repr of a
-        # float is its shortest round-trip form
+        fh.write(",".join(names) + "\n")
         for lo in range(0, len(indices), BLOCK_ROWS):
             block = slice(lo, lo + BLOCK_ROWS)
             fh.writelines(
-                f"{i},{pred}," + ",".join(map(repr, probs)) + "\n"
-                for i, pred, probs in zip(
-                    indices[block], predictions[block].tolist(), probabilities[block].tolist()
-                )
+                f"{i},{c}," + ",".join(map(repr, values)) + "\n"
+                for i, c, values in zip(indices[block], column[block].tolist(), rows[block].tolist())
             )
+
+
+def write_predictions_csv(indices, predictions, probabilities, path) -> None:
+    """CSV of index, predicted class, and per-class probabilities, one
+    row per entry of the `indices` sequence."""
+    probabilities = np.asarray(probabilities)
+    names = ["index", "predicted", *(f"p{j + 1}" for j in range(probabilities.shape[1]))]
+    _write_rows(path, names, indices, np.asarray(predictions), probabilities)
 
 
 def dataset_to_csv(dataset: Dataset, path) -> None:
     """Readable dump: index, label, then the m sample values."""
-    m = dataset.grid.m
-    labels = dataset.labels.tolist()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,label," + ",".join(f"v{j}" for j in range(m)) + "\n")
-        # one conversion to Python numbers per block of rows; repr of a
-        # float is its shortest round-trip form
-        for lo in range(0, len(dataset), BLOCK_ROWS):
-            block = dataset.values[lo : lo + BLOCK_ROWS].tolist()
-            fh.writelines(
-                f"{i},{labels[i]}," + ",".join(map(repr, values)) + "\n"
-                for i, values in enumerate(block, start=lo)
-            )
+    names = ["index", "label", *(f"v{j}" for j in range(dataset.grid.m))]
+    _write_rows(path, names, range(len(dataset)), dataset.labels, dataset.values)
 
 
 def metadata_for(chosen: Chosen, cfg, seed: int) -> dict:

@@ -7,10 +7,14 @@ such as diverging losses or non-finite network outputs (CLI exit code 2).
 `as_count`, `as_seed` and `as_real` refuse a value of the wrong type
 instead of converting it; a bool is never a number here.  Every count in
 the package (sizes, orders, depths, widths, epochs, replicates, workers)
-is an integer >= 1, and `as_count` is the one place that says so.
+is an integer >= 1, and `as_count` is the one place that says so.  Every
+list field (hidden widths, grid shapes, candidate lists) is a list, a
+tuple or a 1-D numpy array, and `as_list` is the one place that says so.
 """
 
 import numbers
+
+import numpy as np
 
 
 class FdnetError(Exception):
@@ -52,6 +56,16 @@ def as_count(value, what: str) -> int:
     if value < 1:
         raise DomainError(f"{what} must be >= 1, got {value}")
     return int(value)
+
+
+def as_list(value, what: str, entry) -> tuple:
+    """The tuple of `entry(v, what)` over the entries of `value`, refused
+    unless it is a list, a tuple or a 1-D numpy array: a string, a dict, a
+    set or a scalar raises DomainError ("must be a list") instead of being
+    taken apart or iterated."""
+    if not (isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim == 1)):
+        raise DomainError(f"{what} must be a list, got {value!r}")
+    return tuple(entry(v, what) for v in value)
 
 
 def as_seed(value) -> int:

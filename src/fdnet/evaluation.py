@@ -177,7 +177,7 @@ def benchmark(
     replicates: int,
     seed,
     test_per_class: int | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> EvalReport:
     """Replicated end-to-end benchmark of one model configuration.
 
@@ -186,7 +186,7 @@ def benchmark(
     the test set; `seed` is the master seed of every replicate's streams.
     The KL risk uses `truncated_kl_risk`'s default truncation constant.
     The replicates run through `parallel.ordered_map` on `workers`
-    processes, at most one per replicate.
+    processes (by default the usable CPUs), at most one per replicate.
     """
     reps = as_count(replicates, "replicates")
     n_per_class, m = as_count(n_per_class, "n_per_class"), as_count(m, "m")

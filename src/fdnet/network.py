@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, as_count
+from .errors import DomainError, NumericError, as_count, as_list
 
 PROB_FLOOR = 1e-12  # floor inside log() when training; keeps CE finite
 # float64 values in the largest array numpy can allocate: its byte count
@@ -54,11 +54,7 @@ class Architecture:
 
     def __post_init__(self):
         object.__setattr__(self, "input_dim", as_count(self.input_dim, "input_dim"))
-        try:
-            widths = tuple(self.hidden_widths)
-        except TypeError:  # not a sequence at all
-            raise DomainError(f"hidden_widths must be a list, got {self.hidden_widths!r}") from None
-        object.__setattr__(self, "hidden_widths", tuple(as_count(p, "a hidden width") for p in widths))
+        object.__setattr__(self, "hidden_widths", as_list(self.hidden_widths, "hidden_widths", as_count))
         object.__setattr__(self, "n_classes", as_count(self.n_classes, "n_classes"))
         if not self.hidden_widths:
             raise DomainError("need at least one hidden layer")

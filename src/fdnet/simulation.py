@@ -29,7 +29,7 @@ import numpy as np
 
 from .basis import Grid
 from .errors import DomainError, as_count
-from .network import predicted_class
+from .network import predicted_class, softmax
 from .projection import Dataset
 from .rng import as_seed_sequence
 
@@ -275,8 +275,8 @@ def bayes_posterior(model: SimModel, scores: np.ndarray) -> np.ndarray:
     """Exact class posteriors (n, K) at a batch (n, score_dim) of latent
     scores, for all-Gaussian models.
 
-    Assumes the balanced design (equal class priors).  Computed from the
-    diagonal-Gaussian log densities in log space.
+    Assumes the balanced design (equal class priors): the softmax of the
+    diagonal-Gaussian log densities.
     """
     if not model.is_gaussian:
         raise DomainError(
@@ -290,10 +290,7 @@ def bayes_posterior(model: SimModel, scores: np.ndarray) -> np.ndarray:
     for k, law in enumerate(model.laws):
         z = (x - law.mean) / law.sd
         logdens[:, k] = -0.5 * np.sum(z * z, axis=1) - np.sum(np.log(law.sd))
-    logdens -= logdens.max(axis=1, keepdims=True)
-    post = np.exp(logdens)
-    post /= post.sum(axis=1, keepdims=True)
-    return post
+    return softmax(logdens)
 
 
 def bayes_error_mc(model: SimModel, n_draws: int, seed) -> float:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Grid
-from .errors import DomainError, NumericError, as_count, as_real
+from .errors import DomainError, NumericError, as_count, as_list, as_real
 from .network import (
     MAX_ARRAY_FLOATS,
     Architecture,
@@ -265,11 +265,7 @@ class HyperGrid:
     def __post_init__(self):
         for name, entry in (("n_scores", as_count), ("depths", as_count), ("widths", as_count),
                             ("dropouts", as_real)):
-            try:
-                values = tuple(getattr(self, name))
-            except TypeError:  # not a sequence at all
-                raise DomainError(f"{name} must be a list, got {getattr(self, name)!r}") from None
-            object.__setattr__(self, name, tuple(entry(v, name) for v in values))
+            object.__setattr__(self, name, as_list(getattr(self, name), name, entry))
         if not all((self.n_scores, self.depths, self.widths, self.dropouts)):
             raise DomainError("every candidate list must be nonempty")
         if any(not 0.0 <= s < 1.0 for s in self.dropouts):
@@ -330,6 +326,12 @@ class SelectionResult:
     classifier: Classifier
 
 
+def _param_count(j: int, depth: int, width: int, k: int) -> int:
+    """`Architecture(j, (width,) * depth, k).param_count` by arithmetic,
+    without building the depth-long tuple."""
+    return width * (j + (depth - 1) * width + depth + k)
+
+
 def _fit(raw, labels, cell, k: int, cfg: TrainConfig, stream) -> NetworkParams:
     """Train `cell` = (J, L, width, dropout) on raw score rows (n, >= J),
     standardized, then fold the standardization into the first layer in
@@ -373,13 +375,20 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     until then: n_cells * P * 8 bytes for P parameters per network
     (0.6 MB for the README's 16-cell grid on 3 classes, 20 MB per cell at
     J=500, L=3, width 1000 on 10 classes).  The first failing cell in grid
-    order raises its error.  The winner's final fit runs here.
+    order raises its error.  The winner's final fit runs here.  A grid
+    whose largest cell has more parameters than one numpy array can hold
+    is refused before any projection, pool or fit.
     """
     if len(dataset) == 0:
         raise DomainError("selection data has no samples")
     j_max = max(grid.n_scores)
     if len(dataset) * j_max > MAX_ARRAY_FLOATS:
         raise DomainError(f"too large for one numpy array: {len(dataset)} samples of {j_max} scores")
+    k = dataset.n_classes
+    # the count grows with J, L and width: the largest cell bounds every cell
+    largest = _param_count(j_max, max(grid.depths), max(grid.widths), k)
+    if largest > MAX_ARRAY_FLOATS:
+        raise DomainError(f"too large for one numpy array: {largest} parameters")
     streams = as_seed_sequence(seed).spawn(grid.n_cells + 2)
     raw_scores = np.empty((len(dataset), j_max))
     for lo, hi, _, block in projected_blocks(dataset, j_max):
@@ -393,7 +402,6 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     classes, counts = np.unique(labels, return_counts=True)
     if len(classes) < 2 or np.any(counts < 2):
         raise DomainError("selection needs >= 2 classes with >= 2 samples each")
-    k = dataset.n_classes
 
     train_idx, val_idx = split_70_30(labels, streams[0])
     shape = (len(grid.n_scores), len(grid.depths), len(grid.widths), len(grid.dropouts))

@@ -12,7 +12,7 @@ import pytest
 
 import fdnet
 from fdnet import Architecture, Classifier, Dataset, Grid, initial_params
-from fdnet.cli import main
+from fdnet.cli import build_parser, main
 from fdnet.dataio import load_dataset, load_model, save_dataset, save_model, write_predictions_csv
 from fdnet.evaluation import predict
 from fdnet.projection import BLOCK_ROWS
@@ -301,7 +301,11 @@ class TestMalformedInputs:
         # more floats than one numpy array can hold: refused before allocating
         ({"J": [2**62], "L": [1], "width": [4], "dropout": [0.0]}, "too large for one numpy array"),
         ({"J": [4], "L": [1], "width": [2**62], "dropout": [0.0]}, "too large for one numpy array"),
-    ], ids=["J", "width", "J-beyond-one-array", "width-beyond-one-array"])
+        # depths whose tuple of L widths could not be built
+        ({"J": [4], "L": [2**62], "width": [4], "dropout": [0.0]}, "too large for one numpy array"),
+        ({"J": [4], "L": [2**63], "width": [4], "dropout": [0.0]}, "too large for one numpy array"),
+    ], ids=["J", "width", "J-beyond-one-array", "width-beyond-one-array", "L-beyond-memory",
+            "L-beyond-an-index"])
     def test_grid_too_large_for_memory_exits_1(self, tmp_path, capsys, doc, message):
         data, out = simulate(tmp_path, nk=20), tmp_path / "m.json"
         capsys.readouterr()
@@ -313,6 +317,16 @@ class TestMalformedInputs:
         assert "Traceback" not in err
         assert not out.exists()
 
+
+    def test_bare_memory_error_exits_1_with_a_message(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("fdnet.cli.select", no_memory)
+        code = main(["train", "--data", str(simulate(tmp_path)), "--grid", grid_file(tmp_path),
+                     "--seed", "1", "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     @pytest.mark.parametrize("command", ["simulate", "train", "benchmark", "mnist"])
     def test_negative_seed_exits_1(self, tmp_path, capsys, command):
@@ -629,6 +643,12 @@ class TestBenchmarkCommand:
         assert f"test_per_class must be >= 1, got {test_nk}" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_workers_default_to_the_pool_policy(self, tmp_path):
+        args = build_parser().parse_args(["benchmark", "--model-id", "2d-gaussian", "--nk", "12", "--m", "9",
+                                          "--reps", "2", "--grid", grid_file(tmp_path), "--seed", "5",
+                                          "--out", str(tmp_path / "r.csv")])
+        assert args.workers is None  # `benchmark` then takes the usable CPUs
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_exits_1(self, tmp_path, capsys, workers):

@@ -11,7 +11,7 @@ import numpy as np
 from fdnet import Architecture, Classifier, Dataset, DomainError, Grid, HyperGrid, TrainConfig
 from fdnet import initial_params
 
-JUNK = (math.inf, math.nan, -1, 0, 2.5, True, "x", None, np.int64(3), np.float64(0.5), 10**400)
+JUNK = (math.inf, math.nan, -1, 0, 2.5, True, "x", None, np.int64(3), np.float64(0.5), 10**400, {3: 1}, "12")
 
 
 def _holds(kind: str, value, given) -> bool:

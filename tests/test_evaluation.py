@@ -333,7 +333,7 @@ class TestBenchmark:
     def test_parallel_matches_serial_bitwise(self):
         model = get_model("2d-mixed1")
         args = (model, 12, 9, tiny_grid(), tiny_cfg())
-        serial = benchmark(*args, replicates=3, seed=11, test_per_class=6)
+        serial = benchmark(*args, replicates=3, seed=11, test_per_class=6, workers=1)
         parallel = benchmark(*args, replicates=3, seed=11, test_per_class=6, workers=2)
         np.testing.assert_array_equal(serial.errors, parallel.errors)
         np.testing.assert_array_equal(serial.confusion, parallel.confusion)
@@ -370,37 +370,48 @@ class TestBenchmark:
 
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the pools `parallel` builds, each of which runs its map
+    in this process and starts no worker."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs, **kwargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(parallel, "_task", None)  # SerialPool sets it in this process
+    return sizes
+
+
 class TestBenchmarkArguments:
-    def test_pool_capped_at_replicates(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            """Records its size and runs `map` in this process, starting none."""
-
-            def __init__(self, max_workers, initializer, initargs, **kwargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(parallel, "_task", None)  # SerialPool sets it in this process
+    def test_pool_capped_at_replicates(self, pool_sizes):
         # two cells, so a replicate's select would build a pool of its own
         grid = HyperGrid(n_scores=(4,), depths=(1,), widths=(4, 8), dropouts=(0.0,))
         args = (get_model("2d-gaussian"), 12, 9, grid, tiny_cfg())
-        serial = benchmark(*args, replicates=2, seed=13, test_per_class=5)
+        serial = benchmark(*args, replicates=2, seed=13, test_per_class=5, workers=1)
         pooled = benchmark(*args, replicates=2, seed=13, test_per_class=5, workers=64)
         benchmark(*args, replicates=1, seed=13, test_per_class=5, workers=64)
         # a single replicate runs in this process, and no replicate's select builds a pool
-        assert sizes == [2]
+        assert pool_sizes == [2]
         np.testing.assert_array_equal(serial.errors, pooled.errors)
+
+    def test_default_pool_is_the_usable_cpus(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        benchmark(get_model("2d-gaussian"), 12, 9, tiny_grid(), tiny_cfg(), replicates=3, seed=13,
+                  test_per_class=5)
+        assert pool_sizes == [2]
 
     @pytest.mark.parametrize("field", ["n_per_class", "m", "test_per_class", "workers", "replicates"])
     @pytest.mark.parametrize("value", [2.5, True, "3"])

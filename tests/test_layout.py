@@ -4,7 +4,7 @@ an imported module object, and every fdnet import sits at module level, so
 each module's dependencies show in its header.  Every name the package
 re-exports has a caller in the program, the benchmark or the acceptance
 suite.  Only `parallel` imports a process-pool module, and only `errors`
-states the count rule."""
+states the count rule and the list rule."""
 
 import ast
 from pathlib import Path
@@ -228,3 +228,9 @@ def test_parallel_imports_pool_modules():
 def test_only_errors_states_the_count_rule(path):
     # `errors.as_count` refuses a count below 1; no caller repeats the check
     assert path.name == "errors.py" or "must be >= 1" not in path.read_text()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_errors_states_the_list_rule(path):
+    # `errors.as_list` refuses anything but a list; no caller repeats the check
+    assert path.name == "errors.py" or "must be a list" not in path.read_text()

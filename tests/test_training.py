@@ -23,7 +23,7 @@ from fdnet.basis import design_matrix
 from fdnet.dataio import save_model
 from fdnet.network import loss_and_gradient, one_hot
 from fdnet.rng import as_seed_sequence
-from fdnet.training import ADAM_SLICE, Classifier, _fit
+from fdnet.training import ADAM_SLICE, Classifier, _fit, _param_count
 
 
 def params_equal(a, b):
@@ -475,6 +475,21 @@ class TestSelect:
         grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(4,), dropouts=(0.0,))
         with pytest.raises(DomainError, match="no samples"):
             select(ds, TrainConfig(epochs=1, batch_size=4), grid, 0)
+
+    @pytest.mark.parametrize("depths, widths", [((1,), (4, 2**62)), ((1, 2**62), (4,)), ((1, 2**63), (4,))],
+                             ids=["last-width", "last-depth", "depth-beyond-an-index"])
+    def test_too_large_cell_refused_before_any_fit(self, monkeypatch, depths, widths):
+        monkeypatch.setattr("fdnet.training.projected_blocks", pytest.fail)
+        monkeypatch.setattr("fdnet.training._fit", pytest.fail)
+        ds = toy_functional_dataset(np.random.default_rng(12), 20, [(0, 0), (8, 8)])
+        grid = HyperGrid(n_scores=(2,), depths=depths, widths=widths, dropouts=(0.0, 0.1))
+        with pytest.raises(DomainError, match="too large for one numpy array: [0-9]+ parameters"):
+            select(ds, TrainConfig(epochs=1, batch_size=8), grid, 0)
+
+    @pytest.mark.parametrize("j, depth, width", [(1, 1, 1), (2, 1, 8), (5, 3, 4), (9, 2, 64), (500, 3, 1000)])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_param_count_by_arithmetic(self, j, depth, width, k):
+        assert _param_count(j, depth, width, k) == Architecture(j, (width,) * depth, k).param_count
 
     def test_seed_is_read(self):
         rng = np.random.default_rng(18)
