@@ -15,8 +15,13 @@ when needed.  `DatasetReader` is the one parser: it checks the header once
 and then reads and checks the payload a row block at a time, so `fdnet
 train`, `predict` and `eval` hold one block rather than the file;
 `load_dataset` fills one (n, m) array from its blocks.  The CSV writers
-convert and write a block of rows at a time.  All writers are
-deterministic: identical inputs produce byte-identical files.
+format rows by blocks of BLOCK_ROWS on the process pool of
+`parallel.ordered_map`, in rounds: a round is a run of whole blocks of at
+most `_ROUND_VALUES` floats (at least one block), and its texts are
+written in order before the next round starts, so the writer holds one
+round's text rather than the file's.  All writers are deterministic:
+identical inputs produce byte-identical files, whatever the number of
+processes.
 
 Dataset file layout (little-endian):
 
@@ -42,6 +47,7 @@ import numpy as np
 from .basis import Grid
 from .errors import DomainError, FormatError
 from .network import Architecture, NetworkParams
+from .parallel import ordered_map
 from .projection import BLOCK_ROWS, Dataset, row_blocks
 from .training import Chosen, Classifier, HyperGrid
 
@@ -53,6 +59,9 @@ MODEL_VERSION = 3
 # of 3, so that each chunk's 8 * _MODEL_CHUNK bytes encode to base64
 # without padding and the chunks join into the one-shot encoding
 _MODEL_CHUNK = 3 * 2**14
+# floats per round of the CSV writers: the texts of one round's blocks are
+# held at once, about 20 bytes a float
+_ROUND_VALUES = 2**20
 
 BENCHMARK_COLUMNS = (
     "model_id",
@@ -361,28 +370,61 @@ def write_benchmark_csv(report, path) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
+def _format_rows(indices, column, rows, lo) -> bytes:
+    """The CSV lines of rows lo to lo + BLOCK_ROWS, as UTF-8: the index,
+    its entry of `column` and the floats of its row of `rows`.  repr of a
+    float is its shortest round-trip form."""
+    block = slice(lo, lo + BLOCK_ROWS)
+    floats = map(repr, rows[block].ravel().tolist())
+    # one iterator, k times: each row takes the next k floats
+    cells = zip(map(str, indices[block]), map(str, column[block].tolist()), *[floats] * rows.shape[1])
+    # encoded a line at a time, so that no full-size str copy of the block is made
+    return b"".join([(",".join(line) + "\n").encode() for line in cells])
+
+
 def _write_rows(path, names, indices, column, rows) -> None:
-    """CSV of the header `names`, then for each entry of the `indices`
-    sequence one row: the index, its entry of the integer array `column`
-    and the floats of its row of `rows`.  Each block of rows is converted
-    to Python numbers at once; repr of a float is its shortest round-trip
-    form."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for lo in range(0, len(indices), BLOCK_ROWS):
-            block = slice(lo, lo + BLOCK_ROWS)
-            fh.writelines(
-                f"{i},{c}," + ",".join(map(repr, values)) + "\n"
-                for i, c, values in zip(indices[block], column[block].tolist(), rows[block].tolist())
-            )
+    """CSV of the header `names`, then `_format_rows` of each block of the
+    `indices` sequence, the integer array `column` and the float array
+    `rows`, formatted on the pool a round at a time."""
+    n = len(indices)
+    step = BLOCK_ROWS * max(_ROUND_VALUES // (BLOCK_ROWS * rows.shape[1]), 1)
+    rounds = (
+        ordered_map(
+            _format_rows,
+            [(lo,) for lo in range(start, min(start + step, n), BLOCK_ROWS)],
+            shared=(indices, column, rows),
+        )
+        for start in range(0, n, step)
+    )
+    # the first round before the file is opened, so that a failure there
+    # (the only round of most prediction files) leaves no file
+    texts = next(rounds, [])
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
+        while texts:
+            fh.writelines(texts)
+            fh.flush()  # the next round's forked workers inherit no unwritten bytes
+            del texts  # one round's text at a time
+            texts = next(rounds, [])
 
 
 def write_predictions_csv(indices, predictions, probabilities, path) -> None:
     """CSV of index, predicted class, and per-class probabilities, one
-    row per entry of the `indices` sequence."""
-    probabilities = np.asarray(probabilities)
+    row per entry of the `indices` sequence.  The counts of indices,
+    predictions and probability rows must agree, and `probabilities` must
+    be (n, K) with K >= 1; anything else is refused before the file is
+    opened."""
+    predictions, probabilities = np.asarray(predictions), np.asarray(probabilities)
+    n = len(indices)
+    if probabilities.ndim != 2 or not probabilities.shape[1]:
+        raise DomainError(f"probabilities must be an (n, K) array with K >= 1, got shape {probabilities.shape}")
+    if predictions.shape != (n,) or len(probabilities) != n:
+        raise DomainError(
+            f"{n} indices, predictions of shape {predictions.shape} and {len(probabilities)} "
+            "probability rows: expected one prediction and one row per index"
+        )
     names = ["index", "predicted", *(f"p{j + 1}" for j in range(probabilities.shape[1]))]
-    _write_rows(path, names, indices, np.asarray(predictions), probabilities)
+    _write_rows(path, names, indices, predictions, probabilities)
 
 
 def dataset_to_csv(dataset: Dataset, path) -> None:

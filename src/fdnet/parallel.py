@@ -1,7 +1,7 @@
 """The one pool policy of fdnet: `ordered_map(fn, items, workers=None,
-shared=())` returns `[fn(*shared, *item) for item in items]`, and both the
-fold fits of `training.select` and the replicates of `evaluation.benchmark`
-run through it.
+shared=())` returns `[fn(*shared, *item) for item in items]`.  Three
+users run through it: the fold fits of `training.select`, the replicates
+of `evaluation.benchmark` and the CSV row blocks of the `dataio` writers.
 
 `workers` defaults to `usable_cpus()`, so `taskset` limits it.  More than
 one worker and more than one item map over a `ProcessPoolExecutor` of

@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import os
 import struct
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import fdnet
-from fdnet import Architecture, Classifier, Dataset, Grid, initial_params
+from fdnet import Architecture, Classifier, Dataset, Grid, dataio, initial_params
 from fdnet.cli import build_parser, main
 from fdnet.dataio import load_dataset, load_model, save_dataset, save_model, write_predictions_csv
 from fdnet.evaluation import predict
@@ -517,6 +518,19 @@ class TestBlockedCommands:
         write_predictions_csv(range(self.N), preds, probs, ref)
         assert out.read_bytes() == ref.read_bytes()
 
+    def test_dead_formatting_worker_exits_1(self, tmp_path, capsys, monkeypatch, model_2d):
+        monkeypatch.setattr("fdnet.dataio._format_rows", lambda *args: os._exit(1))
+        monkeypatch.setattr("fdnet.parallel.usable_cpus", lambda: 2)  # a pool even on one CPU
+        data = random_file(tmp_path / "blocks.mfd", self.N)
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        assert main(self._argv("predict", model_2d, data, out)) == 1
+        captured = capsys.readouterr()
+        assert "error: a worker process of a 2-process pool ended abruptly" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "fault, value, code, message, command",
         [
@@ -703,6 +717,59 @@ class TestTrainBytesInAFreshProcess:
     def test_one_blas_thread(self, inputs, default_bytes):
         one_thread = {"OPENBLAS_NUM_THREADS": "1"}
         assert self.model_bytes(inputs, "one_blas.json", env=one_thread) == default_bytes
+
+
+class TestCsvBytesInAFreshProcess:
+    """`fdnet predict` and `fdnet export-csv` run as commands write the CSV
+    bytes of their default CPU count on one CPU (so every block is
+    formatted in the main process) and with one BLAS thread, on files of
+    several row blocks; the export spans more than one round."""
+
+    N_EXPORT = 3 * BLOCK_ROWS + 1  # four blocks of 100 values a row: two rounds of two
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("csv_bytes")
+        data = simulate(tmp, nk=15)
+        model = tmp / "model.json"
+        assert main(["train", "--data", str(data), "--grid", grid_file(tmp),
+                     "--epochs", "5", "--batch", "8", "--seed", "3", "--out", str(model)]) == 0
+        blocks = random_file(tmp / "blocks.mfd", 2 * BLOCK_ROWS + 3)
+        wide = random_file(tmp / "wide.mfd", self.N_EXPORT, grid_shape=(10, 10))
+        assert 2 * BLOCK_ROWS * 100 <= dataio._ROUND_VALUES < 3 * BLOCK_ROWS * 100  # two blocks a round
+        return {
+            "predict": ["predict", "--model", str(model), "--data", str(blocks)],
+            "export-csv": ["export-csv", "--data", str(wide)],
+        }, tmp
+
+    def csv_digest(self, inputs, command, env=None, preexec_fn=None):
+        argvs, tmp = inputs
+        out = tmp / f"{command}.csv"
+        src = Path(fdnet.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdnet.cli", *argvs[command], "--out", str(out)],
+            env={**os.environ, **(env or {}), "PYTHONPATH": str(src)},
+            preexec_fn=preexec_fn, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        out.unlink()
+        return digest
+
+    @pytest.fixture(scope="class")
+    def default_digests(self, inputs):
+        return {command: self.csv_digest(inputs, command) for command in ("predict", "export-csv")}
+
+    @pytest.mark.parametrize("command", ["predict", "export-csv"])
+    def test_one_cpu(self, inputs, default_digests, command):
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("the platform has no CPU affinity")
+        assert self.csv_digest(inputs, command, preexec_fn=_one_cpu) == default_digests[command]
+
+    @pytest.mark.parametrize("command", ["predict", "export-csv"])
+    def test_one_blas_thread(self, inputs, default_digests, command):
+        one_thread = {"OPENBLAS_NUM_THREADS": "1"}
+        assert self.csv_digest(inputs, command, env=one_thread) == default_digests[command]
 
 
 class TestMnistCommand:

@@ -3,6 +3,7 @@ import copy
 import gzip
 import json
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from fdnet import (
     DomainError,
     FormatError,
     Grid,
+    NumericError,
     generate_dataset,
     get_model,
     initial_params,
 )
-from fdnet import dataio
+from fdnet import dataio, parallel
 from fdnet.dataio import (
     BENCHMARK_COLUMNS,
     DatasetReader,
@@ -540,34 +542,125 @@ class TestCsvWriters:
         assert len(lines) == 7
         assert lines[0].startswith("index,label,v0")
 
-    @pytest.mark.parametrize("n", [0, 1, 2500])
+    @pytest.mark.parametrize("n", [0, 1, 2500, BLOCK_ROWS, BLOCK_ROWS + 1])
     def test_dataset_csv_bytes(self, tmp_path, n):
-        rng = np.random.default_rng(12)
-        values = rng.standard_normal((n, 27)) * 10.0 ** rng.integers(-300, 300, (n, 27))
-        values[:, 0] = -0.0
-        ds = Dataset(values=values, grid=Grid((3, 3, 3)),
-                     labels=rng.integers(0, 4, n), n_classes=3)
+        ds = extreme_dataset(n)
         path = tmp_path / "dump.csv"
         dataset_to_csv(ds, path)
-        # the row-by-row formatting the writer must reproduce
-        rows = ["index,label," + ",".join(f"v{j}" for j in range(27))]
-        for i in range(n):
-            vals = ",".join(repr(float(v)) for v in ds.values[i])
-            rows.append(f"{i},{int(ds.labels[i])},{vals}")
-        assert path.read_bytes() == ("\n".join(rows) + "\n").encode("utf-8")
+        assert path.read_bytes() == row_by_row("label", "v", 0, ds.labels, ds.values)
 
-
-    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS + 2])
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS + 2, BLOCK_ROWS, BLOCK_ROWS + 1])
     def test_predictions_csv_bytes(self, tmp_path, n):
-        rng = np.random.default_rng(13)
-        probs = rng.dirichlet(np.ones(3), n)
-        preds = probs.argmax(axis=1) + 1
+        probs, preds = probabilities(n)
         path = tmp_path / "pred.csv"
         write_predictions_csv(range(n), preds, probs, path)
-        # the row-by-row formatting the writer must reproduce
-        rows = ["index,predicted,p1,p2,p3"]
-        rows += [f"{i},{preds[i]}," + ",".join(repr(float(p)) for p in probs[i]) for i in range(n)]
-        assert path.read_bytes() == ("\n".join(rows) + "\n").encode("utf-8")
+        assert path.read_bytes() == row_by_row("predicted", "p", 1, preds, probs)
+
+    @pytest.mark.parametrize("n", [2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1, 4 * BLOCK_ROWS + 1])
+    def test_csv_bytes_across_round_boundaries(self, tmp_path, monkeypatch, n):
+        ds = extreme_dataset(n)
+        monkeypatch.setattr(dataio, "_ROUND_VALUES", 2 * BLOCK_ROWS * ds.grid.m)
+        starts = record_rounds(monkeypatch)
+        path = tmp_path / "dump.csv"
+        dataset_to_csv(ds, path)
+        assert path.read_bytes() == row_by_row("label", "v", 0, ds.labels, ds.values)
+        # two blocks a round, the last round what is left
+        blocks = list(range(0, n, BLOCK_ROWS))
+        assert starts == [blocks[i : i + 2] for i in range(0, len(blocks), 2)]
+
+    @pytest.mark.parametrize(
+        "n, k, blocks_per_round",
+        [
+            (100_002, 3, 25),  # predict-large's probabilities: one round
+            (100_002, 125, 2),  # its 5x5x5 samples: two blocks a round
+            (BLOCK_ROWS + 1, 2**20 // BLOCK_ROWS + 1, 1),  # a block above the budget is a round
+        ],
+    )
+    def test_rounds_are_whole_blocks_of_at_most_the_budget(self, tmp_path, monkeypatch, n, k, blocks_per_round):
+        starts = record_rounds(monkeypatch, format_rows=False)
+        rows = np.broadcast_to(np.zeros(1), (n, k))  # no memory: only the shape is read
+        write_predictions_csv(range(n), np.zeros(n, dtype=int), rows, tmp_path / "pred.csv")
+        blocks = list(range(0, n, BLOCK_ROWS))
+        assert starts == [blocks[i : i + blocks_per_round] for i in range(0, len(blocks), blocks_per_round)]
+        assert len(starts[0]) == 1 or len(starts[0]) * BLOCK_ROWS * k <= dataio._ROUND_VALUES
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_csv_worker_error_is_that_of_the_first_failing_block(self, tmp_path, monkeypatch, cpus):
+        def fail_later_blocks_first(indices, column, rows, lo):
+            if lo == BLOCK_ROWS:
+                time.sleep(0.5)
+                raise DomainError("block 1 failed")
+            if lo > BLOCK_ROWS:
+                raise NumericError(f"block at {lo} failed")
+            return b""
+
+        monkeypatch.setattr(dataio, "_format_rows", fail_later_blocks_first)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        probs, preds = probabilities(4 * BLOCK_ROWS)
+        path = tmp_path / "pred.csv"
+        with pytest.raises(DomainError, match="block 1 failed"):
+            write_predictions_csv(range(len(preds)), preds, probs, path)
+        assert not path.exists()  # the first round fails before the file is opened
+
+    @pytest.mark.parametrize(
+        "n, cut, rows",
+        [(5, lambda p: p[:3], 5), (2, lambda p: p, 5), (5, lambda p: p, 4), (0, lambda p: p[:1], 0),
+         (5, lambda p: p[:, None], 5)],
+        ids=["fewer-predictions", "fewer-indices", "fewer-probability-rows", "no-indices", "2-D-predictions"],
+    )
+    def test_predictions_csv_refuses_unequal_counts(self, tmp_path, monkeypatch, n, cut, rows):
+        monkeypatch.setattr(dataio, "ordered_map", pytest.fail)
+        probs, preds = probabilities(5)
+        path = tmp_path / "pred.csv"
+        with pytest.raises(DomainError, match="one prediction and one row per index"):
+            write_predictions_csv(range(n), cut(preds), probs[:rows], path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 3, 1), (5, 0), ()], ids=["1-D", "3-D", "no-class", "scalar"])
+    def test_predictions_csv_refuses_a_probability_array_not_n_by_k(self, tmp_path, monkeypatch, shape):
+        monkeypatch.setattr(dataio, "ordered_map", pytest.fail)
+        path = tmp_path / "pred.csv"
+        with pytest.raises(DomainError, match=r"probabilities must be an \(n, K\) array"):
+            write_predictions_csv(range(5), np.ones(5, dtype=int), np.full(shape, 0.5), path)
+        assert not path.exists()
+
+
+def extreme_dataset(n):
+    """n samples on a 3x3x3 grid whose values span the float exponents."""
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal((n, 27)) * 10.0 ** rng.integers(-300, 300, (n, 27))
+    values[:, 0] = -0.0
+    return Dataset(values=values, grid=Grid((3, 3, 3)), labels=rng.integers(0, 4, n), n_classes=3)
+
+
+def probabilities(n):
+    """(probabilities, predicted classes) of n samples of 3 classes."""
+    probs = np.random.default_rng(13).dirichlet(np.ones(3), n)
+    return probs, probs.argmax(axis=1) + 1
+
+
+def row_by_row(column_name, prefix, first, column, rows) -> bytes:
+    """The CSV the writers must reproduce, formatted a row at a time: the
+    header of index, `column_name` and `prefix`-numbered columns from
+    `first`, then index, column entry and repr of each float."""
+    k = rows.shape[1]
+    lines = [",".join(["index", column_name, *(f"{prefix}{j + first}" for j in range(k))])]
+    lines += [f"{i},{int(column[i])}," + ",".join(repr(float(v)) for v in rows[i]) for i in range(len(rows))]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def record_rounds(monkeypatch, format_rows=True):
+    """The block starts of each round the CSV writer maps, recorded as it
+    maps them; without `format_rows` each block's text is left empty."""
+    starts, real = [], dataio.ordered_map
+
+    def recording(fn, items, *args, **kwargs):
+        items = list(items)
+        starts.append([lo for (lo,) in items])
+        return real(fn, items, *args, **kwargs) if format_rows else [b""] * len(items)
+
+    monkeypatch.setattr(dataio, "ordered_map", recording)
+    return starts
 
 
 class TestIdx:
