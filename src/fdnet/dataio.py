@@ -267,12 +267,12 @@ def _compact(obj) -> str:
 
 
 def _json_object(path, what: str) -> dict:
-    """The JSON object a file holds; invalid JSON, or JSON of another type,
-    is a FormatError naming `what` the file should be."""
+    """The JSON object a file holds.  Text the parser refuses (bad JSON, not
+    UTF-8, too deep) or another JSON type is a FormatError naming `what`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"not a {what} (a JSON {type(doc).__name__}, not a JSON object)")

@@ -10,11 +10,15 @@ the package (sizes, orders, depths, widths, epochs, replicates, workers)
 is an integer >= 1, and `as_count` is the one place that says so.  Every
 list field (hidden widths, grid shapes, candidate lists) is a list, a
 tuple or a 1-D numpy array, and `as_list` is the one place that says so.
+Every array's float count fits in one numpy array (`check_array_size`),
+and every rate (dropout) lies in [0, 1) (`as_rate`); nothing else says so.
 """
 
 import numbers
 
 import numpy as np
+
+MAX_ARRAY_FLOATS = np.iinfo(np.intp).max // 8  # float64 values whose bytes fit in an intp
 
 
 class FdnetError(Exception):
@@ -68,6 +72,12 @@ def as_list(value, what: str, entry) -> tuple:
     return tuple(entry(v, what) for v in value)
 
 
+def check_array_size(floats: int, what: str) -> None:
+    """Refuse, as `what`, a count of float64 values no numpy array can hold."""
+    if floats > MAX_ARRAY_FLOATS:
+        raise DomainError(f"too large for one numpy array: {what}")
+
+
 def as_seed(value) -> int:
     """`value` as an int seed: a non-negative integer, never truncated."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
@@ -85,3 +95,11 @@ def as_real(value, what: str) -> float:
         return float(value)
     except OverflowError:
         raise DomainError(f"{what} is an integer too large for a float") from None
+
+
+def as_rate(value, what: str) -> float:
+    """`value` as a float, refused as by `as_real` or unless it lies in [0, 1)."""
+    rate = as_real(value, what)
+    if not 0.0 <= rate < 1.0:
+        raise DomainError(f"{what} must lie in [0, 1), got {rate}")
+    return rate

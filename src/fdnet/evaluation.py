@@ -31,12 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_count, as_real
+from .errors import DomainError, as_count, as_real, check_array_size
 from .network import forward, predicted_class
 from .parallel import ordered_map
 from .projection import projected_blocks
 from .rng import as_seed_sequence, seed_to_int
-from .simulation import SimModel, bayes_posterior, default_test_size, generate_dataset, resolve_grid
+from .simulation import SimModel, bayes_posterior, dataset_grid, default_test_size, generate_dataset
 from .training import Classifier, HyperGrid, TrainConfig, select
 
 
@@ -190,11 +190,13 @@ def benchmark(
     """
     reps = as_count(replicates, "replicates")
     n_per_class, m = as_count(n_per_class, "n_per_class"), as_count(m, "m")
-    resolve_grid(model, m)  # an unsupported m is refused before any replicate starts
     if test_per_class is None:
         test_nk = default_test_size(n_per_class)
     else:
         test_nk = as_count(test_per_class, "test_per_class")
+    for nk in (n_per_class, test_nk):  # refused before any replicate starts
+        dataset_grid(model, nk, m)
+    check_array_size(reps * model.n_classes**2, f"{reps} replicates")  # the (reps, K, K) confusions
     rep_streams = as_seed_sequence(seed).spawn(reps)
     shared = (model, n_per_class, m, grid, cfg, test_nk)
     results = ordered_map(_run_replicate, [(ss,) for ss in rep_streams], workers, shared=shared)

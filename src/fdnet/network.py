@@ -36,12 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, as_count, as_list
+from .errors import DomainError, NumericError, as_count, as_list, check_array_size
 
 PROB_FLOOR = 1e-12  # floor inside log() when training; keeps CE finite
-# float64 values in the largest array numpy can allocate: its byte count
-# must fit in a signed pointer-sized integer
-MAX_ARRAY_FLOATS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -60,8 +57,7 @@ class Architecture:
             raise DomainError("need at least one hidden layer")
         if self.n_classes < 2:
             raise DomainError(f"need at least 2 classes, got {self.n_classes}")
-        if self.param_count > MAX_ARRAY_FLOATS:
-            raise DomainError(f"too large for one numpy array: {self.param_count} parameters")
+        check_array_size(self.param_count, f"{self.param_count} parameters")
 
     @property
     def depth(self) -> int:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Grid
-from .errors import DomainError, as_count
+from .errors import DomainError, as_count, check_array_size
 from .network import predicted_class, softmax
 from .projection import Dataset
 from .rng import as_seed_sequence
@@ -230,6 +230,13 @@ def resolve_grid(model: SimModel, m: int) -> Grid:
     return Grid(table[m])
 
 
+def dataset_grid(model: SimModel, n_per_class: int, m: int) -> Grid:
+    """`resolve_grid(model, m)`, refused when no array can hold `n_per_class` samples per class."""
+    grid = resolve_grid(model, m)
+    check_array_size(model.n_classes * n_per_class * max(m, model.score_dim), f"{n_per_class} samples per class")
+    return grid
+
+
 def generate_dataset(
     model: SimModel,
     n_per_class: int,
@@ -247,7 +254,7 @@ def generate_dataset(
     n_per_class = as_count(n_per_class, "n_per_class")
     if subset not in ("train", "test"):
         raise DomainError(f"subset must be 'train' or 'test', got {subset!r}")
-    grid = resolve_grid(model, m)
+    grid = dataset_grid(model, n_per_class, m)
     streams = as_seed_sequence(seed).spawn(2)
     rng = np.random.default_rng(streams[0 if subset == "train" else 1])
     psi = model.psi_matrix(grid)
@@ -300,11 +307,10 @@ def bayes_error_mc(model: SimModel, n_draws: int, seed) -> float:
     n_draws = as_count(n_draws, "n_draws")
     rng = np.random.default_rng(as_seed_sequence(seed))
     n_per = -(-n_draws // model.n_classes)  # ceil
+    check_array_size(n_per * model.score_dim, f"{n_draws} draws")
     wrong = 0
-    total = 0
     for k in range(1, model.n_classes + 1):
         xi = model.laws[k - 1].sample(n_per, rng)
         pred = predicted_class(bayes_posterior(model, xi))
         wrong += int(np.sum(pred != k))
-        total += n_per
-    return wrong / total
+    return wrong / (n_per * model.n_classes)

@@ -51,9 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Grid
-from .errors import DomainError, NumericError, as_count, as_list, as_real
+from .errors import DomainError, NumericError, as_count, as_list, as_rate, as_real, check_array_size
 from .network import (
-    MAX_ARRAY_FLOATS,
     Architecture,
     NetworkParams,
     classify,
@@ -115,9 +114,7 @@ def train(
     minibatch order and the dropout masks.  Raises NumericError with the
     epoch and batch index if the loss becomes non-finite.
     """
-    dropout = as_real(dropout, "dropout")
-    if not 0.0 <= dropout < 1.0:
-        raise DomainError(f"dropout must lie in [0, 1), got {dropout}")
+    dropout = as_rate(dropout, "dropout")
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.ndim != 2 or scores.shape[0] != labels.shape[0]:
@@ -264,12 +261,10 @@ class HyperGrid:
 
     def __post_init__(self):
         for name, entry in (("n_scores", as_count), ("depths", as_count), ("widths", as_count),
-                            ("dropouts", as_real)):
+                            ("dropouts", as_rate)):
             object.__setattr__(self, name, as_list(getattr(self, name), name, entry))
         if not all((self.n_scores, self.depths, self.widths, self.dropouts)):
             raise DomainError("every candidate list must be nonempty")
-        if any(not 0.0 <= s < 1.0 for s in self.dropouts):
-            raise DomainError("dropout rates must lie in [0, 1)")
 
     def cells(self):
         return itertools.product(self.n_scores, self.depths, self.widths, self.dropouts)
@@ -382,13 +377,11 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     if len(dataset) == 0:
         raise DomainError("selection data has no samples")
     j_max = max(grid.n_scores)
-    if len(dataset) * j_max > MAX_ARRAY_FLOATS:
-        raise DomainError(f"too large for one numpy array: {len(dataset)} samples of {j_max} scores")
+    check_array_size(len(dataset) * j_max, f"{len(dataset)} samples of {j_max} scores")
     k = dataset.n_classes
     # the count grows with J, L and width: the largest cell bounds every cell
     largest = _param_count(j_max, max(grid.depths), max(grid.widths), k)
-    if largest > MAX_ARRAY_FLOATS:
-        raise DomainError(f"too large for one numpy array: {largest} parameters")
+    check_array_size(largest, f"{largest} parameters")
     streams = as_seed_sequence(seed).spawn(grid.n_cells + 2)
     raw_scores = np.empty((len(dataset), j_max))
     for lo, hi, _, block in projected_blocks(dataset, j_max):

@@ -318,6 +318,49 @@ class TestMalformedInputs:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, option", [
+        ("simulate", "--nk"), ("simulate", "--test-nk"),
+        ("benchmark", "--nk"), ("benchmark", "--test-nk"), ("benchmark", "--reps"),
+    ])
+    @pytest.mark.parametrize("value", [2**60, 2**63, 10**20])
+    def test_size_too_large_for_one_array_exits_1(self, tmp_path, capsys, command, option, value):
+        # refused before any data is drawn, any replicate runs or any file is written
+        out = tmp_path / "out"
+        if command == "simulate":
+            options = {"--model": "2d-gaussian", "--nk": "5", "--m": "9", "--seed": "1"}
+        else:
+            options = {"--model-id": "2d-gaussian", "--nk": "6", "--m": "9", "--reps": "1",
+                       "--grid": grid_file(tmp_path), "--seed": "1", "--test-nk": "3", "--epochs": "1",
+                       "--batch": "8"}
+        options.update({option: str(value), "--out": str(out)})
+        code = main([command, *(token for pair in options.items() for token in pair)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: too large for one numpy array")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["grid.json"] if command == "benchmark" else [])
+
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    @pytest.mark.parametrize("text", [
+        b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000, b'{"J": [' + b"1" * 5000 + b"]}",
+    ], ids=["not-utf-8", "nested-too-deep", "integer-of-5000-digits"])
+    def test_json_the_parser_refuses_exits_1(self, tmp_path, capsys, command, text):
+        data, bad, out = simulate(tmp_path), tmp_path / "bad.json", tmp_path / "out"
+        bad.write_bytes(text)
+        capsys.readouterr()
+        if command == "predict":
+            argv = ["predict", "--model", str(bad), "--data", str(data), "--out", str(out)]
+            what = "model file"
+        else:
+            argv = ["train", "--data", str(data), "--grid", str(bad), "--epochs", "1", "--batch", "8",
+                    "--seed", "1", "--out", str(out)]
+            what = "hyperparameter grid"
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} is not valid JSON")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bare_memory_error_exits_1_with_a_message(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args):
@@ -834,7 +877,7 @@ class TestUsage:
 
 FUZZ_VALUES = ("0", "-1", "2.5", "nan", "inf", "-inf", "1e400", "", "x", "99999999999999999999999")
 # each command's numeric options; a huge value is left out where it would
-# start that many processes or allocate, simulate or train that much
+# start that many processes or train that long (a size beyond one array is refused)
 NUMERIC_OPTIONS = {
     "simulate": ("--nk", "--m", "--test-nk", "--seed"),
     "train": ("--epochs", "--batch", "--lr", "--seed"),
@@ -843,7 +886,7 @@ NUMERIC_OPTIONS = {
                   "--workers"),
     "mnist": ("--seed", "--limit", "--test-limit", "--epochs", "--batch", "--lr"),
 }
-NO_HUGE = {"--nk", "--m", "--test-nk", "--reps", "--epochs", "--workers"}
+NO_HUGE = {"--epochs", "--workers"}
 FUZZ_CASES = [
     (command, option, value)
     for command, options in NUMERIC_OPTIONS.items()

@@ -395,6 +395,9 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+HUGE_COUNTS = {"2**60": 2**60, "2**63": 2**63, "10**20": 10**20}
+
+
 class TestBenchmarkArguments:
     def test_pool_capped_at_replicates(self, pool_sizes):
         # two cells, so a replicate's select would build a pool of its own
@@ -434,7 +437,12 @@ class TestBenchmarkArguments:
         ("n_per_class", -2, "n_per_class must be >= 1, got -2"),
         ("m", 0, "m must be >= 1, got 0"),
         ("m", 10, "unsupported sampling frequency m=10"),
-    ], ids=["n_per_class-0", "n_per_class--2", "m-0", "m-10"])
+        # more floats than one numpy array can hold
+        *((field, value, f"too large for one numpy array: {value} {what}")
+          for field, what in (("n_per_class", "samples"), ("test_per_class", "samples"), ("replicates", "replicates"))
+          for value in HUGE_COUNTS.values()),
+    ], ids=["n_per_class-0", "n_per_class--2", "m-0", "m-10",
+            *(f"{field}-{name}" for field in ("n_per_class", "test_per_class", "replicates") for name in HUGE_COUNTS)])
     def test_sizes_refused_before_any_replicate(self, monkeypatch, field, value, message):
         monkeypatch.setattr(evaluation, "_run_replicate", pytest.fail)  # refused before any runs
         args = {"model": get_model("2d-gaussian"), "n_per_class": 12, "m": 9, "grid": tiny_grid(),

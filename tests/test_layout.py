@@ -4,7 +4,7 @@ an imported module object, and every fdnet import sits at module level, so
 each module's dependencies show in its header.  Every name the package
 re-exports has a caller in the program, the benchmark or the acceptance
 suite.  Only `parallel` imports a process-pool module, and only `errors`
-states the count rule and the list rule."""
+states the count, list, array-size and rate rules."""
 
 import ast
 from pathlib import Path
@@ -234,3 +234,10 @@ def test_only_errors_states_the_count_rule(path):
 def test_only_errors_states_the_list_rule(path):
     # `errors.as_list` refuses anything but a list; no caller repeats the check
     assert path.name == "errors.py" or "must be a list" not in path.read_text()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("text", ["too large for one numpy array", "MAX_ARRAY_FLOATS", "must lie in [0, 1)"])
+def test_only_errors_states_the_size_and_rate_rules(path, text):
+    # `errors.check_array_size` and `errors.as_rate`; no caller repeats either check
+    assert path.name == "errors.py" or text not in path.read_text()

@@ -151,6 +151,12 @@ class TestSynthesize:
 
 
 class TestGenerateDataset:
+    @pytest.mark.parametrize("model_id, m", [("2d-gaussian", 9), ("3d-mixed1", 8)])
+    @pytest.mark.parametrize("n_per_class", [2**60, 2**63, 10**20])
+    def test_samples_beyond_one_array_refused(self, model_id, m, n_per_class):
+        with pytest.raises(DomainError, match=f"too large for one numpy array: {n_per_class} samples per class"):
+            generate_dataset(get_model(model_id), n_per_class, m=m, seed=0)
+
     def test_balanced_labels(self):
         ds = generate_dataset(get_model("2d-gaussian"), 200, m=9, seed=1)
         assert len(ds) == 600
@@ -219,6 +225,11 @@ class TestBayesPosterior:
     def test_monte_carlo_bayes_error_matches_pinned_value(self):
         err = bayes_error_mc(get_model("2d-gaussian"), 100_000, seed=202)
         assert err == pytest.approx(BAYES_ERROR_2D_GAUSSIAN, abs=0.005)
+
+    @pytest.mark.parametrize("n_draws", [2**60, 2**63, 10**20])
+    def test_monte_carlo_draws_beyond_one_array_refused(self, n_draws):
+        with pytest.raises(DomainError, match=f"too large for one numpy array: {n_draws} draws"):
+            bayes_error_mc(get_model("2d-gaussian"), n_draws, seed=202)
 
     @pytest.mark.parametrize("n_draws", [0, -4, 2.5, True, "10"])
     def test_monte_carlo_bayes_error_needs_a_positive_draw_count(self, n_draws):

@@ -556,6 +556,11 @@ class TestHyperGrid:
         with pytest.raises(DomainError):
             HyperGrid(n_scores=(2,), depths=(1,), widths=(4,), dropouts=(1.0,))
 
+    @pytest.mark.parametrize("dropout", [1.0, -0.5, float("nan")])
+    def test_dropout_outside_unit_interval_names_the_rate(self, dropout):
+        with pytest.raises(DomainError, match=rf"dropouts must lie in \[0, 1\), got {dropout}"):
+            HyperGrid(n_scores=(2,), depths=(1,), widths=(4,), dropouts=(0.0, dropout))
+
     @pytest.mark.parametrize("field", ["n_scores", "depths", "widths"])
     @pytest.mark.parametrize("value", [8.7, 4.5, 2.0, True, "4"])
     def test_counts_must_be_integers(self, field, value):
