@@ -17,7 +17,6 @@ from . import dataio, idx
 from .errors import DomainError, FdnetError, NumericError
 from .evaluation import benchmark, evaluate, predict, truncated_kl_risk
 from .network import one_hot
-from .projection import Dataset
 from .simulation import generate_dataset, get_model
 from .training import SelectionResult, TrainConfig, select
 
@@ -45,11 +44,11 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _head(dataset: Dataset, limit: int) -> Dataset:
-    """The first `limit` samples of `dataset`, or all of them when 0."""
+def _head(images: idx.IdxImages, limit: int) -> idx.IdxImages:
+    """The first `limit` samples of `images`, or all of them when 0."""
     if not limit:
-        return dataset
-    return replace(dataset, values=dataset.values[:limit], labels=dataset.labels[:limit])
+        return images
+    return replace(images, pixels=images.pixels[:limit], labels=images.labels[:limit])
 
 
 def _cmd_simulate(args) -> int:

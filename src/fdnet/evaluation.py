@@ -7,9 +7,10 @@ the same dimension is scored).  `predict` is the one scoring loop: for
 each block of `projection.projected_blocks` at the network's input width
 (the scores `select` trains on), it runs `network.forward`, and at the end
 takes the classes from `network.predicted_class`, the only argmax rule.
-The data is an in-memory `Dataset`, whose blocks are views of its rows, or
-a `dataio.DatasetReader`, which reads each block from the file, so memory
-is one block plus the (n, K) probabilities and the n classes.  Blocks of
+The data is a `Dataset` (its blocks are views of its rows), a
+`dataio.DatasetReader` (it reads each block from the file) or an
+`idx.IdxImages` (it scales each block of its bytes), so memory is one
+block plus the (n, K) probabilities and the n classes.  Blocks of
 at least `BLOCK_ROWS` rows give the bits of one call over all rows (see
 `projection.BLOCK_ROWS` for the one exception measured).  `evaluate` is
 `predict` plus the confusion matrix of its classes, and also returns the

@@ -103,9 +103,9 @@ def project_batch(
 
 def projected_blocks(data, J: int):
     """(lo, hi, labels, scores) of each of `data.blocks()`, where data is a
-    `Dataset` or a `dataio.DatasetReader` and scores is the block's (hi - lo,
-    J) `project_batch`.  The design matrix is built once, with the first
-    block (empty data builds none), and an AliasingWarning comes with it."""
+    `Dataset`, a `dataio.DatasetReader` or an `idx.IdxImages` and scores is
+    the block's (hi - lo, J) `project_batch`.  The design matrix is built
+    once, with the first block (empty data builds none), with its AliasingWarning."""
     phi = None
     for lo, hi, values, labels in data.blocks():
         if phi is None:

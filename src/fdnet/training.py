@@ -327,12 +327,13 @@ def _param_count(j: int, depth: int, width: int, k: int) -> int:
     return width * (j + (depth - 1) * width + depth + k)
 
 
-def _fit(raw, labels, cell, k: int, cfg: TrainConfig, stream) -> NetworkParams:
+def _fit(raw, labels, cell, k: int, cfg: TrainConfig, stream, *, overwrite=False) -> NetworkParams:
     """Train `cell` = (J, L, width, dropout) on raw score rows (n, >= J),
     standardized, then fold the standardization into the first layer in
     place: relu(W0 (x - mu) / sd - V1) = relu(W0' x - V1') with W0' = W0 / sd
-    and V1' = V1 + W0' mu, so the network consumes raw scores.  Raises
-    NumericError when a mean or spread is not finite."""
+    and V1' = V1 + W0' mu, so the network consumes raw scores.  `overwrite`
+    (the final fit) standardizes raw in place; fold fits, sharing their
+    rows, copy theirs.  Raises NumericError when a mean or spread is not finite."""
     j_c, l_c, w_c, s_c = cell
     arch = Architecture(input_dim=j_c, hidden_widths=(w_c,) * l_c, n_classes=k)
     # reduce over every column, then cut to J: numpy sums a lone column
@@ -343,7 +344,7 @@ def _fit(raw, labels, cell, k: int, cfg: TrainConfig, stream) -> NetworkParams:
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sd))):
         raise NumericError("the mean or spread of a score overflows; the sample values are too large")
     sd[sd == 0.0] = 1.0  # constant coordinates are passed through unscaled
-    x = raw[:, :j_c] - mu
+    x = np.subtract(raw[:, :j_c], mu, out=raw[:, :j_c] if overwrite else None)
     x /= sd
     params = train(x, labels, arch, cfg, dropout=s_c, rng=np.random.default_rng(stream))
     params.weights[0] /= sd
@@ -354,14 +355,16 @@ def _fit(raw, labels, cell, k: int, cfg: TrainConfig, stream) -> NetworkParams:
 def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     """Full data-splitting selection over the candidate grid.
 
-    `dataset` is a `Dataset` or a `dataio.DatasetReader`, as for `predict`.
+    `dataset` is a `Dataset`, `dataio.DatasetReader` or `idx.IdxImages`.
     Scores are projected by row blocks at max(n_scores), then truncated.
     Every cell is fit by `_fit` on the 70% fold under its own dropout rate
     and scored by 0-1 error on the raw scores of the 30% fold; the winner
     is fit by `_fit` again on all samples and keeps the dataset's grid
-    shape.  A one-cell grid skips the fold fit and its validation (its
-    error stays NaN), so its cell trains once; the split still runs, so
-    the refusals and the final fit's stream are those of a larger grid.
+    shape.  That final fit overwrites `select`'s own score matrix with its
+    standardization, while fold fits copy theirs.  A one-cell grid skips
+    the fold fit and its validation (its error stays NaN), so its cell
+    trains once; the split still runs, so the refusals and the final fit's
+    stream are those of a larger grid.
     `seed` (a non-negative int or a SeedSequence) drives every stream.
 
     The fold fits run through `parallel.ordered_map` at its default
@@ -371,8 +374,8 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     (0.6 MB for the README's 16-cell grid on 3 classes, 20 MB per cell at
     J=500, L=3, width 1000 on 10 classes).  The first failing cell in grid
     order raises its error.  The winner's final fit runs here.  A grid
-    whose largest cell has more parameters than one numpy array can hold
-    is refused before any projection, pool or fit.
+    with more cells, or whose largest cell has more parameters, than one
+    numpy array can hold is refused before any projection, pool or fit.
     """
     if len(dataset) == 0:
         raise DomainError("selection data has no samples")
@@ -382,6 +385,7 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     # the count grows with J, L and width: the largest cell bounds every cell
     largest = _param_count(j_max, max(grid.depths), max(grid.widths), k)
     check_array_size(largest, f"{largest} parameters")
+    check_array_size(grid.n_cells, f"{grid.n_cells} grid cells")  # the validation errors
     streams = as_seed_sequence(seed).spawn(grid.n_cells + 2)
     raw_scores = np.empty((len(dataset), j_max))
     for lo, hi, _, block in projected_blocks(dataset, j_max):
@@ -411,7 +415,7 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
         del nets, net  # the fold networks are not kept alive through the final fit
 
     chosen = min(zip(errors.flat, grid.cells()))[1]
-    final = _fit(raw_scores, labels, chosen, k, cfg, streams[-1])
+    final = _fit(raw_scores, labels, chosen, k, cfg, streams[-1], overwrite=True)
     return SelectionResult(
         chosen=Chosen(*chosen),
         validation_errors=errors,

@@ -318,6 +318,20 @@ class TestMalformedInputs:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_grid_of_too_many_cells_exits_1(self, tmp_path, capsys):
+        # four lists of 2**16 entries make 2**64 cells, whose validation
+        # errors no numpy array can hold: refused before any stream is spawned
+        data, out = simulate(tmp_path, nk=10), tmp_path / "m.json"
+        doc = {"J": [1] * 2**16, "L": [1] * 2**16, "width": [1] * 2**16, "dropout": [0.0] * 2**16}
+        capsys.readouterr()
+        code = main(["train", "--data", str(data), "--grid", grid_file(tmp_path, doc),
+                     "--epochs", "1", "--seed", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: too large for one numpy array")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, option", [
         ("simulate", "--nk"), ("simulate", "--test-nk"),
         ("benchmark", "--nk"), ("benchmark", "--test-nk"), ("benchmark", "--reps"),
@@ -855,9 +869,79 @@ class TestMnistCommand:
                      "--epochs", "15", "--batch", "32"]) == 0
         model = load_model(model_path)
         test = load_idx(img, lab)
-        first = replace(test, values=test.values[:1], labels=test.labels[:1])
+        first = replace(test, pixels=test.pixels[:1], labels=test.labels[:1])
         digit = predict(model, first)[0][0] - 1
         assert 0 <= digit <= 9
+
+    @staticmethod
+    def _eager(images, labels, limit):
+        """The first `limit` samples (all when 0) of an IDX pair of 28x28
+        images as a float64 Dataset, parsed here rather than by load_idx."""
+        n = struct.unpack(">I", labels.read_bytes()[4:8])[0]
+        n = limit or n
+        pixels = np.frombuffer(images.read_bytes(), np.uint8, offset=16).reshape(-1, 784)
+        digits = np.frombuffer(labels.read_bytes(), np.uint8, offset=8)
+        return Dataset(values=pixels[:n] / 255.0, grid=Grid((28, 28)), labels=digits[:n] + 1, n_classes=10)
+
+    @pytest.mark.parametrize("limit, test_limit", [(0, 0), (250, 50)], ids=["whole", "limit"])
+    def test_same_bytes_as_select_on_float_pixels(self, tmp_path, capsys, limit, test_limit):
+        # pixels scaled a block at a time give the model and the test
+        # accuracy of an eager float64 dataset of the same pixels
+        from fdnet import TrainConfig, evaluate, select
+
+        img, lab = write_idx_pair(tmp_path, 300, seed=24)
+        test_dir = tmp_path / "t"
+        test_dir.mkdir()
+        timg, tlab = write_idx_pair(test_dir, 80, seed=25)
+        grid = grid_file(tmp_path, {"J": [20, 30], "L": [2], "width": [32], "dropout": [0.01]})
+        out = tmp_path / "digits.json"
+        assert main(["mnist", "--images", str(img), "--labels", str(lab), "--grid", grid,
+                     "--seed", "4", "--out", str(out), "--test-images", str(timg),
+                     "--test-labels", str(tlab), "--limit", str(limit), "--test-limit", str(test_limit),
+                     "--epochs", "3", "--batch", "32"]) == 0
+        printed = capsys.readouterr().out.splitlines()[-1]
+        cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=1e-3)
+        result = select(self._eager(img, lab, limit), cfg, dataio.load_hypergrid(grid), 4)
+        save_model(result.classifier, tmp_path / "eager.json", dataio.metadata_for(result.chosen, cfg, 4))
+        assert (tmp_path / "eager.json").read_bytes() == out.read_bytes()
+        test = self._eager(timg, tlab, test_limit)
+        err, _, _ = evaluate(result.classifier, test)
+        assert printed == f"test accuracy: {1.0 - err:.4f} on {len(test)} samples"
+
+    def test_final_fit_holds_one_score_matrix(self, tmp_path, monkeypatch):
+        # when the one cell's fit enters train, the live arrays are the
+        # (n, J) scores, standardized in place, and the file's bytes: no
+        # second score matrix and no float64 copy of the pixels
+        from fdnet import training
+        from synth_digits import idx_image_bytes, idx_label_bytes
+
+        n, m, J = 2000, 64, 64  # a score matrix and a float64 pixel array hold as many bytes
+        rng = np.random.default_rng(26)
+        (tmp_path / "i.idx").write_bytes(idx_image_bytes(rng.integers(0, 256, (n, 8, 8), dtype=np.uint8)))
+        (tmp_path / "l.idx").write_bytes(idx_label_bytes(rng.integers(0, 10, n).astype(np.uint8)))
+        grid = grid_file(tmp_path, {"J": [J], "L": [1], "width": [4], "dropout": [0.0]})
+        seen = []
+
+        class Entered(Exception):
+            pass
+
+        def entry(scores, *args, **kwargs):
+            seen.append((tracemalloc.get_traced_memory()[0], scores.shape))
+            raise Entered
+
+        monkeypatch.setattr(training, "train", entry)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(Entered):
+                main(["mnist", "--images", str(tmp_path / "i.idx"), "--labels", str(tmp_path / "l.idx"),
+                      "--grid", grid, "--seed", "1", "--out", str(tmp_path / "m.json")])
+        finally:
+            tracemalloc.stop()
+        [(live, shape)] = seen
+        scores = n * J * 8
+        assert shape == (n, J)
+        assert scores <= live - start < scores + n * m * 8, f"{live - start} bytes live at train's entry"
 
 
 class TestUsage:

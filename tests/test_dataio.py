@@ -698,6 +698,21 @@ class TestIdx:
         ds = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
         assert ds.values[0].tolist() == [byte / 255.0 for byte in range(256)]
 
+    @pytest.mark.parametrize("n", [50, 2 * BLOCK_ROWS + 5], ids=["one-block", "several-blocks"])
+    def test_blocks_are_the_whole_file_scaled(self, tmp_path, n):
+        rng = np.random.default_rng(18)
+        images = rng.integers(0, 256, (n, 4, 4), dtype=np.uint8)
+        digits = rng.integers(0, 10, n).astype(np.uint8)
+        (tmp_path / "i.idx").write_bytes(idx_image_bytes(images))
+        (tmp_path / "l.idx").write_bytes(idx_label_bytes(digits))
+        blocks = list(load_idx(tmp_path / "i.idx", tmp_path / "l.idx").blocks())
+        assert [(lo, hi) for lo, hi, _, _ in blocks] == row_blocks(n)
+        whole = images.reshape(n, 16) / 255.0
+        for lo, hi, values, labels in blocks:
+            assert values.dtype == np.float64
+            assert values.tobytes() == whole[lo:hi].tobytes()
+            assert labels.tolist() == (digits[lo:hi] + 1).tolist()
+
     def test_swapped_files_diagnosed(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, 5, seed=14)
         with pytest.raises(FormatError, match="magic"):
