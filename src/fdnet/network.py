@@ -15,16 +15,21 @@ architecture and one contiguous float64 vector theta of length
 `param_count`, laid out as W_0..W_L then v_1..v_L, each row-major.  Writes
 through the per-layer views land in theta, so one elementwise operation
 updates every weight and shift; gradients and model files share the
-layout.
+layout.  A `ParamStack` holds G networks of one architecture for training
+in lockstep: a (G, P) array whose row g is network g's theta, with
+per-layer views that carry a leading G axis.
 
 Every entry point takes a batch: inputs are (n, J) arrays, and a 1-D
 input raises DomainError.  Labels take one encoding, the one-hot (n, K)
 matrix that `one_hot` builds from classes in {1..K}.  One generator,
 `_hidden_layers`, computes the hidden layers for both inference and
-training.  Inference (`forward`, `classify`) consumes it one activation at
-a time and raises NumericError at the first non-finite layer; training
-(`loss_and_gradient`, also behind `backward`) keeps every activation, and
-reads the ReLU derivative of the gradient pass from it.  `predicted_class`
+training, of one network or of a stack.  Inference (`forward`,
+`classify`) consumes it one activation at a time and raises NumericError
+at the first non-finite layer; training (`loss_and_gradient`, also behind
+`backward`) keeps every activation, and reads the ReLU derivative of the
+gradient pass from it.  A stack's batch is (G, b, J), one (b, J) batch per
+network, and its products are stacked matmuls, whose every (b, .) slice
+has the bits of the same product for one network.  `predicted_class`
 is the one classification rule: the argmax of each row of class
 probabilities.
 """
@@ -95,22 +100,54 @@ class NetworkParams:
             raise DomainError(f"need a contiguous float64 vector of length {size}")
         if not np.all(np.isfinite(flat)):
             raise DomainError("network parameters must be finite")
-        views, start = [], 0
-        for shape in arch.param_shapes():
-            end = start + math.prod(shape)
-            views.append(flat[start:end].reshape(shape))
-            start = end
-        object.__setattr__(self, "weights", views[: arch.depth + 1])
-        object.__setattr__(self, "shifts", views[arch.depth + 1 :])
+        _set_layer_views(self)
 
     def __reduce__(self):
         # a pickled or copied network rebuilds its views over its own vector
         return NetworkParams, (self.architecture, self.flat)
 
 
-def initial_params(arch: Architecture, rng: np.random.Generator) -> NetworkParams:
-    """Symmetric uniform init scaled by 1/sqrt(fan-in); shifts start at zero."""
-    params = NetworkParams(arch, np.zeros(arch.param_count))
+@dataclass(frozen=True, eq=False)
+class ParamStack:
+    """G networks of one architecture, trained in lockstep.
+
+    Row g of the C-contiguous (G, P) float64 `flat` is network g's vector,
+    laid out as `NetworkParams.flat`.  `weights[l]`, (G, p_{l+1}, p_l), and
+    `shifts[l]`, (G, 1, p_{l+1}), are views into it; the shifts' middle
+    axis broadcasts over a (G, b, p) batch.
+    """
+
+    architecture: Architecture
+    flat: np.ndarray
+
+    def __post_init__(self):
+        _set_layer_views(self)
+
+
+def _set_layer_views(params) -> None:
+    """Give `params` its `weights` and `shifts`: views of W_0..W_L and
+    v_1..v_L in its vector, or in each row of its (G, P) stack."""
+    arch, flat = params.architecture, params.flat
+    lead = flat.shape[:-1]
+    views, start = [], 0
+    for shape in arch.param_shapes():
+        end = start + math.prod(shape)
+        if lead and len(shape) == 1:
+            shape = (1, *shape)
+        views.append(flat[..., start:end].reshape(*lead, *shape))
+        start = end
+    object.__setattr__(params, "weights", views[: arch.depth + 1])
+    object.__setattr__(params, "shifts", views[arch.depth + 1 :])
+
+
+def initial_params(
+    arch: Architecture, rng: np.random.Generator, flat: np.ndarray | None = None
+) -> NetworkParams:
+    """Symmetric uniform init scaled by 1/sqrt(fan-in); shifts start at zero.
+
+    Given `flat`, a zeroed contiguous vector of `param_count` values (a row
+    of a `ParamStack`, say), the network is drawn into it."""
+    params = NetworkParams(arch, np.zeros(arch.param_count) if flat is None else flat)
     for w in params.weights:
         bound = 1.0 / np.sqrt(w.shape[1])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
@@ -132,8 +169,10 @@ def _as_batch(x: np.ndarray, input_dim: int) -> np.ndarray:
     return x
 
 
-def _hidden_layers(params: NetworkParams, x: np.ndarray, masks=None):
-    """Yield the activation of each hidden layer of a batch, first to last.
+def _hidden_layers(params: NetworkParams | ParamStack, x: np.ndarray, masks=None):
+    """Yield the activation of each hidden layer of a batch, first to last:
+    of one network (`NetworkParams`, x of shape (b, J)) or of a stack
+    (`ParamStack`, x of shape (G, b, J)).
 
     Each layer is computed in place in a fresh array: relu(a W^T - v), times
     `masks[l]` when masks are given.  The masks are per-hidden-layer
@@ -142,7 +181,8 @@ def _hidden_layers(params: NetworkParams, x: np.ndarray, masks=None):
     """
     a = x
     for l, (w, v) in enumerate(zip(params.weights, params.shifts)):
-        a = a @ w.T
+        # the transpose of each network's matrix (`.mT` would need numpy 2)
+        a = a @ w.swapaxes(-1, -2)
         a -= v
         np.maximum(a, 0.0, out=a)
         if masks is not None:
@@ -198,24 +238,28 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
     return y
 
 
-def loss_and_gradient(params: NetworkParams, x, y, masks=None, grad: NetworkParams | None = None) -> float:
+def loss_and_gradient(params: NetworkParams | ParamStack, x, y, masks=None, grad=None):
     """Mean floored cross-entropy -log max(p_true, PROB_FLOOR) of a batch
     (x, one-hot y) under dropout `masks`; non-finite once training diverges.
 
-    Given `grad` (a NetworkParams of the same architecture), also writes
-    the mean gradient into its views, and so into `grad.flat`.
+    `params` is one network (`NetworkParams`, x (b, J), y (b, K)), whose
+    loss is a float, or a `ParamStack` of G networks (x (G, b, J), y
+    (G, b, K)), whose losses are a (G,) array.  Given `grad` (of the same
+    kind and architecture), also writes the mean gradient into its views,
+    and so into `grad.flat`.
     """
     # divergence surfaces as a non-finite loss; silence its overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
         activations = [x, *_hidden_layers(params, x, masks)]
-        probs = softmax(activations[-1] @ params.weights[-1].T)
-        loss = float(-np.log(np.maximum((probs * y).sum(axis=1), PROB_FLOOR)).mean())
+        probs = softmax(activations[-1] @ params.weights[-1].swapaxes(-1, -2))
+        n = probs.shape[-2]
+        # the mean's own sum and division, without its Python wrapper
+        loss = np.add.reduce(-np.log(np.maximum((probs * y).sum(axis=-1), PROB_FLOOR)), axis=-1) / n
     if grad is None:
         return loss
     grad_w, grad_v = grad.weights, grad.shifts
-    n = probs.shape[0]
     delta = (probs - y) / n
-    np.matmul(delta.T, activations[-1], out=grad_w[-1])
+    np.matmul(delta.swapaxes(-1, -2), activations[-1], out=grad_w[-1])
     upstream = delta @ params.weights[-1]
     for l in range(len(params.shifts) - 1, -1, -1):
         if masks is not None:
@@ -223,9 +267,10 @@ def loss_and_gradient(params: NetworkParams, x, y, masks=None, grad: NetworkPara
         # with a nonzero mask, relu(h) * mask > 0 exactly when h > 0; where
         # the mask is 0, upstream is already 0 (or NaN) either way
         upstream *= activations[l + 1] > 0.0
-        np.sum(upstream, axis=0, out=grad_v[l])
+        # a stack's (G, 1, p) shift views keep the summed batch axis
+        np.add.reduce(upstream, axis=-2, keepdims=upstream.ndim > 2, out=grad_v[l])
         np.negative(grad_v[l], out=grad_v[l])
-        np.matmul(upstream.T, activations[l], out=grad_w[l])
+        np.matmul(upstream.swapaxes(-1, -2), activations[l], out=grad_w[l])
         if l > 0:
             upstream = upstream @ params.weights[l]
     return loss

@@ -30,16 +30,23 @@ one per grid cell, one for the final retrain.  `train` draws from the
 Generator its caller passes.  Results are therefore bit-reproducible and
 independent of any execution schedule.
 
-One training step works on flat vectors.  The parameters are one
-`NetworkParams`, whose weights and shifts are views into one contiguous
-float64 vector.  `network.loss_and_gradient` keeps every activation of
-the hidden-layer loop that inference also runs, and writes the gradient
-into a second `NetworkParams` of the same layout; Adam then updates the
-parameter vector with a fixed sequence of in-place ufuncs, run over one
-cache-sized slice of the vector at a time.  The dropout masks of a step come from one
-uniform draw, sliced layer by layer.  Each elementwise operation is the
-one the per-array formulas perform, in the same order, so the result
-depends neither on the layout nor on where the slices fall.
+One training step works on one (G, P) buffer for G networks of P
+parameters.  `select` trains the cells that differ only in dropout, which
+are consecutive in `HyperGrid.cells()`, as one group in lockstep, of at
+most GROUP_FLOATS values; `train` is the group of one.  The parameters are
+a `ParamStack`: row g of one contiguous float64 (G, P) array is network
+g's `NetworkParams` vector, and its per-layer views carry a leading G axis.
+`network.loss_and_gradient` runs the hidden-layer loop that inference also
+runs, as stacked matmuls on (G, b, .) batches, keeps every activation, and
+writes the gradient into a second `ParamStack`; Adam then updates all G P
+values with a fixed sequence of in-place ufuncs, run over one cache-sized
+slice at a time.  Network g draws from its own Generator, in the order a
+lone fit does; the dropout masks of its step come from one uniform draw,
+sliced layer by layer.  Each elementwise operation is the one the
+per-array formulas perform, in the same order, and each (b, .) slice of a
+stacked matmul has the bits of the same product for one network, so every
+network gets the bits it gets alone, whatever the group, the layout or
+where the slices fall.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from .errors import DomainError, NumericError, as_count, as_list, as_rate, as_re
 from .network import (
     Architecture,
     NetworkParams,
+    ParamStack,
     classify,
     initial_params,
     loss_and_gradient,
@@ -73,6 +81,11 @@ ADAM_EPS = 1e-8
 # cache across the update's ufunc sequence instead of streaming the whole
 # vector from memory once per ufunc
 ADAM_SLICE = 16384
+# parameter values (G * P) of the largest group `select` trains in
+# lockstep (2 MiB per buffer): grouping saves per-step overhead, which a
+# network this large no longer has, and multiplies a worker's training
+# state by G; a cell of more parameters trains alone
+GROUP_FLOATS = 2**18
 
 
 @dataclass(frozen=True)
@@ -114,7 +127,23 @@ def train(
     minibatch order and the dropout masks.  Raises NumericError with the
     epoch and batch index if the loss becomes non-finite.
     """
-    dropout = as_rate(dropout, "dropout")
+    return _train_group(scores, labels, arch, cfg, (dropout,), (rng,))[0]
+
+
+def _train_group(scores, labels, arch: Architecture, cfg: TrainConfig, dropouts, rngs) -> list:
+    """`[train(scores, labels, arch, cfg, dropout=s, rng=r) for s, r in
+    zip(dropouts, rngs)]`, the G networks trained in lockstep, each with
+    the bits it gets alone.
+
+    Network g draws from `rngs[g]` what `train` draws, in the same order:
+    its initialization, each epoch's permutation and, when `dropouts[g]` is
+    not 0, each step's masks; a network without dropout takes factors of
+    exactly 1.0.  A network whose loss becomes non-finite keeps its NaNs in
+    its own row while the others go on stepping (the group stops once every
+    network has); then the NumericError of the first such network, with its
+    own epoch and batch, is raised.
+    """
+    dropouts = [as_rate(s, "dropout") for s in dropouts]
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.ndim != 2 or scores.shape[0] != labels.shape[0]:
@@ -132,35 +161,62 @@ def train(
 
     x = np.ascontiguousarray(scores[:, : arch.input_dim])
 
-    params = initial_params(arch, rng)
-    grad = NetworkParams(arch, np.zeros(arch.param_count))
-    state = _OptState(arch.param_count, cfg.learning_rate)
-    keep = 1.0 - dropout
+    networks = len(rngs)
+    params = ParamStack(arch, np.zeros((networks, arch.param_count)))
+    for row, rng in zip(params.flat, rngs):
+        initial_params(arch, rng, row)
+    grad = ParamStack(arch, np.zeros_like(params.flat))
+    # one update over all G * P values: every operation is elementwise
+    flat_params, flat_grad = params.flat.reshape(-1), grad.flat.reshape(-1)
+    state = _OptState(flat_params.size, cfg.learning_rate)
     mask_cols = list(itertools.accumulate(arch.hidden_widths, initial=0))
+    dropping = [g for g, s in enumerate(dropouts) if s > 0.0]
+    factors = np.ones((networks, cfg.batch_size * mask_cols[-1])) if dropping else None
+    perms = np.empty((networks, n), dtype=np.intp)
+    failed = [None] * networks
 
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            xb, yb = x[idx], y[idx]
+    # a diverged network's row keeps computing, on NaNs, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch, batch, idx in _minibatches(perms, rngs, cfg):
             masks = None
-            if dropout > 0.0:
-                b = xb.shape[0]
-                # one draw per step; layer l takes the next b * p_l values,
-                # exactly the numbers a per-layer draw would give it
-                factors = (rng.random(b * mask_cols[-1]) < keep) / keep
+            if dropping:
+                b = idx.shape[1]
+                draw = b * mask_cols[-1]
+                for g in dropping:
+                    keep = 1.0 - dropouts[g]
+                    # one draw per step; layer l takes the next b * p_l values,
+                    # exactly the numbers a per-layer draw would give it
+                    np.divide(rngs[g].random(draw) < keep, keep, out=factors[g, :draw])
                 masks = [
-                    factors[b * lo : b * hi].reshape(b, hi - lo)
+                    factors[:, b * lo : b * hi].reshape(networks, b, hi - lo)
                     for lo, hi in zip(mask_cols, mask_cols[1:])
                 ]
-            loss = loss_and_gradient(params, xb, yb, masks, grad)
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"training loss became non-finite at epoch {epoch + 1}, "
-                    f"batch {start // cfg.batch_size + 1}"
-                )
-            state.step(params.flat, grad.flat)
-    return params
+            losses = loss_and_gradient(params, x[idx], y[idx], masks, grad)
+            finite = np.isfinite(losses)
+            if not finite.all():
+                for g in np.flatnonzero(~finite):
+                    failed[g] = failed[g] or NumericError(
+                        f"training loss became non-finite at epoch {epoch + 1}, batch {batch + 1}"
+                    )
+                if all(failed):
+                    break
+            state.step(flat_params, flat_grad)
+    for error in failed:
+        if error is not None:
+            raise error
+    return [NetworkParams(arch, row) for row in params.flat]
+
+
+def _minibatches(perms: np.ndarray, rngs, cfg: TrainConfig):
+    """Yield (epoch, batch, indices) of every step: the indices are (G, b),
+    row g the next minibatch of network g.  Each epoch first draws every
+    network's permutation of the n rows into `perms` (G, n)."""
+    n = perms.shape[1]
+    for epoch in range(cfg.epochs):
+        for row, rng in zip(perms, rngs):
+            row[:] = rng.permutation(n)
+        for batch, start in enumerate(range(0, n, cfg.batch_size)):
+            yield epoch, batch, perms[:, start : start + cfg.batch_size]
 
 
 class _OptState:
@@ -327,14 +383,17 @@ def _param_count(j: int, depth: int, width: int, k: int) -> int:
     return width * (j + (depth - 1) * width + depth + k)
 
 
-def _fit(raw, labels, cell, k: int, cfg: TrainConfig, stream, *, overwrite=False) -> NetworkParams:
-    """Train `cell` = (J, L, width, dropout) on raw score rows (n, >= J),
-    standardized, then fold the standardization into the first layer in
-    place: relu(W0 (x - mu) / sd - V1) = relu(W0' x - V1') with W0' = W0 / sd
-    and V1' = V1 + W0' mu, so the network consumes raw scores.  `overwrite`
-    (the final fit) standardizes raw in place; fold fits, sharing their
-    rows, copy theirs.  Raises NumericError when a mean or spread is not finite."""
-    j_c, l_c, w_c, s_c = cell
+def _fit(raw, labels, cells, k: int, cfg: TrainConfig, streams, *, overwrite=False) -> list:
+    """Train `cells`, (J, L, width, dropout) tuples that differ only in
+    dropout, as one group on raw score rows (n, >= J), standardized, cell i
+    drawing from `streams[i]`; then fold the standardization into each
+    network's first layer in place: relu(W0 (x - mu) / sd - V1) =
+    relu(W0' x - V1') with W0' = W0 / sd and V1' = V1 + W0' mu, so the
+    networks consume raw scores.  `overwrite` (the final fit) standardizes
+    raw in place, after moving its first J columns to the front of its
+    buffer; fold fits, sharing their rows, copy theirs.  Raises
+    NumericError when a mean or spread is not finite."""
+    j_c, l_c, w_c, _ = cells[0]
     arch = Architecture(input_dim=j_c, hidden_widths=(w_c,) * l_c, n_classes=k)
     # reduce over every column, then cut to J: numpy sums a lone column
     # pairwise but the columns of a wider matrix row by row, so the bits
@@ -344,12 +403,47 @@ def _fit(raw, labels, cell, k: int, cfg: TrainConfig, stream, *, overwrite=False
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sd))):
         raise NumericError("the mean or spread of a score overflows; the sample values are too large")
     sd[sd == 0.0] = 1.0  # constant coordinates are passed through unscaled
-    x = np.subtract(raw[:, :j_c], mu, out=raw[:, :j_c] if overwrite else None)
+    if overwrite:
+        x = _front_columns(raw, j_c)
+        x -= mu
+    else:
+        x = raw[:, :j_c] - mu
     x /= sd
-    params = train(x, labels, arch, cfg, dropout=s_c, rng=np.random.default_rng(stream))
-    params.weights[0] /= sd
-    params.shifts[0] += params.weights[0] @ mu
-    return params
+    nets = _train_group(x, labels, arch, cfg, [cell[3] for cell in cells],
+                        [np.random.default_rng(stream) for stream in streams])
+    for params in nets:
+        params.weights[0] /= sd
+        params.shifts[0] += params.weights[0] @ mu
+    return nets
+
+
+def _front_columns(raw: np.ndarray, j: int) -> np.ndarray:
+    """The first j columns of the C-contiguous (n, >= j) `raw` as one
+    contiguous (n, j) array at the front of its buffer, moved there in
+    place.  Row i moves from offset i * width to i * j, never later, so
+    copying blocks of rows in order overwrites only rows already moved.
+    numpy copies a block whose source and destination overlap through a
+    buffer, so a block holds at most ADAM_SLICE values (or one row)."""
+    n, width = raw.shape
+    if width == j:
+        return raw
+    front = raw.reshape(-1)[: n * j].reshape(n, j)
+    rows = max(ADAM_SLICE // j, 1)
+    for lo in range(0, n, rows):
+        front[lo : lo + rows] = raw[lo : lo + rows, :j]
+    return front
+
+
+def _groups(cells, k: int) -> list:
+    """The index lists of the groups `select` trains in lockstep: each run
+    of consecutive cells that differ only in dropout, cut into groups of at
+    most GROUP_FLOATS parameter values (one cell at the least)."""
+    groups = []
+    for shape, run in itertools.groupby(range(len(cells)), key=lambda ci: cells[ci][:3]):
+        run = list(run)
+        size = max(GROUP_FLOATS // _param_count(*shape, k), 1)
+        groups += [run[lo : lo + size] for lo in range(0, len(run), size)]
+    return groups
 
 
 def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
@@ -367,15 +461,20 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     stream are those of a larger grid.
     `seed` (a non-negative int or a SeedSequence) drives every stream.
 
-    The fold fits run through `parallel.ordered_map` at its default
-    worker count.  The networks come back in grid order and are validated
-    here once every fit is done, so `select` holds every fold network
-    until then: n_cells * P * 8 bytes for P parameters per network
-    (0.6 MB for the README's 16-cell grid on 3 classes, 20 MB per cell at
-    J=500, L=3, width 1000 on 10 classes).  The first failing cell in grid
-    order raises its error.  The winner's final fit runs here.  A grid
-    with more cells, or whose largest cell has more parameters, than one
-    numpy array can hold is refused before any projection, pool or fit.
+    The fold fits run as groups through `parallel.ordered_map` at its
+    default worker count: each run of cells that differ only in dropout,
+    cut into groups of at most GROUP_FLOATS parameter values, is one task,
+    and the pool starts the largest groups (G * P values) first.  A worker
+    holds one group's training state, parameters, gradient and two Adam
+    moments: 4 G P floats, at most 8 MiB unless one cell trains alone.  The networks come back in grid
+    order and are validated here once every fit is done, so `select` holds
+    every fold network until then: n_cells * P * 8 bytes for P parameters
+    per network (0.6 MB for the README's 16-cell grid on 3 classes, 20 MB
+    per cell at J=500, L=3, width 1000 on 10 classes).  The first failing
+    cell in grid order raises its error.  The winner's final fit runs
+    here.  A grid with more cells, or whose largest cell has more
+    parameters, than one numpy array can hold is refused before any
+    projection, pool or fit.
     """
     if len(dataset) == 0:
         raise DomainError("selection data has no samples")
@@ -405,17 +504,22 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     errors = np.full(shape, np.nan)
     if grid.n_cells > 1:  # one candidate is the argmin without validation
         cells = list(grid.cells())
-        tasks = [(cell, k, cfg, streams[1 + ci]) for ci, cell in enumerate(cells)]
-        nets = ordered_map(_fit, tasks, shared=(raw_scores[train_idx], labels[train_idx]))
+        tasks = [([cells[ci] for ci in group], k, cfg, [streams[1 + ci] for ci in group])
+                 for group in _groups(cells, k)]
+        # every fold fit takes the same number of steps, so a group's cost
+        # is its parameter count
+        fits = ordered_map(_fit, tasks, shared=(raw_scores[train_idx], labels[train_idx]),
+                           cost=lambda task: len(task[0]) * _param_count(*task[0][0][:3], k))
+        nets = [net for group in fits for net in group]
         # validated here, once every fit is done: a validation pass is large
         # enough to wake BLAS helper threads, which would take a core from
         # a fit still running
         for ci, (cell, net) in enumerate(zip(cells, nets)):
             errors.flat[ci] = np.mean(classify(net, raw_scores[val_idx, : cell[0]]) != labels[val_idx])
-        del nets, net  # the fold networks are not kept alive through the final fit
+        del fits, nets, net  # the fold networks are not kept alive through the final fit
 
     chosen = min(zip(errors.flat, grid.cells()))[1]
-    final = _fit(raw_scores, labels, chosen, k, cfg, streams[-1], overwrite=True)
+    [final] = _fit(raw_scores, labels, [chosen], k, cfg, [streams[-1]], overwrite=True)
     return SelectionResult(
         chosen=Chosen(*chosen),
         validation_errors=errors,

@@ -909,7 +909,7 @@ class TestMnistCommand:
         assert printed == f"test accuracy: {1.0 - err:.4f} on {len(test)} samples"
 
     def test_final_fit_holds_one_score_matrix(self, tmp_path, monkeypatch):
-        # when the one cell's fit enters train, the live arrays are the
+        # when the one cell's fit enters training, the live arrays are the
         # (n, J) scores, standardized in place, and the file's bytes: no
         # second score matrix and no float64 copy of the pixels
         from fdnet import training
@@ -929,7 +929,7 @@ class TestMnistCommand:
             seen.append((tracemalloc.get_traced_memory()[0], scores.shape))
             raise Entered
 
-        monkeypatch.setattr(training, "train", entry)
+        monkeypatch.setattr(training, "_train_group", entry)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]

@@ -1,5 +1,6 @@
 import sys
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -387,8 +388,10 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, item):
+            future = Future()
+            future.set_result(fn(item))
+            return future
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(parallel, "_task", None)  # SerialPool sets it in this process

@@ -18,7 +18,7 @@ from fdnet import (
     initial_params,
     truncated_kl_risk,
 )
-from fdnet.network import PROB_FLOOR, _logits, loss_and_gradient, one_hot, softmax
+from fdnet.network import PROB_FLOOR, ParamStack, _logits, loss_and_gradient, one_hot, softmax
 
 
 def random_params(arch, seed):
@@ -251,6 +251,22 @@ class TestBackward:
         np.testing.assert_array_equal(grads.shifts[0][2], 0.0)
         np.testing.assert_array_equal(grads.weights[0][2], np.zeros(4))
         assert not np.any(grads.flat == np.pi)  # every entry was written
+
+    def test_stack_rows_are_each_networks(self):
+        # stacked matmuls and reductions give each network its own bits
+        arch = Architecture(4, (6, 5), 3)
+        nets = [random_params(arch, seed=s) for s in (20, 21)]
+        stack = ParamStack(arch, np.stack([net.flat for net in nets]))
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((2, 9, 4))
+        y = np.stack([one_hot(rng.integers(1, 4, size=9), 3) for _ in nets])
+        masks = [(rng.random((2, 9, p)) < 0.8) / 0.8 for p in arch.hidden_widths]
+        grad = ParamStack(arch, np.zeros_like(stack.flat))
+        losses = loss_and_gradient(stack, x, y, masks, grad)
+        for g, net in enumerate(nets):
+            one = NetworkParams(arch, np.zeros(arch.param_count))
+            assert losses[g] == loss_and_gradient(net, x[g], y[g], [m[g] for m in masks], one)
+            assert np.array_equal(grad.flat[g], one.flat)
 
     def test_nonfinite_gradient_raises(self):
         # finite parameters and input, but an infinite hidden activation

@@ -25,6 +25,12 @@ def die(x):
     os._exit(1)
 
 
+def started_at(x):
+    start = time.monotonic()
+    time.sleep(0.3)
+    return start
+
+
 def fail_later_items_first(x):
     if x == 1:
         time.sleep(0.5)
@@ -55,6 +61,16 @@ class TestOrderedMap:
         # item 1 fails late on one worker, items 2 and 3 at once on the other
         with pytest.raises(DomainError, match="item 1 failed"):
             ordered_map(fail_later_items_first, [(x,) for x in range(4)], 2)
+
+    def test_cost_orders_dispatch_not_results(self):
+        items = [(x,) for x in range(4)]
+        for workers in (1, 2):
+            # the last item costs most, so a pool starts it first
+            assert ordered_map(scaled, items, workers, shared=(3,), cost=lambda item: item[0]) == [0, 3, 6, 9]
+            with pytest.raises(DomainError, match="item 1 failed"):
+                ordered_map(fail_later_items_first, items, workers, cost=lambda item: item[0])
+        starts = ordered_map(started_at, items, 2, cost=lambda item: item[0])
+        assert max(starts[2:]) < min(starts[:2])  # items 3 and 2 ran first, one per worker
 
     def test_dead_worker_is_an_fdnet_error(self):
         with pytest.raises(FdnetError, match="ended abruptly") as info:

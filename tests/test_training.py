@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from fdnet.basis import design_matrix
 from fdnet.dataio import save_model
 from fdnet.network import loss_and_gradient, one_hot
 from fdnet.rng import as_seed_sequence
-from fdnet.training import ADAM_SLICE, Classifier, _fit, _param_count
+from fdnet.training import ADAM_SLICE, GROUP_FLOATS, Classifier, _fit, _param_count, _train_group
 
 
 def params_equal(a, b):
@@ -80,6 +81,28 @@ class TestTrain:
         cfg = TrainConfig(epochs=5, batch_size=10, learning_rate=1e200)
         with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
             train(scores, labels, Architecture(2, (8, 8), 2), cfg, rng=np.random.default_rng(7))
+
+    def test_first_diverged_network_in_group_order(self, monkeypatch):
+        # 51 rows in batches of 8: 7 steps an epoch.  The third network
+        # diverges first (epoch 1, batch 3), the second later (epoch 2,
+        # batch 2): the group keeps stepping, and the second's error, the
+        # one a serial run raises first, is the one raised
+        steps, poison = [], {3: 2, 9: 1}  # step: network
+
+        def poisoned(params, x, y, masks, grad):
+            losses = loss_and_gradient(params, x, y, masks, grad)
+            steps.append(len(losses))
+            if len(steps) in poison:
+                losses[poison[len(steps)]] = np.nan
+            return losses
+
+        monkeypatch.setattr("fdnet.training.loss_and_gradient", poisoned)
+        scores, labels = blob_scores(np.random.default_rng(46), 17, [(0, 0), (3, 3), (-3, 3)])
+        cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-2)
+        rngs = [np.random.default_rng(s) for s in (47, 48, 49)]
+        with pytest.raises(NumericError, match="at epoch 2, batch 2$"):
+            _train_group(scores, labels, Architecture(2, (5,), 3), cfg, (0.0, 0.1, 0.2), rngs)
+        assert steps == [3] * 21  # every step ran, for all three networks
 
     def test_missing_class_rejected(self):
         rng = np.random.default_rng(8)
@@ -233,6 +256,23 @@ class TestFlatBufferExactness:
         moved = np.concatenate([a.ravel() for a in (*weights, *shifts)]) != init.flat
         assert moved[[ADAM_SLICE - 1, ADAM_SLICE, -1]].all()
 
+    @pytest.mark.parametrize("depth, width, inputs", [(2, 7, 3), (3, 64, 10)],
+                             ids=["small", "group-beyond-a-slice"])
+    def test_group_matches_each_network_alone(self, depth, width, inputs):
+        # 51 samples in batches of 8: a short last batch; the dropout-0
+        # network takes factors of 1.0 beside the others' masks
+        arch = Architecture(inputs, (width,) * depth, 3)
+        if width == 64:  # c4's largest cell: 3 * 9216 values span two Adam slices
+            assert arch.param_count < ADAM_SLICE < 3 * arch.param_count
+        rng = np.random.default_rng(28)
+        scores, labels = blob_scores(rng, 17, 3 * rng.standard_normal((3, inputs)), spread=1.5)
+        cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=1e-2)
+        dropouts, seeds = (0.0, 0.1, 0.2), (29, 30, 31)
+        group = _train_group(scores, labels, arch, cfg, dropouts, [np.random.default_rng(s) for s in seeds])
+        for net, dropout, seed in zip(group, dropouts, seeds):
+            alone = train(scores, labels, arch, cfg, dropout=dropout, rng=np.random.default_rng(seed))
+            assert params_equal(net, alone)
+
 
 class TestSplit:
     def test_exact_floor_sizes(self):
@@ -311,9 +351,9 @@ class TestSelect:
 
         def counting_train(scores, *args, **kwargs):
             calls.append(len(scores))
-            return train(scores, *args, **kwargs)
+            return _train_group(scores, *args, **kwargs)
 
-        monkeypatch.setattr("fdnet.training.train", counting_train)
+        monkeypatch.setattr("fdnet.training._train_group", counting_train)
         ds = toy_functional_dataset(np.random.default_rng(12), 20, [(0, 0), (8, 8)])
         cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=1e-2)
         one = HyperGrid(n_scores=(2,), depths=(1,), widths=(8,), dropouts=(0.0,))
@@ -346,20 +386,38 @@ class TestSelect:
 
     def test_first_failure_in_grid_order(self, monkeypatch):
         # the first cell fails late on one worker, the second fails at once
-        # on the other; the first cell's error is the one raised
+        # on the other; the first cell's error is the one raised, though the
+        # pool starts the larger second cell first
         def failing_train(scores, labels, arch, *args, **kwargs):
             if arch.hidden_widths[0] == 4:
                 time.sleep(0.5)
                 raise DomainError("the first cell failed")
             raise NumericError("the second cell failed")
 
-        monkeypatch.setattr("fdnet.training.train", failing_train)
+        monkeypatch.setattr("fdnet.training._train_group", failing_train)
         ds = toy_functional_dataset(np.random.default_rng(32), 10, [(0, 0), (8, 8)])
         grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(4, 8), dropouts=(0.0,))
         for cpus in (1, 2):
             monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
             with pytest.raises(DomainError, match="the first cell failed"):
                 select(ds, TrainConfig(epochs=1, batch_size=4), grid, 0)
+
+    def test_cells_above_the_group_size_train_alone(self, monkeypatch):
+        groups = []
+
+        def recording(scores, labels, arch, cfg, dropouts, rngs):
+            groups.append((arch.param_count, len(rngs)))
+            return _train_group(scores, labels, arch, cfg, dropouts, rngs)
+
+        monkeypatch.setattr("fdnet.training._train_group", recording)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # every group recorded here
+        wide = GROUP_FLOATS // 8
+        small, large = _param_count(2, 1, 4, 2), _param_count(2, 1, wide, 2)
+        assert 2 * small <= GROUP_FLOATS and large <= GROUP_FLOATS < 2 * large
+        ds = toy_functional_dataset(np.random.default_rng(33), 20, [(0, 0), (8, 8)])
+        grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(4, wide), dropouts=(0.0, 0.1))
+        select(ds, TrainConfig(epochs=1, batch_size=8), grid, 34)
+        assert groups[:3] == [(small, 2), (large, 1), (large, 1)]  # then the final fit
 
     def test_one_cell_bits_are_those_of_the_last_stream(self):
         # the fold is skipped, but the final fit keeps the stream a larger
@@ -372,7 +430,7 @@ class TestSelect:
         cfg = TrainConfig(epochs=5, batch_size=8, learning_rate=1e-2)
         result = select(ds, cfg, grid, 25)
         raw = project_batch(ds.values, ds.grid, 2)  # one block: the rows select projects
-        final = _fit(raw, ds.labels, cell, 3, cfg, as_seed_sequence(25).spawn(3)[-1])
+        [final] = _fit(raw, ds.labels, [cell], 3, cfg, [as_seed_sequence(25).spawn(3)[-1]])
         assert np.array_equal(result.classifier.params.flat, final.flat)
 
     def test_batch_larger_than_the_fold(self):
@@ -512,7 +570,7 @@ class TestOneFit:
         raw = scores * np.array([300.0, 1.0, 0.01]) + np.array([-50.0, 7.0, 0.0])
         cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=1e-2)
         stream = np.random.SeedSequence(41)
-        got = _fit(raw, labels, (1, 2, 5, 0.1), 3, cfg, stream)
+        [got] = _fit(raw, labels, [(1, 2, 5, 0.1)], 3, cfg, [stream])
 
         mu, sd = raw.mean(axis=0), raw.std(axis=0)
         ref = train((raw - mu) / sd, labels, Architecture(1, (5, 5), 3), cfg, dropout=0.1,
@@ -532,19 +590,48 @@ class TestOneFit:
         raw = project_batch(ds.values, ds.grid, 3)  # one block: the rows select projects
         train_idx, val_idx = split_70_30(ds.labels, streams[0])
         errors = [
-            np.mean(classify(_fit(raw[train_idx], ds.labels[train_idx], cell, 2, cfg, stream),
+            np.mean(classify(_fit(raw[train_idx], ds.labels[train_idx], [cell], 2, cfg, [stream])[0],
                              raw[val_idx, : cell[0]]) != ds.labels[val_idx])
             for cell, stream in zip(grid.cells(), streams[1:])
         ]
         assert np.array_equal(result.validation_errors.ravel(), errors)
-        final = _fit(raw, ds.labels, result.chosen.as_tuple(), 2, cfg, streams[-1])
+        [final] = _fit(raw, ds.labels, [result.chosen.as_tuple()], 2, cfg, [streams[-1]])
         assert params_equal(result.classifier.params, final)
+
+    def test_final_fit_standardizes_wider_rows_in_place(self, monkeypatch):
+        # the final fit moves the first J columns of its rows to the front
+        # of their buffer, so training takes them as they are: no second
+        # (n, J) array, and the bits of a fit that copies its rows
+        n, width, j = 4000, 32, 16
+        rng = np.random.default_rng(48)
+        raw, labels = blob_scores(rng, n // 2, rng.standard_normal((2, width)))
+        cfg = TrainConfig(epochs=1, batch_size=500)
+        [copied] = _fit(raw, labels, [(j, 1, 4, 0.0)], 2, cfg, [49])
+        seen = []
+
+        def entry(x, *args):
+            seen.append((x.flags.c_contiguous, np.shares_memory(x, raw), tracemalloc.get_traced_memory()[0]))
+            tracemalloc.reset_peak()
+            nets = _train_group(x, *args)
+            seen.append(tracemalloc.get_traced_memory()[1])
+            return nets
+
+        monkeypatch.setattr("fdnet.training._train_group", entry)
+        tracemalloc.start()
+        try:
+            [final] = _fit(raw, labels, [(j, 1, 4, 0.0)], 2, cfg, [49], overwrite=True)
+        finally:
+            tracemalloc.stop()
+        [(contiguous, shared, live), peak] = seen
+        assert contiguous and shared
+        assert peak - live < n * j * 8 // 2, f"{peak - live} bytes above the rows while training"
+        assert params_equal(final, copied)
 
     def test_overflowing_spread_is_a_numeric_error(self):
         scores, labels = blob_scores(np.random.default_rng(44), 10, [(0, 0), (3, 3)])
         scores[0, 1] = 1e300  # its square overflows
         with pytest.raises(NumericError, match="overflows"):
-            _fit(scores, labels, (2, 1, 4, 0.0), 2, TrainConfig(epochs=1, batch_size=4), 0)
+            _fit(scores, labels, [(2, 1, 4, 0.0)], 2, TrainConfig(epochs=1, batch_size=4), [0])
 
 
 class TestHyperGrid:
