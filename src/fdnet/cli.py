@@ -86,8 +86,8 @@ def _run_selection(dataset, grid_path: str, cfg: TrainConfig, seed: int, out: st
 
 
 def _cmd_train(args) -> int:
-    # train, predict and eval read the file a row block at a time; nothing
-    # is written until every block has been read and checked
+    # every command that reads a dataset file reads it through DatasetReader, a
+    # row block at a time; nothing is written until every block has been checked
     with dataio.DatasetReader(args.data) as data:
         _run_selection(data, args.grid, _train_config(args), args.seed, args.out)
     return 0
@@ -163,9 +163,11 @@ def _cmd_mnist(args) -> int:
 
 
 def _cmd_export_csv(args) -> int:
-    dataset = dataio.load_dataset(args.data)
-    dataio.dataset_to_csv(dataset, args.out)
-    print(f"wrote {len(dataset)} rows to {args.out}")
+    if os.path.exists(args.out) and os.path.samefile(args.data, args.out):  # opening it truncates the data
+        raise DomainError(f"--out {args.out} is the --data file, which the export reads as it writes")
+    with dataio.DatasetReader(args.data) as data:
+        dataio.dataset_to_csv(data, args.out)
+    print(f"wrote {len(data)} rows to {args.out}")
     return 0
 
 

@@ -10,18 +10,17 @@ conversion of each.  Files of versions 1 (per-layer arrays) and 2 (the
 vector as a list of JSON numbers) are refused.
 
 Dataset files are binary (3-D datasets reach 10^5+ values per file and CSV
-parsing would dominate runtime); `dataset_to_csv` provides a readable dump
-when needed.  `DatasetReader` is the one parser: it checks the header once
-and then reads and checks the payload a row block at a time, so `fdnet
-train`, `predict` and `eval` hold one block rather than the file;
-`load_dataset` fills one (n, m) array from its blocks.  The CSV writers
-format rows by blocks of BLOCK_ROWS on the process pool of
-`parallel.ordered_map`, in rounds: a round is a run of whole blocks of at
-most `_ROUND_VALUES` floats (at least one block), and its texts are
-written in order before the next round starts, so the writer holds one
-round's text rather than the file's.  All writers are deterministic:
-identical inputs produce byte-identical files, whatever the number of
-processes.
+parsing would dominate runtime); `dataset_to_csv` provides a readable dump.
+`DatasetReader` is the one parser: it checks the header once and then reads
+and checks the payload by the row blocks of `projection.row_blocks`, the one
+block rule, so every command that reads a dataset file holds one block, not
+the file; `load_dataset` fills one (n, m) array from its blocks.  The CSV
+writers take such blocks and format them on the process pool of
+`parallel.ordered_map` a round at a time (whole blocks of at most
+`_ROUND_VALUES` floats, or one block), writing each round's text before the
+next round is read: `fdnet export-csv` holds one round, not the file.  All
+writers are deterministic: identical inputs produce byte-identical files,
+whatever the number of processes.
 
 Dataset file layout (little-endian):
 
@@ -48,7 +47,7 @@ from .basis import Grid
 from .errors import DomainError, FormatError
 from .network import Architecture, NetworkParams
 from .parallel import ordered_map
-from .projection import BLOCK_ROWS, Dataset, row_blocks
+from .projection import Dataset, row_blocks
 from .training import Chosen, Classifier, HyperGrid
 
 DATASET_MAGIC = b"MFDN1"
@@ -59,8 +58,7 @@ MODEL_VERSION = 3
 # of 3, so that each chunk's 8 * _MODEL_CHUNK bytes encode to base64
 # without padding and the chunks join into the one-shot encoding
 _MODEL_CHUNK = 3 * 2**14
-# floats per round of the CSV writers: the texts of one round's blocks are
-# held at once, about 20 bytes a float
+# floats per round of the CSV writers, whose text (about 20 bytes a float) is held at once
 _ROUND_VALUES = 2**20
 
 BENCHMARK_COLUMNS = (
@@ -338,9 +336,7 @@ def _modal_chosen(chosen: list) -> Chosen:
     """Most frequent chosen tuple; ties fall to the lexicographically
     smallest."""
     tuples = [c.as_tuple() for c in chosen]
-    uniq = sorted(set(tuples))
-    best = max(uniq, key=lambda t: (tuples.count(t), tuple(-x for x in t)))
-    return Chosen(*best)
+    return Chosen(*max(sorted(set(tuples)), key=tuples.count))  # max keeps the first of equal counts
 
 
 def _benchmark_row(report, replicates, error, sd, se, choice: Chosen) -> str:
@@ -370,34 +366,33 @@ def write_benchmark_csv(report, path) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-def _format_rows(indices, column, rows, lo) -> bytes:
-    """The CSV lines of rows lo to lo + BLOCK_ROWS, as UTF-8: the index,
-    its entry of `column` and the floats of its row of `rows`.  repr of a
-    float is its shortest round-trip form."""
-    block = slice(lo, lo + BLOCK_ROWS)
-    floats = map(repr, rows[block].ravel().tolist())
+def _format_rows(blocks, i) -> bytes:
+    """UTF-8 CSV lines of the (index, column, rows) block `blocks[i]`; repr gives the shortest round trip."""
+    index, column, rows = blocks[i]
+    floats = map(repr, rows.ravel().tolist())
     # one iterator, k times: each row takes the next k floats
-    cells = zip(map(str, indices[block]), map(str, column[block].tolist()), *[floats] * rows.shape[1])
+    cells = zip(map(str, index), map(str, column.tolist()), *[floats] * rows.shape[1])
     # encoded a line at a time, so that no full-size str copy of the block is made
     return b"".join([(",".join(line) + "\n").encode() for line in cells])
 
 
-def _write_rows(path, names, indices, column, rows) -> None:
-    """CSV of the header `names`, then `_format_rows` of each block of the
-    `indices` sequence, the integer array `column` and the float array
-    `rows`, formatted on the pool a round at a time."""
-    n = len(indices)
-    step = BLOCK_ROWS * max(_ROUND_VALUES // (BLOCK_ROWS * rows.shape[1]), 1)
-    rounds = (
-        ordered_map(
-            _format_rows,
-            [(lo,) for lo in range(start, min(start + step, n), BLOCK_ROWS)],
-            shared=(indices, column, rows),
-        )
-        for start in range(0, n, step)
-    )
-    # the first round before the file is opened, so that a failure there
-    # (the only round of most prediction files) leaves no file
+def _rounds(blocks):
+    """Runs of whole `blocks` of at most `_ROUND_VALUES` floats, or of one block."""
+    round_ = []
+    for block in blocks:
+        if round_ and sum(rows.size for _, _, rows in round_) + block[2].size > _ROUND_VALUES:
+            yield round_
+            round_ = []
+        round_.append(block)
+    yield round_
+
+
+def _write_rows(path, names, blocks) -> None:
+    """CSV of the header `names`, then `_format_rows` of each (index, column, rows) block of
+    `blocks`, on the pool a round at a time: the workers inherit the round and take block numbers."""
+    # map, not a generator expression, which would hold a round while the next is read
+    rounds = map(lambda r: ordered_map(_format_rows, [(i,) for i in range(len(r))], shared=(r,)), _rounds(blocks))
+    # the first round before the file is opened: a failure there (most files' only round) leaves none
     texts = next(rounds, [])
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode())
@@ -424,13 +419,16 @@ def write_predictions_csv(indices, predictions, probabilities, path) -> None:
             "probability rows: expected one prediction and one row per index"
         )
     names = ["index", "predicted", *(f"p{j + 1}" for j in range(probabilities.shape[1]))]
-    _write_rows(path, names, indices, predictions, probabilities)
+    blocks = ((indices[lo:hi], predictions[lo:hi], probabilities[lo:hi]) for lo, hi in row_blocks(n))
+    _write_rows(path, names, blocks)
 
 
-def dataset_to_csv(dataset: Dataset, path) -> None:
-    """Readable dump: index, label, then the m sample values."""
+def dataset_to_csv(dataset, path) -> None:
+    """CSV of index, label and m values of a `Dataset` or `DatasetReader`, every block checked first."""
+    for _ in dataset.blocks():
+        pass
     names = ["index", "label", *(f"v{j}" for j in range(dataset.grid.m))]
-    _write_rows(path, names, range(len(dataset)), dataset.labels, dataset.values)
+    _write_rows(path, names, ((range(lo, hi), labels, values) for lo, hi, values, labels in dataset.blocks()))
 
 
 def metadata_for(chosen: Chosen, cfg, seed: int) -> dict:

@@ -124,9 +124,9 @@ class EvalReport:
 
 
 def predict(model: Classifier, data):
-    """(classes, probs) of a fitted classifier on every sample of `data`,
-    a `Dataset` or a `dataio.DatasetReader` of the model's dimension.  Data
-    of another dimension raises DomainError before any block is read."""
+    """(classes, probs) of a fitted classifier on every sample of `data`: a
+    `Dataset`, `dataio.DatasetReader` or `idx.IdxImages` of the model's
+    dimension (data of another raises DomainError before any block is read)."""
     d, j = len(model.grid_shape), model.params.architecture.input_dim
     if data.grid.d != d:
         raise DomainError(f"the model was trained on {d}-D data, but the data is {data.grid.d}-D")
@@ -140,8 +140,8 @@ def predict(model: Classifier, data):
 def evaluate(model: Classifier, data):
     """(error_rate, confusion, probs) of a fitted classifier on nonempty,
     fully labeled data of its dimension, with the network's number of
-    classes: a `Dataset` or a `dataio.DatasetReader`, whose unlabeled
-    samples are refused once every block has been read."""
+    classes: a `Dataset`, a `dataio.DatasetReader` or an `idx.IdxImages`,
+    whose unlabeled samples are refused once every block has been read."""
     n, k = len(data), model.params.architecture.n_classes
     if n == 0:
         raise DomainError("evaluation data has no samples")

@@ -677,6 +677,78 @@ class TestBlockedCommands:
         capsys.readouterr()
 
 
+class TestExportCsv:
+    """`fdnet export-csv` reads its file through `DatasetReader`, as `train`,
+    `predict` and `eval` do: it refuses to write over the file it reads, a
+    fault in a block after the first round leaves no CSV, and it never holds
+    the file's (n, m) values."""
+
+    N = 3 * BLOCK_ROWS + 1  # 100 values a row: rounds of blocks [0, 1] and [2]
+    HEADER, RECORD = 33, 1 + 8 * 100  # a 2-D file's header, one 10x10 sample
+
+    @pytest.mark.parametrize("hard_link", [False, True], ids=["same-path", "hard-link"])
+    def test_out_naming_the_data_file_exits_1(self, tmp_path, capsys, hard_link):
+        data = random_file(tmp_path / "data.mfd", 50)
+        before = data.read_bytes()
+        out = tmp_path / "link.mfd" if hard_link else data
+        if hard_link:
+            os.link(data, out)
+        capsys.readouterr()
+        assert main(["export-csv", "--data", str(data), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "is the --data file" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert data.read_bytes() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("fault", ["label", "value"])
+    def test_fault_after_the_first_round_leaves_no_csv(self, tmp_path, capsys, monkeypatch, fault, cpus):
+        monkeypatch.setattr("fdnet.parallel.usable_cpus", lambda: cpus)
+        assert 2 * BLOCK_ROWS * 100 <= dataio._ROUND_VALUES < 3 * BLOCK_ROWS * 100  # two blocks a round
+        path = random_file(tmp_path / "wide.mfd", self.N, grid_shape=(10, 10))
+        data = bytearray(path.read_bytes())
+        at = self.HEADER + (self.N - 2) * self.RECORD  # a row of the last block, the second round
+        if fault == "label":
+            data[at] = 200
+            message = f"error: label 200 exceeds class count 3 (at byte offset {at})"
+        else:
+            data[at + 1 : at + 9] = struct.pack("<d", float("nan"))
+            message = f"error: non-finite sample values (at byte offset {at + 1})"
+        path.write_bytes(bytes(data))
+        out = tmp_path / "dump.csv"
+        capsys.readouterr()
+        assert main(["export-csv", "--data", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_memory_is_a_round_not_the_file(self, tmp_path, capsys, monkeypatch):
+        """The traced peak of an export of a file of many rounds stays below
+        half of its n * m * 8 bytes of values, so no (n, m) float64 array is
+        held.  Blocks of 256 rows and rounds of two blocks scale down the
+        file that shows this: at the real sizes a round's values and text
+        take about 65 MB, so the file would have to exceed 130 MB.  One CPU,
+        so that every block is formatted, and counted, in this process;
+        tracemalloc counts numpy's allocations."""
+        monkeypatch.setattr("fdnet.projection.BLOCK_ROWS", 256)
+        monkeypatch.setattr(dataio, "_ROUND_VALUES", 2 * 256 * 27)
+        monkeypatch.setattr("fdnet.parallel.usable_cpus", lambda: 1)
+        n = 128 * 256  # 64 rounds
+        data = random_file(tmp_path / "cube.mfd", n, grid_shape=(3, 3, 3))
+        tracemalloc.start()
+        try:
+            code = main(["export-csv", "--data", str(data), "--out", str(tmp_path / "dump.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < n * 27 * 8 / 2, f"traced peak {peak} bytes for {n} x 27 values"
+        capsys.readouterr()
+
+
 class TestBenchmarkCommand:
     def test_csv_rows_and_determinism(self, tmp_path):
         args = lambda out, workers: [

@@ -556,42 +556,72 @@ class TestCsvWriters:
         write_predictions_csv(range(n), preds, probs, path)
         assert path.read_bytes() == row_by_row("predicted", "p", 1, preds, probs)
 
-    @pytest.mark.parametrize("n", [2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1, 4 * BLOCK_ROWS + 1])
-    def test_csv_bytes_across_round_boundaries(self, tmp_path, monkeypatch, n):
+    @pytest.mark.parametrize(
+        "n, rounds",
+        [
+            (2 * BLOCK_ROWS, [[0, 1]]),
+            (2 * BLOCK_ROWS + 1, [[0], [1]]),  # the last block's extra row takes the pair over the budget
+            (4 * BLOCK_ROWS + 1, [[0, 1], [2], [3]]),
+            (5 * BLOCK_ROWS, [[0, 1], [2, 3], [4]]),
+        ],
+    )
+    def test_csv_bytes_across_round_boundaries(self, tmp_path, monkeypatch, n, rounds):
         ds = extreme_dataset(n)
         monkeypatch.setattr(dataio, "_ROUND_VALUES", 2 * BLOCK_ROWS * ds.grid.m)
         starts = record_rounds(monkeypatch)
         path = tmp_path / "dump.csv"
         dataset_to_csv(ds, path)
         assert path.read_bytes() == row_by_row("label", "v", 0, ds.labels, ds.values)
-        # two blocks a round, the last round what is left
-        blocks = list(range(0, n, BLOCK_ROWS))
-        assert starts == [blocks[i : i + 2] for i in range(0, len(blocks), 2)]
+        # the blocks of row_blocks, two a round where two fit
+        assert starts == [[i * BLOCK_ROWS for i in r] for r in rounds]
 
     @pytest.mark.parametrize(
-        "n, k, blocks_per_round",
+        "n, k, n_rounds",
         [
-            (100_002, 3, 25),  # predict-large's probabilities: one round
-            (100_002, 125, 2),  # its 5x5x5 samples: two blocks a round
+            (100_002, 3, 1),  # predict-large's probabilities: one round
+            (100_002, 125, 13),  # its 5x5x5 samples: two blocks a round, the larger last block alone
             (BLOCK_ROWS + 1, 2**20 // BLOCK_ROWS + 1, 1),  # a block above the budget is a round
         ],
     )
-    def test_rounds_are_whole_blocks_of_at_most_the_budget(self, tmp_path, monkeypatch, n, k, blocks_per_round):
+    def test_rounds_are_whole_blocks_of_at_most_the_budget(self, tmp_path, monkeypatch, n, k, n_rounds):
         starts = record_rounds(monkeypatch, format_rows=False)
         rows = np.broadcast_to(np.zeros(1), (n, k))  # no memory: only the shape is read
         write_predictions_csv(range(n), np.zeros(n, dtype=int), rows, tmp_path / "pred.csv")
-        blocks = list(range(0, n, BLOCK_ROWS))
-        assert starts == [blocks[i : i + blocks_per_round] for i in range(0, len(blocks), blocks_per_round)]
-        assert len(starts[0]) == 1 or len(starts[0]) * BLOCK_ROWS * k <= dataio._ROUND_VALUES
+        ends = dict(row_blocks(n))
+        assert [lo for r in starts for lo in r] == list(ends)  # every block of row_blocks, in order
+        assert len(starts) == n_rounds
+        floats = [sum(ends[lo] - lo for lo in r) * k for r in starts]
+        for size, r in zip(floats, starts):
+            assert len(r) == 1 or size <= dataio._ROUND_VALUES
+        for size, after in zip(floats, starts[1:]):  # a round ends where the next block does not fit
+            assert size + (ends[after[0]] - after[0]) * k > dataio._ROUND_VALUES
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "n, n_rounds",
+        [(0, 1), (1, 1), (BLOCK_ROWS, 1), (BLOCK_ROWS + 1, 1), (2 * BLOCK_ROWS + 1, 1), (3 * BLOCK_ROWS + 1, 2)],
+    )
+    def test_reader_csv_bytes_are_those_of_the_loaded_file(self, tmp_path, monkeypatch, n, n_rounds, cpus):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        if n_rounds > 1:  # two blocks a round
+            monkeypatch.setattr(dataio, "_ROUND_VALUES", 2 * BLOCK_ROWS * 27)
+        path = tmp_path / "data.mfd"
+        save_dataset(extreme_dataset(n), path)
+        dataset_to_csv(load_dataset(path), tmp_path / "loaded.csv")
+        starts = record_rounds(monkeypatch)
+        with DatasetReader(path) as reader:
+            dataset_to_csv(reader, tmp_path / "read.csv")
+        assert (tmp_path / "read.csv").read_bytes() == (tmp_path / "loaded.csv").read_bytes()
+        assert len(starts) == n_rounds
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_csv_worker_error_is_that_of_the_first_failing_block(self, tmp_path, monkeypatch, cpus):
-        def fail_later_blocks_first(indices, column, rows, lo):
-            if lo == BLOCK_ROWS:
+        def fail_later_blocks_first(blocks, i):
+            if i == 1:
                 time.sleep(0.5)
                 raise DomainError("block 1 failed")
-            if lo > BLOCK_ROWS:
-                raise NumericError(f"block at {lo} failed")
+            if i > 1:
+                raise NumericError(f"block {i} failed")
             return b""
 
         monkeypatch.setattr(dataio, "_format_rows", fail_later_blocks_first)
@@ -651,13 +681,15 @@ def row_by_row(column_name, prefix, first, column, rows) -> bytes:
 
 def record_rounds(monkeypatch, format_rows=True):
     """The block starts of each round the CSV writer maps, recorded as it
-    maps them; without `format_rows` each block's text is left empty."""
+    maps them; the round is the map's `shared` and the items are its block
+    numbers.  Without `format_rows` each block's text is left empty."""
     starts, real = [], dataio.ordered_map
 
-    def recording(fn, items, *args, **kwargs):
-        items = list(items)
-        starts.append([lo for (lo,) in items])
-        return real(fn, items, *args, **kwargs) if format_rows else [b""] * len(items)
+    def recording(fn, items, *args, shared, **kwargs):
+        (blocks,) = shared
+        assert items == [(i,) for i in range(len(blocks))]
+        starts.append([index[0] for index, _, _ in blocks])
+        return real(fn, items, *args, shared=shared, **kwargs) if format_rows else [b""] * len(items)
 
     monkeypatch.setattr(dataio, "ordered_map", recording)
     return starts
