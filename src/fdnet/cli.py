@@ -36,6 +36,16 @@ def _sibling_path(path: str, tag: str) -> str:
     return f"{stem}.{tag}{ext}"
 
 
+def _refuse_input_as_out(args) -> None:
+    # opening --out truncates it, so it may not name a file the command reads
+    for name in getattr(args, "reads", ()):
+        path = getattr(args, name)
+        both = path is not None and os.path.exists(path) and os.path.exists(args.out)
+        if both and os.path.samefile(path, args.out):
+            flag = "--" + name.replace("_", "-")
+            raise DomainError(f"--out {args.out} is the {flag} file, which `fdnet {args.command}` reads")
+
+
 def _train_config(args) -> TrainConfig:
     return TrainConfig(
         epochs=args.epochs,
@@ -163,8 +173,6 @@ def _cmd_mnist(args) -> int:
 
 
 def _cmd_export_csv(args) -> int:
-    if os.path.exists(args.out) and os.path.samefile(args.data, args.out):  # opening it truncates the data
-        raise DomainError(f"--out {args.out} is the --data file, which the export reads as it writes")
     with dataio.DatasetReader(args.data) as data:
         dataio.dataset_to_csv(data, args.out)
     print(f"wrote {len(data)} rows to {args.out}")
@@ -192,13 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="model file to write")
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, reads=("data", "grid"))
 
     p = sub.add_parser("predict", help="write per-sample predictions to CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_predict)
+    p.set_defaults(func=_cmd_predict, reads=("model", "data"))
 
     p = sub.add_parser("eval", help="print error rate and confusion matrix")
     p.add_argument("--model", required=True)
@@ -219,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--workers", type=int, default=None, help="processes (default: the usable CPUs)")
-    p.set_defaults(func=_cmd_benchmark)
+    p.set_defaults(func=_cmd_benchmark, reads=("grid",))
 
     p = sub.add_parser("mnist", help="train on IDX image data end to end")
     p.add_argument("--images", required=True)
@@ -234,12 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--batch", type=int, default=128)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.set_defaults(func=_cmd_mnist)
+    p.set_defaults(func=_cmd_mnist, reads=("images", "labels", "grid", "test_images", "test_labels"))
 
     p = sub.add_parser("export-csv", help="dump a dataset file to readable CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_export_csv)
+    p.set_defaults(func=_cmd_export_csv, reads=("data",))
 
     return parser
 
@@ -251,6 +259,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _refuse_input_as_out(args)  # before anything is read
         return args.func(args)
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

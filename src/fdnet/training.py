@@ -16,13 +16,13 @@ and trains once, on all data.  The fitted model is a `Classifier`: the
 final network and the grid shape of its training data, whose length is
 the dimension of the data the model accepts.
 
-Every network `select` trains, validated or final, comes from one fit,
-`_fit`: it standardizes the score coordinates of its rows (zero mean,
-unit scale; raw score scales span orders of magnitude and slow the
-optimizer badly), trains, and folds the affine map exactly into the first
-weight matrix and shift vector.  Every such network consumes raw scores,
-the validation fold's as well as the caller's, and the hypothesis class
-is unchanged.
+Every network `select` trains, validated or final, trains on rows that
+`_standardize` brought to zero mean and unit scale in place, once per row
+set (raw score scales span orders of magnitude and slow the optimizer
+badly), and `_fit` folds that affine map exactly into the first weight
+matrix and shift vector.  Every such network consumes raw scores, the
+validation fold's as well as the caller's; the hypothesis class is
+unchanged.
 
 All randomness of `select` derives from its integer seed through
 deterministically ordered SeedSequence spawns: one stream for the split,
@@ -159,7 +159,7 @@ def _train_group(scores, labels, arch: Architecture, cfg: TrainConfig, dropouts,
         missing = [int(i) + 1 for i in np.flatnonzero(present == 0)]
         raise DomainError(f"training data has no samples for class(es) {missing}")
 
-    x = np.ascontiguousarray(scores[:, : arch.input_dim])
+    x = scores[:, : arch.input_dim]
 
     networks = len(rngs)
     params = ParamStack(arch, np.zeros((networks, arch.param_count)))
@@ -383,55 +383,39 @@ def _param_count(j: int, depth: int, width: int, k: int) -> int:
     return width * (j + (depth - 1) * width + depth + k)
 
 
-def _fit(raw, labels, cells, k: int, cfg: TrainConfig, streams, *, overwrite=False) -> list:
-    """Train `cells`, (J, L, width, dropout) tuples that differ only in
-    dropout, as one group on raw score rows (n, >= J), standardized, cell i
-    drawing from `streams[i]`; then fold the standardization into each
-    network's first layer in place: relu(W0 (x - mu) / sd - V1) =
-    relu(W0' x - V1') with W0' = W0 / sd and V1' = V1 + W0' mu, so the
-    networks consume raw scores.  `overwrite` (the final fit) standardizes
-    raw in place, after moving its first J columns to the front of its
-    buffer; fold fits, sharing their rows, copy theirs.  Raises
-    NumericError when a mean or spread is not finite."""
-    j_c, l_c, w_c, _ = cells[0]
-    arch = Architecture(input_dim=j_c, hidden_widths=(w_c,) * l_c, n_classes=k)
-    # reduce over every column, then cut to J: numpy sums a lone column
+def _standardize(x: np.ndarray, j: int):
+    """Standardize the first j columns of the rows x (n, >= j) in place,
+    leave the others, and return their (mu, sd).  Raises NumericError,
+    before x changes, when one of them is not finite."""
+    # reduce over every column, then cut to j: numpy sums a lone column
     # pairwise but the columns of a wider matrix row by row, so the bits
     # would depend on how many columns the rows carry
     with np.errstate(over="ignore", invalid="ignore"):
-        mu, sd = raw.mean(axis=0)[:j_c], raw.std(axis=0)[:j_c]
+        mu, sd = x.mean(axis=0)[:j], x.std(axis=0)[:j]
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sd))):
         raise NumericError("the mean or spread of a score overflows; the sample values are too large")
     sd[sd == 0.0] = 1.0  # constant coordinates are passed through unscaled
-    if overwrite:
-        x = _front_columns(raw, j_c)
-        x -= mu
-    else:
-        x = raw[:, :j_c] - mu
-    x /= sd
-    nets = _train_group(x, labels, arch, cfg, [cell[3] for cell in cells],
+    z = x[:, :j]
+    z -= mu
+    z /= sd
+    return mu, sd
+
+
+def _fit(z, labels, mu, sd, cells, k: int, cfg: TrainConfig, streams) -> list:
+    """Train `cells`, (J, L, width, dropout) tuples that differ only in
+    dropout, as one group on the first J columns of the rows z, which
+    `_standardize` made (x - mu) / sd, cell i drawing from `streams[i]`;
+    then fold mu[:J] and sd[:J] into each network's first layer in place:
+    relu(W0 (x - mu) / sd - V1) = relu(W0' x - V1') with W0' = W0 / sd and
+    V1' = V1 + W0' mu, so the networks consume raw scores."""
+    j_c, l_c, w_c, _ = cells[0]
+    arch = Architecture(input_dim=j_c, hidden_widths=(w_c,) * l_c, n_classes=k)
+    nets = _train_group(z, labels, arch, cfg, [cell[3] for cell in cells],
                         [np.random.default_rng(stream) for stream in streams])
     for params in nets:
-        params.weights[0] /= sd
-        params.shifts[0] += params.weights[0] @ mu
+        params.weights[0] /= sd[:j_c]
+        params.shifts[0] += params.weights[0] @ mu[:j_c]
     return nets
-
-
-def _front_columns(raw: np.ndarray, j: int) -> np.ndarray:
-    """The first j columns of the C-contiguous (n, >= j) `raw` as one
-    contiguous (n, j) array at the front of its buffer, moved there in
-    place.  Row i moves from offset i * width to i * j, never later, so
-    copying blocks of rows in order overwrites only rows already moved.
-    numpy copies a block whose source and destination overlap through a
-    buffer, so a block holds at most ADAM_SLICE values (or one row)."""
-    n, width = raw.shape
-    if width == j:
-        return raw
-    front = raw.reshape(-1)[: n * j].reshape(n, j)
-    rows = max(ADAM_SLICE // j, 1)
-    for lo in range(0, n, rows):
-        front[lo : lo + rows] = raw[lo : lo + rows, :j]
-    return front
 
 
 def _groups(cells, k: int) -> list:
@@ -451,14 +435,15 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
 
     `dataset` is a `Dataset`, `dataio.DatasetReader` or `idx.IdxImages`.
     Scores are projected by row blocks at max(n_scores), then truncated.
-    Every cell is fit by `_fit` on the 70% fold under its own dropout rate
-    and scored by 0-1 error on the raw scores of the 30% fold; the winner
-    is fit by `_fit` again on all samples and keeps the dataset's grid
-    shape.  That final fit overwrites `select`'s own score matrix with its
-    standardization, while fold fits copy theirs.  A one-cell grid skips
-    the fold fit and its validation (its error stays NaN), so its cell
-    trains once; the split still runs, so the refusals and the final fit's
-    stream are those of a larger grid.
+    The 70% fold's rows are gathered and standardized once; every cell is
+    fit by `_fit` on them under its own dropout rate and scored by 0-1
+    error on the raw scores of the 30% fold.  Then the winner's first J
+    columns of `select`'s own score matrix are standardized in place, and
+    the winner is fit by `_fit` again on all samples and keeps the
+    dataset's grid shape.  A one-cell grid skips the fold fit and its
+    validation (its error stays NaN), so its cell trains once; the split
+    still runs, so the refusals and the final fit's stream are those of a
+    larger grid.
     `seed` (a non-negative int or a SeedSequence) drives every stream.
 
     The fold fits run as groups through `parallel.ordered_map` at its
@@ -466,15 +451,16 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
     cut into groups of at most GROUP_FLOATS parameter values, is one task,
     and the pool starts the largest groups (G * P values) first.  A worker
     holds one group's training state, parameters, gradient and two Adam
-    moments: 4 G P floats, at most 8 MiB unless one cell trains alone.  The networks come back in grid
-    order and are validated here once every fit is done, so `select` holds
-    every fold network until then: n_cells * P * 8 bytes for P parameters
-    per network (0.6 MB for the README's 16-cell grid on 3 classes, 20 MB
-    per cell at J=500, L=3, width 1000 on 10 classes).  The first failing
-    cell in grid order raises its error.  The winner's final fit runs
-    here.  A grid with more cells, or whose largest cell has more
-    parameters, than one numpy array can hold is refused before any
-    projection, pool or fit.
+    moments: 4 G P floats, at most 8 MiB unless one cell trains alone.
+    The networks come back in grid order and are validated here once every
+    fit is done, so `select` holds every fold network until then: n_cells
+    * P * 8 bytes for P parameters per network (0.6 MB for the README's
+    16-cell grid on 3 classes, 20 MB per cell at J=500, L=3, width 1000 on
+    10 classes).  A fold score whose mean or spread overflows raises
+    NumericError before any fit; otherwise the first failing cell in grid
+    order raises its error.  The winner's final fit runs here.  A grid
+    with more cells, or whose largest cell has more parameters, than one
+    numpy array can hold is refused before any projection, pool or fit.
     """
     if len(dataset) == 0:
         raise DomainError("selection data has no samples")
@@ -506,10 +492,13 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
         cells = list(grid.cells())
         tasks = [([cells[ci] for ci in group], k, cfg, [streams[1 + ci] for ci in group])
                  for group in _groups(cells, k)]
+        fold = raw_scores[train_idx]
+        mu, sd = _standardize(fold, j_max)
         # every fold fit takes the same number of steps, so a group's cost
         # is its parameter count
-        fits = ordered_map(_fit, tasks, shared=(raw_scores[train_idx], labels[train_idx]),
+        fits = ordered_map(_fit, tasks, shared=(fold, labels[train_idx], mu, sd),
                            cost=lambda task: len(task[0]) * _param_count(*task[0][0][:3], k))
+        del fold  # not kept alive through the final fit
         nets = [net for group in fits for net in group]
         # validated here, once every fit is done: a validation pass is large
         # enough to wake BLAS helper threads, which would take a core from
@@ -519,7 +508,8 @@ def select(dataset, cfg: TrainConfig, grid: HyperGrid, seed) -> SelectionResult:
         del fits, nets, net  # the fold networks are not kept alive through the final fit
 
     chosen = min(zip(errors.flat, grid.cells()))[1]
-    [final] = _fit(raw_scores, labels, [chosen], k, cfg, [streams[-1]], overwrite=True)
+    mu, sd = _standardize(raw_scores, chosen[0])
+    [final] = _fit(raw_scores, labels, mu, sd, [chosen], k, cfg, [streams[-1]])
     return SelectionResult(
         chosen=Chosen(*chosen),
         validation_errors=errors,

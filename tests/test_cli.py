@@ -749,6 +749,49 @@ class TestExportCsv:
         capsys.readouterr()
 
 
+class TestOutNamingAnInput:
+    """No command writes over a file it reads: an --out that names one of
+    its inputs, by the same path or a hard link, exits 1 before anything is
+    read, and the input keeps its bytes.  TestExportCsv covers export-csv."""
+
+    ARGV = {
+        "train": ["--data", "{data}", "--grid", "{grid}", "--epochs", "1", "--seed", "1"],
+        "predict": ["--model", "{model}", "--data", "{data}"],
+        "benchmark": ["--model-id", "2d-gaussian", "--nk", "12", "--m", "9", "--reps", "1",
+                      "--grid", "{grid}", "--epochs", "1", "--batch", "8", "--seed", "1"],
+        "mnist": ["--images", "{images}", "--labels", "{labels}", "--grid", "{grid}",
+                  "--test-images", "{test-images}", "--test-labels", "{test-labels}",
+                  "--epochs", "1", "--batch", "8", "--seed", "1"],
+    }
+    PAIRS = [("train", "data"), ("train", "grid"), ("predict", "model"), ("predict", "data"),
+             ("benchmark", "grid"), ("mnist", "images"), ("mnist", "labels"), ("mnist", "grid"),
+             ("mnist", "test-images"), ("mnist", "test-labels")]
+
+    @pytest.mark.parametrize("hard_link", [False, True], ids=["same-path", "hard-link"])
+    @pytest.mark.parametrize("command, flag", PAIRS)
+    def test_exits_1_and_leaves_the_input(self, tmp_path, capsys, model_2d, command, flag, hard_link):
+        t = tmp_path / "t"
+        t.mkdir()
+        images, labels = write_idx_pair(tmp_path, 100, seed=27)
+        test_images, test_labels = write_idx_pair(t, 20, seed=28)
+        paths = {"data": tmp_path / "data.mfd", "grid": Path(grid_file(tmp_path)), "model": model_2d,
+                 "images": images, "labels": labels, "test-images": test_images, "test-labels": test_labels}
+        target = paths[flag]
+        before = target.read_bytes()
+        out = target
+        if hard_link:
+            out = tmp_path / "link"
+            os.link(target, out)
+        argv = [command] + [a.format(**{k: str(v) for k, v in paths.items()}) for a in self.ARGV[command]]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: --out {out} is the --{flag} file" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert target.read_bytes() == before
+
+
 class TestBenchmarkCommand:
     def test_csv_rows_and_determinism(self, tmp_path):
         args = lambda out, workers: [

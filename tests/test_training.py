@@ -24,7 +24,7 @@ from fdnet.basis import design_matrix
 from fdnet.dataio import save_model
 from fdnet.network import loss_and_gradient, one_hot
 from fdnet.rng import as_seed_sequence
-from fdnet.training import ADAM_SLICE, GROUP_FLOATS, Classifier, _fit, _param_count, _train_group
+from fdnet.training import ADAM_SLICE, GROUP_FLOATS, Classifier, _fit, _param_count, _standardize, _train_group
 
 
 def params_equal(a, b):
@@ -430,7 +430,8 @@ class TestSelect:
         cfg = TrainConfig(epochs=5, batch_size=8, learning_rate=1e-2)
         result = select(ds, cfg, grid, 25)
         raw = project_batch(ds.values, ds.grid, 2)  # one block: the rows select projects
-        [final] = _fit(raw, ds.labels, [cell], 3, cfg, [as_seed_sequence(25).spawn(3)[-1]])
+        mu, sd = _standardize(raw, 2)
+        [final] = _fit(raw, ds.labels, mu, sd, [cell], 3, cfg, [as_seed_sequence(25).spawn(3)[-1]])
         assert np.array_equal(result.classifier.params.flat, final.flat)
 
     def test_batch_larger_than_the_fold(self):
@@ -559,18 +560,22 @@ class TestSelect:
 
 
 class TestOneFit:
-    """Every network `select` trains comes from `_fit` and consumes raw
-    scores.  CI also runs this with OPENBLAS_NUM_THREADS=1: the fold's
-    W0' mu is a BLAS product."""
+    """Every network `select` trains comes from `_fit` on rows that
+    `_standardize` made, and consumes raw scores.  CI also runs this with
+    OPENBLAS_NUM_THREADS=1: the fold's W0' mu is a BLAS product."""
 
-    def test_bits_of_a_one_score_cell_on_wider_rows(self):
-        # standardized over all 3 columns, trained on the first, folded
+    @pytest.mark.parametrize("j", [1, 3], ids=["first-column", "every-column"])
+    def test_bits_of_a_one_score_cell_on_wider_rows(self, j):
+        # statistics over all 3 columns, trained on the first, folded; the
+        # fold fit standardizes every column, the final fit only the first
         rng = np.random.default_rng(40)
         scores, labels = blob_scores(rng, 25, [(0, 0, 0), (4, 1, -2), (-3, 2, 5)])
         raw = scores * np.array([300.0, 1.0, 0.01]) + np.array([-50.0, 7.0, 0.0])
         cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=1e-2)
         stream = np.random.SeedSequence(41)
-        [got] = _fit(raw, labels, [(1, 2, 5, 0.1)], 3, cfg, [stream])
+        z = raw.copy()
+        zmu, zsd = _standardize(z, j)
+        [got] = _fit(z, labels, zmu, zsd, [(1, 2, 5, 0.1)], 3, cfg, [stream])
 
         mu, sd = raw.mean(axis=0), raw.std(axis=0)
         ref = train((raw - mu) / sd, labels, Architecture(1, (5, 5), 3), cfg, dropout=0.1,
@@ -589,49 +594,93 @@ class TestOneFit:
         streams = as_seed_sequence(43).spawn(grid.n_cells + 2)
         raw = project_batch(ds.values, ds.grid, 3)  # one block: the rows select projects
         train_idx, val_idx = split_70_30(ds.labels, streams[0])
+        fold = raw[train_idx]
+        mu, sd = _standardize(fold, 3)
         errors = [
-            np.mean(classify(_fit(raw[train_idx], ds.labels[train_idx], [cell], 2, cfg, [stream])[0],
+            np.mean(classify(_fit(fold, ds.labels[train_idx], mu, sd, [cell], 2, cfg, [stream])[0],
                              raw[val_idx, : cell[0]]) != ds.labels[val_idx])
             for cell, stream in zip(grid.cells(), streams[1:])
         ]
         assert np.array_equal(result.validation_errors.ravel(), errors)
-        [final] = _fit(raw, ds.labels, [result.chosen.as_tuple()], 2, cfg, [streams[-1]])
+        mu, sd = _standardize(raw, result.chosen.n_scores)
+        [final] = _fit(raw, ds.labels, mu, sd, [result.chosen.as_tuple()], 2, cfg, [streams[-1]])
         assert params_equal(result.classifier.params, final)
 
     def test_final_fit_standardizes_wider_rows_in_place(self, monkeypatch):
-        # the final fit moves the first J columns of its rows to the front
-        # of their buffer, so training takes them as they are: no second
-        # (n, J) array, and the bits of a fit that copies its rows
+        # the final fit trains on a view of the first J columns of its
+        # rows, standardized in place: no second (n, J) array, and the
+        # bits of a fit on a contiguous copy of those columns
         n, width, j = 4000, 32, 16
         rng = np.random.default_rng(48)
         raw, labels = blob_scores(rng, n // 2, rng.standard_normal((2, width)))
         cfg = TrainConfig(epochs=1, batch_size=500)
-        [copied] = _fit(raw, labels, [(j, 1, 4, 0.0)], 2, cfg, [49])
+        z = raw.copy()
+        mu, sd = _standardize(z, j)
+        [copied] = _fit(z[:, :j].copy(), labels, mu, sd, [(j, 1, 4, 0.0)], 2, cfg, [49])
         seen = []
 
         def entry(x, *args):
-            seen.append((x.flags.c_contiguous, np.shares_memory(x, raw), tracemalloc.get_traced_memory()[0]))
+            seen.append((np.shares_memory(x, raw), tracemalloc.get_traced_memory()[0]))
             tracemalloc.reset_peak()
             nets = _train_group(x, *args)
             seen.append(tracemalloc.get_traced_memory()[1])
             return nets
 
         monkeypatch.setattr("fdnet.training._train_group", entry)
+        mu, sd = _standardize(raw, j)
         tracemalloc.start()
         try:
-            [final] = _fit(raw, labels, [(j, 1, 4, 0.0)], 2, cfg, [49], overwrite=True)
+            [final] = _fit(raw, labels, mu, sd, [(j, 1, 4, 0.0)], 2, cfg, [49])
         finally:
             tracemalloc.stop()
-        [(contiguous, shared, live), peak] = seen
-        assert contiguous and shared
+        [(shared, live), peak] = seen
+        assert shared
         assert peak - live < n * j * 8 // 2, f"{peak - live} bytes above the rows while training"
         assert params_equal(final, copied)
 
     def test_overflowing_spread_is_a_numeric_error(self):
         scores, labels = blob_scores(np.random.default_rng(44), 10, [(0, 0), (3, 3)])
         scores[0, 1] = 1e300  # its square overflows
+        before = scores.copy()
         with pytest.raises(NumericError, match="overflows"):
-            _fit(scores, labels, [(2, 1, 4, 0.0)], 2, TrainConfig(epochs=1, batch_size=4), [0])
+            _standardize(scores, 2)
+        assert np.array_equal(scores, before)
+
+    def test_spread_overflowing_beyond_j_leaves_those_columns(self):
+        scores, _ = blob_scores(np.random.default_rng(45), 10, [(0, 0, 0), (3, 3, 3)])
+        scores[0, 2] = 1e300  # column 2's square overflows; the fit reads columns 0 and 1
+        before = scores.copy()
+        mu, sd = _standardize(scores, 2)
+        assert mu.shape == sd.shape == (2,)
+        assert np.array_equal(scores[:, :2], (before[:, :2] - mu) / sd)
+        assert np.array_equal(scores[:, 2:], before[:, 2:])
+
+    def test_fold_overflow_is_refused_before_any_training(self, monkeypatch):
+        monkeypatch.setattr("fdnet.training._train_group", pytest.fail)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        ds = toy_functional_dataset(np.random.default_rng(46), 20, [(0, 0), (8, 8)])
+        values = ds.values * 1e300  # every row: the fold's spread overflows
+        ds = Dataset(values=values, grid=ds.grid, labels=ds.labels, n_classes=2)
+        grid = HyperGrid(n_scores=(2,), depths=(1,), widths=(4, 8), dropouts=(0.0,))
+        with pytest.raises(NumericError, match="overflows"):
+            select(ds, TrainConfig(epochs=1, batch_size=4), grid, 0)
+
+    @pytest.mark.parametrize("grid", [HyperGrid((1, 2), (1,), (4, 8), (0.0, 0.1)), HyperGrid((2,), (1,), (4,), (0.0,))],
+                             ids=["eight-cells", "one-cell"])
+    def test_select_standardizes_once_per_row_set(self, monkeypatch, grid):
+        # the fold's rows once for every fold fit, then the final rows once
+        standardized = []
+
+        def counting(x, j):
+            standardized.append((x.shape, j))
+            return _standardize(x, j)
+
+        monkeypatch.setattr("fdnet.training._standardize", counting)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # the serial path
+        ds = toy_functional_dataset(np.random.default_rng(47), 20, [(0, 0), (8, 8)])
+        result = select(ds, TrainConfig(epochs=1, batch_size=4), grid, 0)
+        fold = [((28, 2), 2)] if grid.n_cells > 1 else []
+        assert standardized == fold + [((40, 2), result.chosen.n_scores)]
 
 
 class TestHyperGrid:
